@@ -3,10 +3,11 @@
 Five subcommands share one reporting pipeline: `analyze` runs an alpha
 through branch analysis and both decompositions, `hkg` adds the
 one-point invariants, `verify` additionally rebuilds the module by
-explicit matrices and has the oracle confirm the closed form, `zoo`
-lists or dumps the indecomposable catalogue, and `examples` synthesizes
-the three closed-form families.  Reports print either human-readable
-or as canonical JSON; identical inputs give byte-identical JSON.
+explicit matrices and compares the oracle's decomposition of them with
+the closed form, `zoo` lists or dumps the indecomposable catalogue, and
+`examples` synthesizes the three closed-form families.  Reports print
+either human-readable or as canonical JSON; identical inputs give
+byte-identical JSON.
 
 Exit codes: 0 success, 1 usage, 2 mathematical precondition failure,
 3 verification mismatch.
@@ -49,7 +50,7 @@ from ._families import (
     hkg_alpha,
 )
 
-SCHEMA = 1
+SCHEMA = 2
 
 __all__ = ["JobSpec", "Report", "run_cli", "main"]
 
@@ -243,10 +244,8 @@ def _verification_block(data, kG, kH, timings):
     solG = decompose_rep(gr.rep)
     solH = decompose_rep(restrict_to_h(gr.rep))
     timings["oracle"] = time.perf_counter() - t0
-    okG = (solG.residual == "zero"
-           and dict(solG.multiplicities) == kG.entries)
-    okH = (solH.residual == "zero"
-           and dict(solH.multiplicities) == kH.entries)
+    okG = dict(solG.multiplicities) == kG.entries
+    okH = dict(solH.multiplicities) == kH.entries
     return {
         "status": "PASS" if okG and okH else "FAIL",
         "dim": gr.dim,
@@ -385,17 +384,6 @@ def _human_decomposition(dec, fmt):
     return " + ".join(parts) if parts else "0"
 
 
-def _human_lambda(field, value):
-    if value is INF:
-        return "inf"
-    z = field.zeta()
-    if value == z:
-        return "zeta"
-    if value == z * z:
-        return "zeta^2"
-    return str(value.mask)
-
-
 def _human_report(report, out):
     data = report.ram
     field = report.job.field
@@ -408,10 +396,10 @@ def _human_report(report, out):
           f"point(s), {len(data.orbits)} orbit(s)", file=out)
     for bp in data.special:
         print(f"  {bp.place.key()}: p={bp.p_alpha} m={bp.m} M={bp.M} "
-              f"delta={bp.delta} lambda={_human_lambda(field, bp.lam)}",
+              f"delta={bp.delta} lambda={_human_param(bp.lam)}",
               file=out)
     for orb in data.orbits:
-        lams = ",".join(_human_lambda(field, pt.lam) for pt in orb.points)
+        lams = ",".join(_human_param(pt.lam) for pt in orb.points)
         print(f"  orbit psi={orb.psi.mask} [{orb.klass}]: m={orb.m} "
               f"M={orb.M} delta={orb.delta} lambda=({lams}) "
               f"phi={_human_param(orb.phi)}", file=out)

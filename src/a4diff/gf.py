@@ -120,7 +120,7 @@ class FieldSpec:
     specs never mix.  Invariant: modulus is irreducible of degree m, m even.
     """
 
-    __slots__ = ("m", "modulus", "_zeta_mask", "_inv_frob_rows")
+    __slots__ = ("m", "modulus", "_zeta_mask")
 
     def __init__(self, m: int = 8, modulus: int | None = None):
         if m <= 0 or m % 2 != 0:
@@ -139,7 +139,6 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self._zeta_mask = None
-        self._inv_frob_rows = None
 
     # -- identity ----------------------------------------------------------
 

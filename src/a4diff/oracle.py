@@ -13,15 +13,15 @@ apart:
   adjunction with the Klein four subgroup (induction and coinduction
   agree here, so the reduction works on either argument).
 * ``decompose_rep`` reads the summand multiset of a representation off
-  invariant subspace chains and certifies it by solving the hom-count
-  Gram system over the rationals.  Krull-Schmidt makes the multiplicity
-  vector unique, so a zero residual plus a couple of dense spot checks
-  pins the answer without ever exhibiting an isomorphism.
+  invariant subspace chains.  What it checks against the matrices: the
+  group relations, the extraction's own bookkeeping (chain and budget
+  identities), the A4 vertex profile, the total dimension, and, for
+  representations of dimension at most 150, two dense hom counts
+  ``hom_dim(X, M)`` against the counts ``hom_labels`` predicts from the
+  extracted multiset.
 
 All arithmetic is exact; nothing is randomized.
 """
-
-from fractions import Fraction
 
 import numpy as np
 
@@ -247,8 +247,8 @@ def hom_labels(spec, a, b):
 # Everything below reads off the summand multiset of an explicit
 # representation from basis-free invariants: radical and top, kernel
 # chains of the pencil at each parameter, and graded walk chains on
-# the three-vertex quiver.  The result feeds the Gram solve; it is
-# never trusted blind.
+# the three-vertex quiver.  Each step checks the identities its counts
+# must satisfy, and decompose_rep checks the total against M.
 
 class _StructureError(Exception):
     def __init__(self, msg, proven=False):
@@ -293,21 +293,17 @@ def _chain_dims(P, Q, cap):
     return dims
 
 
-def _scan_order(spec, context_params, skip_zero=False):
+def _scan_order(spec, skip_zero=False):
     seen = set()
     out = []
 
     def push(x):
-        if x is INF or x is None:
-            return
         if skip_zero and not x:
             return
         if x.mask not in seen:
             seen.add(x.mask)
             out.append(x)
 
-    for lam in context_params:
-        push(lam)
     z = spec.zeta()
     for e in (spec.zero(), spec.one(), z, z * z):
         push(e)
@@ -353,7 +349,7 @@ def _cleaned_sizes(ch, ref):
     return out
 
 
-def _klein_counts(M, context_params):
+def _klein_counts(M):
     """Summand multiset of an H-representation with vanishing rad^2."""
     spec = M.spec
     d = M.dim
@@ -393,7 +389,7 @@ def _klein_counts(M, context_params):
     # reference parameter: there are at most min(t, r) tube parameters,
     # so among min(t, r) + 1 distinct finite values one is tube-free,
     # and it is the one of maximal rank.
-    finite = _scan_order(spec, context_params)
+    finite = _scan_order(spec)
     cap = min(t, r)
     if len(finite) < cap + 1:
         raise _StructureError("field too small for the tube scan")
@@ -548,7 +544,7 @@ def _family_from_reach(delta, entry_vertex, pollution, jmax):
     return out
 
 
-def _a4_counts(M, context_params):
+def _a4_counts(M):
     """Summand multiset of a G-representation via its graded quiver."""
     spec = M.spec
     try:
@@ -651,11 +647,7 @@ def _a4_counts(M, context_params):
                 ranks[phi.mask] = (Dbig + Cbig.scale(phi)).rank()
             return ranks[phi.mask]
 
-        ctx = []
-        for lam in context_params:
-            if lam is not INF and lam is not None and lam:
-                ctx.extend([lam, lam * z, lam * z * z])
-        order = _scan_order(spec, ctx, skip_zero=True)
+        order = _scan_order(spec, skip_zero=True)
         cap = min(T, sum(rlist))
         if len(order) < cap + 1:
             raise _StructureError("field too small for the band scan")
@@ -744,24 +736,21 @@ def _a4_profile_check(counts, tdims, rdims):
 
 
 # ---------------------------------------------------------------------------
-# the multiplicity solve
+# the checked result
 
 class MultiplicitySolution:
-    """Certified multiplicities of the summands of a representation.
+    """Multiplicities of the summands of a representation.
 
-    multiplicities maps labels to positive integers; residual is
-    "zero" exactly when the hom counts against every candidate are
-    reproduced.  The certificate records the candidate list, the Gram
-    matrix, the hom vector and the raw solution so a solve can be
-    audited offline.
+    multiplicities maps labels to positive integers.  spot_hom maps the
+    label string of each dense spot-check probe X to dim Hom(X, M) as
+    computed from the matrices; it is empty when the check was skipped.
     """
 
-    __slots__ = ("multiplicities", "residual", "certificate")
+    __slots__ = ("multiplicities", "spot_hom")
 
-    def __init__(self, multiplicities, residual, certificate):
+    def __init__(self, multiplicities, spot_hom):
         self.multiplicities = dict(multiplicities)
-        self.residual = residual
-        self.certificate = certificate
+        self.spot_hom = dict(spot_hom)
 
     def total_dim(self):
         return sum(lab.dim * m for lab, m in self.multiplicities.items())
@@ -771,283 +760,83 @@ class MultiplicitySolution:
             "multiplicities": {str(lab): m for lab, m
                                in sorted(self.multiplicities.items(),
                                          key=lambda kv: kv[0].key())},
-            "residual": self.residual,
-            "certificate": self.certificate,
+            "spot_hom": self.spot_hom,
         }
 
     def __repr__(self):
         inner = ", ".join(f"{lab}: {m}" for lab, m
                           in sorted(self.multiplicities.items(),
                                     key=lambda kv: kv[0].key()))
-        return f"MultiplicitySolution({{{inner}}}, residual={self.residual})"
-
-
-def _padding_labels(spec, side, context_params, dim_cap):
-    z = spec.zeta()
-    out = []
-    if side == "kH":
-        out += [KHLabel.triv(), KHLabel.string(3, 1), KHLabel.string(3, 2)]
-        out += [KHLabel.even(2, p) for p in
-                (z, z * z, spec.zero(), spec.one(), INF)]
-        for lam in context_params:
-            if lam is INF:
-                out.append(KHLabel.even(2, INF))
-            elif lam is not None:
-                out.append(KHLabel.even(2, lam))
-    else:
-        out += [KGLabel.simple(i) for i in range(3)]
-        out += [KGLabel.odd(3, x, i) for x in (1, 2) for i in range(3)]
-        out += [KGLabel.even(2, s, i) for s in (0, INF) for i in range(3)]
-        for phi in (z, z * z):
-            out.append(KGLabel.band(6, phi ** 3, phi=phi))
-        for lam in context_params:
-            if lam is not INF and lam is not None and lam:
-                out.append(KGLabel.band(6, lam ** 3, phi=lam))
-    return [lab for lab in out if lab.dim <= max(dim_cap, 1)]
-
-
-def _gauss_solve(gram, rhs):
-    """Unique solution of a (possibly tall) exact linear system.
-
-    Returns None when some column has no pivot; leftover inconsistent
-    rows are left to the caller's residual check.
-    """
-    rows = len(gram)
-    k = len(gram[0]) if rows else 0
-    aug = [[Fraction(x) for x in gram[i]] + [Fraction(rhs[i])]
-           for i in range(rows)]
-    r = 0
-    for col in range(k):
-        p = next((i for i in range(r, rows) if aug[i][col]), None)
-        if p is None:
-            return None
-        aug[r], aug[p] = aug[p], aug[r]
-        inv = aug[r][col]
-        aug[r] = [x / inv for x in aug[r]]
-        for i in range(rows):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    return [aug[i][k] for i in range(k)]
-
-
-def _column_kernel(gram):
-    """Basis of the rational kernel of the column map of gram."""
-    rows = len(gram)
-    k = len(gram[0]) if rows else 0
-    A = [[Fraction(gram[i][j]) for j in range(k)] for i in range(rows)]
-    piv = []
-    r = 0
-    for col in range(k):
-        p = next((i for i in range(r, rows) if A[i][col]), None)
-        if p is None:
-            continue
-        A[r], A[p] = A[p], A[r]
-        inv = A[r][col]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(rows):
-            if i != r and A[i][col]:
-                f = A[i][col]
-                A[i] = [x - f * y for x, y in zip(A[i], A[r])]
-        piv.append(col)
-        r += 1
-    out = []
-    for free in (c for c in range(k) if c not in piv):
-        v = [Fraction(0)] * k
-        v[free] = Fraction(1)
-        for i, pc in enumerate(piv):
-            v[pc] = -A[i][free]
-        out.append(v)
-    return out
-
-
-def _shrink_kernel(kernel, row):
-    """Kernel vectors still annihilated by a new test row."""
-    dots = [sum(Fraction(r) * w[j] for j, r in enumerate(row))
-            for w in kernel]
-    p = next((i for i, d in enumerate(dots) if d), None)
-    if p is None:
-        return kernel, False
-    wstar, dstar = kernel[p], dots[p]
-    out = []
-    for i, w in enumerate(kernel):
-        if i == p:
-            continue
-        if dots[i]:
-            f = dots[i] / dstar
-            out.append([a - f * b for a, b in zip(w, wstar)])
-        else:
-            out.append(w)
-    return out, True
-
-
-def _probe_reserve(spec, side, cands):
-    """Extra test objects, smallest first, for separating candidates.
-
-    Hom functionals of distinct labels can coincide on a finite label
-    set; probing the same families at every size up to a bit past the
-    candidates restores separation without growing the unknowns.
-    """
-    z = spec.zeta()
-    out = []
-    if side == "kH":
-        params = {}
-        cap_s = 1
-        cap_e = 1
-        for lab in cands:
-            if lab.kind == "String":
-                cap_s = max(cap_s, lab.dim // 2)
-            elif lab.kind == "EvenDim":
-                cap_e = max(cap_e, lab.dim // 2)
-                params[_tube_key(lab.param)] = lab.param
-        for par in (spec.zero(), spec.one(), z, z * z, INF):
-            params.setdefault(_tube_key(par), par)
-        out.append(KHLabel.triv())
-        for n in range(1, cap_s + 3):
-            out += [KHLabel.string(2 * n + 1, 1), KHLabel.string(2 * n + 1, 2)]
-        for par in params.values():
-            for n in range(1, cap_e + 3):
-                out.append(KHLabel.even(2 * n, par))
-    else:
-        mus = {}
-        cap_o = 1
-        cap_e = 1
-        cap_b = 1
-        for lab in cands:
-            if lab.kind == "OddString":
-                cap_o = max(cap_o, lab.dim // 2)
-            elif lab.kind == "EvenString":
-                cap_e = max(cap_e, lab.dim // 2)
-            elif lab.kind == "Band":
-                cap_b = max(cap_b, lab.dim // 6)
-                mus[lab.param.mask] = lab.param
-        out += [KGLabel.simple(i) for i in range(3)]
-        for n in range(1, cap_o + 3):
-            for x in (1, 2):
-                out += [KGLabel.odd(2 * n + 1, x, i) for i in range(3)]
-        for n in range(1, cap_e + 3):
-            for s in (0, INF):
-                out += [KGLabel.even(2 * n, s, i) for i in range(3)]
-        for mu in mus.values():
-            for n in range(1, cap_b + 3):
-                out.append(KGLabel.band(6 * n, mu))
-    skip = set(cands)
-    out = [lab for lab in out if lab not in skip]
-    out.sort(key=lambda lab: (lab.dim,) + lab.key())
-    return out
+        return f"MultiplicitySolution({{{inner}}})"
 
 
 _SPOT_DIM_CAP = 150
 
 
-def _spot_check(M, cands, hom):
-    """Recompute a couple of hom counts densely as an independent anchor."""
+def _spot_check(M, counts):
+    """Compare two dense hom counts against the extracted multiset.
+
+    The probes are the two smallest labels of the side (the trivial
+    module and the tube at 0 over H, the simples S_0 and S_1 over G),
+    those larger than M left out.  Returns the dense counts by label
+    string, or {} above _SPOT_DIM_CAP.
+    """
     if M.dim > _SPOT_DIM_CAP:
-        return
-    order = sorted(range(len(cands)), key=lambda i: (cands[i].dim,
-                                                     cands[i].key()))
-    picked = [i for i in order if cands[i].dim <= 6][:2]
-    for i in picked:
-        lab = cands[i]
-        if isinstance(lab, KHLabel):
-            probe = kh_group_rep(M.spec, lab)
-        else:
-            probe = kg_group_rep(M.spec, lab)
-        if hom_dim(probe, M) != hom[i]:
+        return {}
+    spec = M.spec
+    if M.group == "H":
+        probes = [KHLabel.triv(), KHLabel.even(2, spec.zero())]
+        build = kh_group_rep
+    else:
+        probes = [KGLabel.simple(0), KGLabel.simple(1)]
+        build = kg_group_rep
+    out = {}
+    for X in probes:
+        if X.dim > M.dim:
+            continue
+        got = hom_dim(build(spec, X), M)
+        want = sum(c * hom_labels(spec, X, Y) for Y, c in counts.items())
+        if got != want:
             raise RuntimeError(
                 "internal extraction inconsistency: dense hom count "
-                f"disagrees at {lab}")
+                f"disagrees at {X}")
+        out[str(X)] = got
+    return out
 
 
-def _error_with_certificate(msg, certificate):
-    err = ValueError(msg)
-    err.certificate = certificate
-    return err
-
-
-def decompose_rep(M, context_params=()):
+def decompose_rep(M):
     """Indecomposable multiplicities of an explicit representation.
 
-    Summands are read off invariant subspace chains, then certified by
-    the hom-count Gram system over the candidate labels: the solved
-    multiplicity vector must be the unique nonnegative integer solution
-    and reproduce every hom count (zero residual).  context_params may
-    supply field elements worth scanning first for tube and band
-    parameters; the answer does not depend on it.
+    Checks the group relations, reads the summands off invariant
+    subspace chains and rejects the result unless the extraction's own
+    bookkeeping closes, the A4 vertex profile matches (over G), the
+    dimensions add up to dim M and, for dim M <= _SPOT_DIM_CAP, two dense
+    hom counts agree with the multiset (see _spot_check).  The closed
+    form is not consulted.
 
     Raises ValueError("no nonnegative integer solution") with a
-    .certificate attribute when the input provably is not a direct sum
-    of the candidate families (a projective summand, say), and
-    ValueError("ambiguous solution") if the Gram system were singular.
+    .certificate attribute {reason, dim, side} when the input provably
+    is not a direct sum of the known families (a projective summand,
+    say), and RuntimeError("internal extraction inconsistency ...")
+    when a check fails.
     """
     validate_group_rep(M)
     side = "kH" if M.group == "H" else "kG"
     try:
         if side == "kH":
-            counts = _klein_counts(M, context_params)
+            counts = _klein_counts(M)
         else:
-            counts = _a4_counts(M, context_params)
+            counts = _a4_counts(M)
     except _StructureError as err:
         if err.proven:
-            raise _error_with_certificate(
-                "no nonnegative integer solution",
-                {"reason": str(err), "dim": M.dim, "side": side}) from err
+            exc = ValueError("no nonnegative integer solution")
+            exc.certificate = {"reason": str(err), "dim": M.dim,
+                               "side": side}
+            raise exc from err
         raise RuntimeError(f"internal extraction inconsistency: {err}") \
             from err
-
-    spec = M.spec
-    cands = sorted(counts, key=lambda lab: lab.key())
-    have = set(cands)
-    for lab in _padding_labels(spec, side, context_params, M.dim):
-        if lab not in have:
-            have.add(lab)
-            cands.append(lab)
-    nstar = [counts.get(X, 0) for X in cands]
-    gram = [[hom_labels(spec, X, Y) for Y in cands] for X in cands]
-    probes = list(cands)
-
-    # the square Gram can be singular: hom functionals of distinct
-    # labels may agree on a finite label set.  Extra probe rows keep
-    # the unknowns fixed while restoring full column rank.
-    kernel = _column_kernel(gram)
-    if kernel:
-        for probe in _probe_reserve(spec, side, cands):
-            row = [hom_labels(spec, probe, Y) for Y in cands]
-            kernel, used = _shrink_kernel(kernel, row)
-            if used:
-                gram.append(row)
-                probes.append(probe)
-            if not kernel:
-                break
-    hom = [sum(g * n for g, n in zip(row, nstar)) for row in gram]
-    certificate = {
-        "candidates": [str(X) for X in cands],
-        "probe_rows": [str(X) for X in probes],
-        "gram": gram,
-        "hom": hom,
-    }
-    if kernel:
-        raise _error_with_certificate("ambiguous solution", certificate)
-
-    sol = _gauss_solve(gram, hom)
-    if sol is None:
-        raise _error_with_certificate("ambiguous solution", certificate)
-    bad = [x for x in sol if x.denominator != 1 or x < 0]
-    certificate["solution"] = [str(x) if x.denominator != 1 else int(x)
-                               for x in sol]
-    if bad:
-        raise _error_with_certificate("no nonnegative integer solution",
-                                      certificate)
-    _spot_check(M, cands, hom)
-
-    mults = {lab: int(x) for lab, x in zip(cands, sol) if x}
-    residual = "zero"
-    for i, row in enumerate(gram):
-        if sum(g * int(x) for g, x in zip(row, sol)) != hom[i]:
-            residual = "nonzero"
-    out = MultiplicitySolution(mults, residual, certificate)
-    if residual == "zero" and out.total_dim() != M.dim:
+    out = MultiplicitySolution(counts, _spot_check(M, counts))
+    if out.total_dim() != M.dim:
         raise RuntimeError("internal extraction inconsistency: dimensions "
                            "do not add up")
     return out

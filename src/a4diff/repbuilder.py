@@ -16,7 +16,7 @@ import logging
 import numpy as np
 
 from ._linalg import Matrix, _mul_arrays, coords_in_basis
-from .modulezoo import GroupRep, validate_group_rep
+from .modulezoo import GroupRep
 from .ramification import INF, RamData
 
 log = logging.getLogger(__name__)
@@ -468,12 +468,12 @@ def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
 def build_global_rep(data: RamData) -> GlobalRep:
     """Assemble the global differential representation of the datum.
 
-    Returns a GlobalRep whose GroupRep satisfies the defining relations
-    and whose dimension equals the genus.  Raises "theta range exceeded"
-    when a corrected tail would need theta coefficients past the stored
-    window, "unsupported configuration" on data the mechanisms do not
-    cover, and "inconsistent invariants" if the assembled dimension
-    disagrees with the genus.
+    Returns a GlobalRep whose dimension equals the genus.  The group
+    relations are not checked here; decompose_rep checks them.  Raises
+    "theta range exceeded" when a corrected tail would need theta
+    coefficients past the stored window, "unsupported configuration" on
+    data the mechanisms do not cover, and "inconsistent invariants" if
+    the assembled dimension disagrees with the genus.
     """
     spec = data.spec
     specials = data.special
@@ -507,5 +507,4 @@ def build_global_rep(data: RamData) -> GlobalRep:
 
     rep = GroupRep("G", spec, Matrix(spec, Sg), Matrix(spec, Tg),
                    Matrix(spec, Rg))
-    validate_group_rep(rep)
     return GlobalRep(rep, labels, plan)

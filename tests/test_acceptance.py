@@ -158,7 +158,7 @@ def test_criterion_6_zoo_soundness():
             continue
         sol = decompose_rep(restrict_to_h(kg_group_rep(SPEC, lab)))
         assert sol.multiplicities == _restricted_nonband(lab), str(lab)
-        assert sol.residual == "zero"
+        assert sol.total_dim() == lab.dim
 
     # then every band with a parameter that is a cube in the working
     # field: the three Klein tubes sit at phi, zeta phi, zeta^2 phi
@@ -175,7 +175,7 @@ def test_criterion_6_zoo_soundness():
             want = {KHLabel.even(dim // 3, lambda_of_phi(SPEC, Z ** t * phi)): 1
                     for t in range(3)}
             assert sol.multiplicities == want, str(lab)
-            assert sol.residual == "zero"
+            assert sol.total_dim() == dim
         assert len(seen) == 85
 
     # Frobenius reciprocity on every pair from the sliced families,
@@ -219,7 +219,6 @@ def test_criterion_7_oracle_round_trip():
             M = conjugated(M, rnd)
         sol = decompose_rep(M)
         assert sol.multiplicities == multiset(labs), trial
-        assert sol.residual == "zero"
         assert sol.total_dim() == M.dim
     print("ACCEPTANCE 7: oracle round-trips 200 random multisets -- PASS")
 
@@ -238,7 +237,7 @@ def test_criterion_8_end_to_end_under_ten_seconds():
         sol = decompose_rep(gr.rep)
         elapsed = time.perf_counter() - start
         assert sol.multiplicities == kG_decomposition(data).entries, name
-        assert sol.residual == "zero"
+        assert sol.total_dim() == gr.dim
         assert elapsed < 10.0, (name, elapsed)
     print("ACCEPTANCE 8: global matrices match closed forms in time "
           "-- PASS")
@@ -262,5 +261,5 @@ def test_criterion_9_moebius_dictionary():
             lab = KHLabel.even(dim, lam_ab)
             sol = decompose_rep(kh_group_rep(SPEC, lab, coords="CD"))
             assert sol.multiplicities == {lab: 1}
-            assert sol.residual == "zero"
+            assert sol.total_dim() == dim
     print("ACCEPTANCE 9: Moebius band dictionary -- PASS")

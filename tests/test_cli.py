@@ -33,7 +33,7 @@ def test_analyze_quintic_json(capsys):
     code, out, _ = run(capsys, "analyze", "--alpha", S5, "--json")
     assert code == 0
     obj = json.loads(out)
-    assert obj["schema"] == 1
+    assert obj["schema"] == 2
     assert obj["ram"]["genus"] == 6
     assert obj["verification"] == "skipped"
     assert obj["kG"]["total_dim"] == 6
@@ -133,7 +133,6 @@ def test_verify_single_alpha(capsys):
 
 def test_verify_mismatch_exits_3(capsys, monkeypatch):
     class Hollow:
-        residual = "zero"
         multiplicities = {}
         def to_json(self):
             return {}
