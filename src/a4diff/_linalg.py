@@ -1,18 +1,41 @@
 """Dense exact linear algebra over GF(2^m).
 
 A matrix holds its entries as bit masks in a numpy int64 array.
-Products go through exp/log tables built once per field, so a matrix
-product is a handful of vectorized lookups rather than a Python loop.
-Rank is computed over GF(2): every field entry blows up to an m x m bit
-block, rows are packed into Python integers, and the big-int XOR does
-the elimination. Row reduction over the field itself (needed for
-nullspaces) is vectorized one pivot at a time, which is fine at the
-sizes these modules meet.
+
+A matrix product is one float32 BLAS call on 0/1 bit planes.  Bit t of
+(A B)[i, j] is the parity of sum over l and s of bit s of A[i, l] times
+bit t of x^s B[l, j], so m shift-and-reduce steps give the planes x^s B,
+one (n x mk)(mk x mp) product counts the terms, and `& 1` with a pack
+back to masks finishes it.  The counts are at most mk, which float32
+holds exactly below 2^24.
+
+Entrywise products (scaling, Kronecker products, the row operations of
+row reduction) go through exp/log tables built once per field: a few
+vectorized lookups instead of m shift-and-reduce passes.  The tables
+take the smallest primitive element, found by the order test
+g^((q-1)/p) != 1 for the primes p dividing q - 1, and fill exp by
+doubling and then chunk by chunk, each block the one before times a
+fixed power of g.  They hold 3 * 2^m int64 entries, so the kernel stops
+at m = MAX_M.
+
+Rank is the number of pivots of the row reduction over the field, which
+is vectorized one pivot at a time; that is fine at the sizes these
+modules meet.
 """
 
 import numpy as np
 
+from .gf import _prime_factors, _ppowmod
+
+MAX_M = 24
+_CHUNK = 1 << 13      # 64 KB blocks stay under malloc's mmap threshold
 _TABLES = {}
+
+
+def _xtime(v, m, modulus):
+    """x * v for an array v of masks."""
+    v = v << 1
+    return v ^ ((v >> m) * modulus)
 
 
 def _field_tables(spec):
@@ -24,29 +47,44 @@ def _field_tables(spec):
     key = (spec.m, spec.modulus)
     if key in _TABLES:
         return _TABLES[key]
-    q = spec.order
-    gen = None
-    for cand in range(2, q):
-        e = spec.element(cand)
-        acc = e
-        steps = 1
-        while acc.mask != 1:
-            acc = acc * e
-            steps += 1
-        if steps == q - 1:
-            gen = e
-            break
-    assert gen is not None
-    exp = np.zeros(2 * (q - 1), dtype=np.int64)
-    log = np.full(q, -1, dtype=np.int64)
-    acc = spec.one()
-    for i in range(q - 1):
-        exp[i] = acc.mask
-        exp[i + q - 1] = acc.mask
-        log[acc.mask] = i
-        acc = acc * gen
+    m, f = spec.m, spec.modulus
+    if m > MAX_M:
+        raise ValueError(
+            f"GF(2^{m}) is too large for the matrix kernel: its exp/log "
+            f"tables need 3 * 2^{m} entries, supported up to m = {MAX_M}")
+    n = spec.order - 1
+    primes = _prime_factors(n)
+    gen = next(g for g in range(2, n + 1)
+               if all(_ppowmod(g, n // p, f) != 1 for p in primes))
+    exp = np.zeros(2 * n, dtype=np.int64)
+    log = np.full(n + 1, -1, dtype=np.int64)
+    exp[0] = 1
+    done = 1
+    while done < n:
+        # exp[done:done+size] is the block before it times gen^size.
+        size = min(done, _CHUNK, n - done)
+        step = _ppowmod(gen, size, f)
+        src = exp[done - size:done]
+        acc = np.zeros_like(src)
+        for s in range(m):
+            if step >> s & 1:
+                acc ^= src
+            src = _xtime(src, m, f)
+        exp[done:done + size] = acc
+        done += size
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        log[exp[lo:hi]] = np.arange(lo, hi)
+    exp[n:] = exp[:n]
     _TABLES[key] = (exp, log)
     return exp, log
+
+
+def _bit_planes(a, m):
+    """float32 0/1 array of the m low bits of a, on a new last axis."""
+    b = a.astype("<u4").view(np.uint8).reshape(a.shape + (4,))
+    bits = np.unpackbits(b, axis=-1, count=m, bitorder="little")
+    return bits.astype(np.float32)
 
 
 def _mul_arrays(spec, a, b):
@@ -126,9 +164,20 @@ class Matrix:
 
     def __matmul__(self, other):
         assert self.cols == other.rows
-        prod = _mul_arrays(self.spec, self.a[:, :, None],
-                           other.a[None, :, :])
-        return Matrix(self.spec, np.bitwise_xor.reduce(prod, axis=1))
+        m, f = self.spec.m, self.spec.modulus
+        n, k, p = self.rows, self.cols, other.cols
+        assert m * k < 1 << 24, "bit-plane counts would overflow float32"
+        # shifted[l, s] = x^s * other[l]; the plane matrix has rows (l, s)
+        # and columns (j, t), holding bit t of shifted[l, s, j].
+        shifted = np.empty((k, m, p), dtype=np.int64)
+        shifted[:, 0] = other.a
+        for s in range(1, m):
+            shifted[:, s] = _xtime(shifted[:, s - 1], m, f)
+        counts = (_bit_planes(self.a, m).reshape(n, k * m)
+                  @ _bit_planes(shifted, m).reshape(k * m, p * m))
+        bits = counts.astype(np.int32).reshape(n, p, m) & 1
+        return Matrix(self.spec,
+                      bits @ (np.int64(1) << np.arange(m, dtype=np.int64)))
 
     def scale(self, c):
         return Matrix(self.spec,
@@ -155,35 +204,8 @@ class Matrix:
 
     # -- elimination ------------------------------------------------
 
-    def _gf2_rows(self):
-        """The GF(2) blow-up, one packed integer per bit row."""
-        m = self.spec.m
-        shifts = (np.int64(1) << np.arange(m, dtype=np.int64))
-        out = []
-        for i in range(self.rows):
-            # shifted[b, j] = x^b * row[j]
-            shifted = _mul_arrays(self.spec, shifts[:, None],
-                                  self.a[i][None, :])
-            for k in range(m):
-                bits = ((shifted >> k) & 1).reshape(-1).astype(np.uint8)
-                packed = np.packbits(bits, bitorder="little")
-                out.append(int.from_bytes(packed.tobytes(), "little"))
-        return out
-
     def rank(self):
-        m = self.spec.m
-        pivots = {}
-        for row in self._gf2_rows():
-            while row:
-                lead = row.bit_length() - 1
-                other = pivots.get(lead)
-                if other is None:
-                    pivots[lead] = row
-                    break
-                row ^= other
-        r2 = len(pivots)
-        assert r2 % m == 0
-        return r2 // m
+        return len(self.rref()[1])
 
     def rref(self):
         """(reduced matrix, pivot column list), over the field."""
@@ -200,11 +222,13 @@ class Matrix:
             i = r + int(hit[0])
             if i != r:
                 M[[r, i]] = M[[i, r]]
+            # Row r is zero left of j; only rows with an entry in column j
+            # change.
             inv = _inv_mask(spec, int(M[r, j]))
-            M[r] = _mul_arrays(spec, np.int64(inv), M[r])
-            col = M[:, j].copy()
-            col[r] = 0
-            M ^= _mul_arrays(spec, col[:, None], M[r][None, :])
+            M[r, j:] = _mul_arrays(spec, np.int64(inv), M[r, j:])
+            others = np.flatnonzero(M[:, j])
+            others = others[others != r]
+            M[others, j:] ^= _mul_arrays(spec, M[others, j, None], M[r, j:])
             piv.append(j)
             r += 1
         return Matrix(spec, M), piv

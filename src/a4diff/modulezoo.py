@@ -356,24 +356,22 @@ class GroupRep:
 
 def validate_group_rep(rep):
     """Check the defining relations, naming the first one that fails."""
+    def check(holds, name):
+        if not holds:
+            raise ValueError(f"relation violation: {name}")
+
     I = Matrix.identity(rep.spec, rep.dim)
     s, t = rep.sigma, rep.tau
-    checks = [
-        ("sigma^2 != 1", lambda: s @ s == I),
-        ("tau^2 != 1", lambda: t @ t == I),
-        ("sigma tau != tau sigma", lambda: s @ t == t @ s),
-    ]
+    check(s @ s == I, "sigma^2 != 1")
+    check(t @ t == I, "tau^2 != 1")
+    check(s @ t == t @ s, "sigma tau != tau sigma")
     if rep.group == "G":
         r = rep.rho
-        checks += [
-            ("rho^3 != 1", lambda: r @ r @ r == I),
-            ("rho sigma rho^-1 != tau", lambda: r @ s @ r @ r == t),
-            ("(sigma rho)^3 != 1",
-             lambda: s @ r @ s @ r @ s @ r == I),
-        ]
-    for name, ok in checks:
-        if not ok():
-            raise ValueError(f"relation violation: {name}")
+        rr = r @ r
+        check(rr @ r == I, "rho^3 != 1")
+        check(r @ s @ rr == t, "rho sigma rho^-1 != tau")
+        sr = s @ r
+        check(sr @ sr @ sr == I, "(sigma rho)^3 != 1")
 
 
 def _ab_from_cd(spec, C, D):

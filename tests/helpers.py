@@ -1,5 +1,8 @@
-"""Shared test utilities: random trace-zero data and closed-form
-expectations for the parametric families."""
+"""Shared test utilities: random trace-zero data, closed-form
+expectations for the parametric families, and slow reference versions of
+the matrix kernel's field tables and rank."""
+
+import numpy as np
 
 from a4diff.artin_schreier import symmetrize_h
 from a4diff.ramification import analyze_branch_data
@@ -133,3 +136,62 @@ def generic_orbit_expected(n):
         "a1": 1,
         "a2": 0,
     }
+
+
+def reference_field_tables(spec):
+    """(exp, log) as Matrix kernels expect them, by the plain method.
+
+    The generator is the smallest mask whose powers reach every nonzero
+    element, and the tables are filled one field multiply at a time.
+    """
+    q = spec.order
+    gen = None
+    for cand in range(2, q):
+        e = spec.element(cand)
+        acc = e
+        steps = 1
+        while acc.mask != 1:
+            acc = acc * e
+            steps += 1
+        if steps == q - 1:
+            gen = e
+            break
+    assert gen is not None
+    exp = np.zeros(2 * (q - 1), dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int64)
+    acc = spec.one()
+    for i in range(q - 1):
+        exp[i] = acc.mask
+        exp[i + q - 1] = acc.mask
+        log[acc.mask] = i
+        acc = acc * gen
+    return exp, log
+
+
+def gf2_blowup_rank(M):
+    """Rank of M over GF(2^m) from the GF(2) rank of its bit blow-up.
+
+    Each entry a becomes the m x m GF(2) block of multiplication by a
+    (column b holds the bits of x^b a), each bit row is packed into a
+    Python integer, and XOR eliminates; the GF(2) rank is m times the
+    field rank.
+    """
+    spec, m = M.spec, M.spec.m
+    powers = [spec.element(1 << b) for b in range(m)]
+    pivots = {}
+    for row in M.to_mask_rows():
+        blocks = [[(x * spec.element(a)).mask for x in powers] for a in row]
+        for k in range(m):
+            bits = 0
+            for j, block in enumerate(blocks):
+                for b, v in enumerate(block):
+                    bits |= (v >> k & 1) << (j * m + b)
+            while bits:
+                lead = bits.bit_length() - 1
+                other = pivots.get(lead)
+                if other is None:
+                    pivots[lead] = bits
+                    break
+                bits ^= other
+    assert len(pivots) % m == 0
+    return len(pivots) // m

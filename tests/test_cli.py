@@ -1,6 +1,12 @@
 """Exit codes, report shapes and determinism of the command line."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +16,7 @@ from a4diff.gf import FieldSpec
 S5 = '{"num":[0,0,0,0,0,1],"den":[1]}'
 S3 = '{"num":[0,0,0,1],"den":[1]}'
 S2S = '{"num":[0,1,1],"den":[1]}'
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -56,6 +63,21 @@ def test_odd_field_degree_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "--alpha", S5, "--m", "7")
     assert code == 2
     assert "cube root" in err
+
+
+def test_verify_refuses_fields_above_the_kernel_bound():
+    # A child process under a 2 GB address-space cap, so a missing guard
+    # fails the test instead of filling memory with 2^26-entry tables.
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "a4diff.cli", "verify", "--m", "26",
+         "--alpha", S5], capture_output=True, text=True, timeout=60,
+        preexec_fn=cap, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 2, proc.stderr
+    assert "verify supports fields up to GF(2^24), got m=26" in proc.stderr
+    assert time.perf_counter() - t0 < 30
 
 
 def test_usage_errors_exit_1(capsys):

@@ -202,6 +202,20 @@ def test_relation_validator_names_failure():
         validate_group_rep(GroupRep("H", F, bad, t))
 
 
+def test_g_validation_takes_eleven_products(monkeypatch):
+    rep = kg_group_rep(F, KGLabel.odd(5, 1, 0))
+    calls = []
+    product = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: calls.append(1) or product(a, b))
+    validate_group_rep(rep)
+    assert len(calls) == 11
+    s, t = rep.sigma, rep.tau
+    one = Matrix.identity(F, rep.dim)
+    with pytest.raises(ValueError, match="rho sigma rho\\^-1 != tau"):
+        validate_group_rep(GroupRep("G", F, s, t, one))
+
+
 def test_quiver_relation_validator():
     rep = kg_quiver_rep(F, KGLabel.simple(0))
     rep.vertex_dims = {0: 1, 1: 1, 2: 1}
