@@ -2,10 +2,18 @@
 
 A RatFunc is a reduced fraction num/den with monic denominator; all
 consumers rely on that canonical form (pole orders are read off the
-denominator, gcd-freeness makes them honest).  Local data at a place is
-computed adically: synthetic division by (s + c) at a finite point, and
-the substitution s -> 1/s at infinity, so extracting a few leading
-coefficients costs O(deg) rather than a full Taylor shift.
+denominator, gcd-freeness makes them honest).  Sums are formed over the
+lcm of the denominators, so the canonicalising gcd runs at the degree of
+the lcm, not of the product.
+
+Local data at a place c is computed adically.  In characteristic 2,
+(s + c)^(2^j) = s^(2^j) + c^(2^j), so the multiplicity v of the root c and
+the cofactor q with p = (s + c)^v q take O(log v) synthetic divisions by
+such binomials, O(deg) each.  The first `count` Laurent coefficients then
+take `count` synthetic divisions of the cofactors by s + c, O(count deg)
+scalar multiplies by the fixed c, each a byte-table lookup.  At infinity
+the substitution s -> 1/s reverses the coefficient lists, which are
+already the expansions: no multiplies at all.
 
 The degree-3 twist rho acts on functions by (rho f)(s) = f(zeta s); the
 trace to the fixed field k(s^3) is f + rho f + rho^2 f.
@@ -15,7 +23,7 @@ from __future__ import annotations
 
 import math
 
-from .gf import FieldSpec, FieldElement, _pmulmod, _ppowmod
+from .gf import FieldSpec, FieldElement, _pmulmod, _ppowmod, fixed_multiplier
 
 
 def _mask_mul(spec: FieldSpec, a: int, b: int) -> int:
@@ -26,6 +34,28 @@ def _mask_inv(spec: FieldSpec, a: int) -> int:
     if a == 0:
         raise ZeroDivisionError("inverse of zero")
     return _ppowmod(a, spec.order - 2, spec.modulus)
+
+
+def _multiplier(spec: FieldSpec, d: int):
+    """Multiplication by d as byte-table lookups; None for d = 0."""
+    return fixed_multiplier(d, spec.modulus) if d else None
+
+
+def _divmod_binomial(coeffs, k: int, mul):
+    """(quotient, remainder) coefficient lists of p / (s^k + d).
+
+    mul multiplies by d; None means d = 0, where the division is a shift.
+    Top-down synthetic division: the quotient's coefficients are left in
+    place above position k.
+    """
+    if mul is None:
+        return coeffs[k:], coeffs[:k]
+    rem = list(coeffs)
+    for i in range(len(rem) - 1, k - 1, -1):
+        t = rem[i]
+        if t:
+            rem[i - k] ^= mul(t)
+    return rem[k:], rem[:k]
 
 
 class Poly:
@@ -105,7 +135,7 @@ class Poly:
         return Poly(spec, [_mask_mul(spec, c, mask) for c in self.coeffs])
 
     def monic(self) -> "Poly":
-        if self.is_zero():
+        if self.leading() in (0, 1):
             return self
         return self.scale(_mask_inv(self.spec, self.leading()))
 
@@ -115,12 +145,13 @@ class Poly:
         spec = self.spec
         rem = list(self.coeffs)
         dd = other.degree
-        lead_inv = _mask_inv(spec, other.leading())
+        lead = other.leading()
+        lead_inv = 1 if lead == 1 else _mask_inv(spec, lead)
         q = [0] * max(0, len(rem) - dd)
         for i in range(len(rem) - 1, dd - 1, -1):
             if rem[i] == 0:
                 continue
-            f = _mask_mul(spec, rem[i], lead_inv)
+            f = rem[i] if lead_inv == 1 else _mask_mul(spec, rem[i], lead_inv)
             q[i - dd] = f
             for j, b in enumerate(other.coeffs):
                 if b:
@@ -146,36 +177,54 @@ class Poly:
 
     def div_linear(self, c: int):
         """Quotient and remainder for division by (s + c); O(deg)."""
-        spec = self.spec
-        q = [0] * max(0, len(self.coeffs) - 1)
-        acc = 0
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            acc = _mask_mul(spec, acc, c) ^ self.coeffs[i]
-            if i > 0:
-                q[i - 1] = acc
-        return Poly(spec, q), acc
+        q, r = _divmod_binomial(self.coeffs, 1, _multiplier(self.spec, c))
+        return Poly(self.spec, q), (r[0] if r else 0)
 
     def adic_coeffs(self, c: int, count: int) -> list[int]:
         """First `count` coefficients of the (s + c)-adic expansion."""
+        mul = _multiplier(self.spec, c)
         out = []
-        p = self
+        coeffs = self.coeffs
         for _ in range(count):
-            p, r = p.div_linear(c)
-            out.append(r)
+            coeffs, r = _divmod_binomial(coeffs, 1, mul)
+            out.append(r[0] if r else 0)
         return out
+
+    def root_split(self, c: int):
+        """(v, q) with p = (s + c)^v q and q(c) != 0, for nonzero p.
+
+        In characteristic 2, (s + c)^(2^j) = s^(2^j) + c^(2^j).  So the
+        binomials for j = 0, 1, 2, ... are divided out while they divide,
+        and then again from the largest j down: O(log v) synthetic
+        divisions of O(deg) each, with v read off in binary.
+        """
+        if self.is_zero():
+            raise ValueError("root multiplicity in the zero polynomial")
+        spec = self.spec
+        coeffs = self.coeffs
+        v, k, d = 0, 1, c
+        muls = []     # muls[j] multiplies by c^(2^j)
+        while len(coeffs) > k:
+            mul = _multiplier(spec, d)
+            q, r = _divmod_binomial(coeffs, k, mul)
+            if any(r):
+                break
+            coeffs, v = q, v + k
+            muls.append(mul)
+            k, d = 2 * k, _mask_mul(spec, d, d)
+        for j in reversed(range(len(muls))):
+            k = 1 << j
+            if len(coeffs) > k:
+                q, r = _divmod_binomial(coeffs, k, muls[j])
+                if not any(r):
+                    coeffs, v = q, v + k
+        return v, Poly(spec, coeffs)
 
     def valuation(self, c: int) -> int:
         """Multiplicity of the root c (0 if not a root); inf for 0."""
         if self.is_zero():
             return math.inf
-        v = 0
-        p = self
-        while True:
-            q, r = p.div_linear(c)
-            if r != 0:
-                return v
-            v += 1
-            p = q
+        return self.root_split(c)[0]
 
     def reversed_coeffs(self) -> "Poly":
         return Poly(self.spec, tuple(reversed(self.coeffs)))
@@ -340,9 +389,10 @@ class RatFunc:
             if g.degree > 0:
                 num = num.divmod(g)[0]
                 den = den.divmod(g)[0]
-            lead_inv = _mask_inv(spec, den.leading())
-            num = num.scale(lead_inv)
-            den = den.scale(lead_inv)
+            if den.leading() != 1:
+                lead_inv = _mask_inv(spec, den.leading())
+                num = num.scale(lead_inv)
+                den = den.scale(lead_inv)
         self.spec = spec
         self.num = num
         self.den = den
@@ -376,8 +426,18 @@ class RatFunc:
     # -- arithmetic --------------------------------------------------------
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
+        """The sum over lcm(den1, den2), so the canonicalising gcd runs at
+        the degree of the lcm rather than of the product."""
+        if self.is_zero():
+            return other
+        if other.is_zero():
+            return self
+        d1, d2 = self.den, other.den
+        g = d1.gcd(d2)
+        if g.degree > 0:
+            d1 = d1.divmod(g)[0]
+            d2 = d2.divmod(g)[0]
+        return RatFunc(self.num * d2 + other.num * d1, self.den * d2)
 
     __sub__ = __add__
 
@@ -441,22 +501,19 @@ class RatFunc:
             raise ValueError("no Laurent expansion of the zero function")
         spec = self.spec
         if place.is_infinity():
-            num, den = self.num.reversed_coeffs(), self.den.reversed_coeffs()
+            # in the uniformizer 1/s the reversed coefficient lists are the
+            # expansions; their leading entries are nonzero
             base = self.den.degree - self.num.degree
-            n_coeffs = num.adic_coeffs(0, num.degree + 1 + count)
-            d_coeffs = den.adic_coeffs(0, den.degree + 1 + count)
+            n_coeffs = self.num.reversed_coeffs().adic_coeffs(0, count)
+            d_coeffs = self.den.reversed_coeffs().adic_coeffs(0, count)
         else:
+            # expand the cofactors prime to (s + c)
             c = place.value.mask
-            vn = self.num.valuation(c)
-            vd = self.den.valuation(c)
+            vn, qn = self.num.root_split(c)
+            vd, qd = self.den.root_split(c)
             base = vn - vd
-            n_coeffs = self.num.adic_coeffs(c, vn + count)
-            d_coeffs = self.den.adic_coeffs(c, vd + count)
-        # strip the shared uniformizer power, then series-divide
-        while n_coeffs and n_coeffs[0] == 0:
-            n_coeffs.pop(0)
-        while d_coeffs and d_coeffs[0] == 0:
-            d_coeffs.pop(0)
+            n_coeffs = qn.adic_coeffs(c, count)
+            d_coeffs = qd.adic_coeffs(c, count)
         inv = _series_inv(spec, d_coeffs, count)
         series = _series_mul(spec, n_coeffs, inv, count)
         return LaurentChunk(place, base,

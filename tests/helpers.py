@@ -1,6 +1,9 @@
 """Shared test utilities: random trace-zero data, closed-form
 expectations for the parametric families, and slow reference versions of
-the matrix kernel's field tables and rank."""
+the matrix kernel's field tables and rank, of root multiplicities and of
+rational-function sums."""
+
+import math
 
 import numpy as np
 
@@ -195,3 +198,24 @@ def gf2_blowup_rank(M):
                 bits ^= other
     assert len(pivots) % m == 0
     return len(pivots) // m
+
+
+def reference_root_split(p, c):
+    """(v, q) with p = (s + c)^v q, dividing out one (s + c) per pass.
+
+    v + 1 synthetic divisions of O(deg) each; inf and None for p = 0.
+    """
+    if p.is_zero():
+        return math.inf, None
+    v = 0
+    while True:
+        q, r = p.div_linear(c)
+        if r != 0:
+            return v, p
+        v += 1
+        p = q
+
+
+def reference_sum(f, g):
+    """f + g over the product of the denominators."""
+    return RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)

@@ -1,5 +1,6 @@
 """Exit codes, report shapes and determinism of the command line."""
 
+import hashlib
 import json
 import os
 import resource
@@ -168,6 +169,27 @@ def test_json_reports_are_byte_identical(capsys):
     _, out1, _ = run(capsys, "analyze", "--alpha", S5, "--json", "--verify")
     _, out2, _ = run(capsys, "analyze", "--alpha", S5, "--json", "--verify")
     assert out1 == out2
+
+
+# sha256 of the --json stdout of three example reports; they carry every
+# theta list and lambda of the orbits, so a change in any local expansion,
+# root multiplicity or canonical form shows here
+GOLDEN_REPORTS = [
+    (("--which", "2", "--n", "8", "--m", "8"),
+     "456089303aef40a35a87842630a0e22bd959080e53ee3eb007334e1e8cac36f7"),
+    (("--which", "3", "--n", "8", "--m", "8"),
+     "a3cfcabf0267070672f22b9378255ef46f2ca0907809bc69afb00e1ca4e7712d"),
+    (("--which", "3", "--n", "2", "--m", "32"),
+     "171d7b72013c706fe4cd1be0dbac5140d0ad4f7869ae7b895221b8c480e5209e"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_REPORTS,
+                         ids=["-".join(a[1::2]) for a, _ in GOLDEN_REPORTS])
+def test_golden_example_reports(capsys, args, digest):
+    code, out, _ = run(capsys, "examples", *args, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_batch_runs_jobs_in_order(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from a4diff.gf import (
     FieldSpec, FieldElement, sqrt_frobenius, cube_roots_of_unity,
-    all_elements, is_irreducible_gf2, default_modulus,
+    all_elements, is_irreducible_gf2, default_modulus, fixed_multiplier,
+    _pmulmod,
 )
 
 F4 = FieldSpec(m=2)          # modulus x^2 + x + 1
@@ -141,3 +144,24 @@ def test_canonical_ordering():
     a, b = F256.element(3), F256.element(7)
     assert a < b and a <= b
     assert sorted([b, a]) == [a, b]
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_fixed_multiplier_exhaustive(m):
+    f = FieldSpec(m=m).modulus
+    for c in range(1 << m):
+        mul = fixed_multiplier(c, f)
+        assert [mul(x) for x in range(1 << m)] == \
+            [_pmulmod(c, x, f) for x in range(1 << m)]
+
+
+@pytest.mark.parametrize("m", [12, 20, 32])
+def test_fixed_multiplier_random_and_all_ones(m):
+    f = FieldSpec(m=m).modulus
+    top = (1 << m) - 1
+    rnd = random.Random(m)
+    cs = [0, 1, top] + [rnd.randrange(1 << m) for _ in range(30)]
+    for c in cs:
+        mul = fixed_multiplier(c, f)
+        xs = [0, 1, top] + [rnd.randrange(1 << m) for _ in range(60)]
+        assert [mul(x) for x in xs] == [_pmulmod(c, x, f) for x in xs]

@@ -1,12 +1,15 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from a4diff import ratlaurent
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import (
     Poly, RatFunc, Place, poly_roots, trace_K_over_J, rho_pullback,
 )
+from helpers import linear_power, reference_root_split, reference_sum
 
 F16 = FieldSpec(m=4)
 F256 = FieldSpec(m=8)
@@ -243,3 +246,136 @@ def test_eval_at():
     g = RatFunc.constant(F256.one()) / lin(c)
     with pytest.raises(ZeroDivisionError):
         g.eval_at(c)
+
+
+# ---------------------------------------------------------------- fast paths
+
+def random_poly(rnd, spec, degree, avoid_root=None):
+    """A random polynomial of the given degree; with avoid_root = c, one
+    that does not vanish at c."""
+    while True:
+        p = Poly(spec, [rnd.randrange(spec.order) for _ in range(degree)]
+                 + [rnd.randrange(1, spec.order)])
+        if avoid_root is None or p.eval(avoid_root) != 0:
+            return p
+
+
+# multiplicity 0, 1 and 2^j - 1, 2^j, 2^j + 1 up to 130
+PLANTED = sorted({0, 1} | {(1 << j) + d for j in range(1, 8)
+                           for d in (-1, 0, 1)})
+
+
+@pytest.mark.parametrize("m", [2, 8, 12, 20, 32])
+def test_root_split_finds_planted_multiplicities(m):
+    spec = FieldSpec(m=m)
+    rnd = random.Random(m)
+    for c in (0, rnd.randrange(1, spec.order)):
+        power = Poly(spec, (1,))
+        for v in range(PLANTED[-1] + 1):
+            if v in PLANTED:
+                q = random_poly(rnd, spec, rnd.randint(0, 6), avoid_root=c)
+                p = power * q
+                assert p.root_split(c) == (v, q)
+                assert p.valuation(c) == v
+                assert reference_root_split(p, c) == (v, q)
+            power = power * Poly(spec, (c, 1))
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_root_split_matches_reference_on_random_polys(m):
+    # small fields, so random polynomials often have repeated roots
+    spec = FieldSpec(m=m)
+    rnd = random.Random(100 + m)
+    for _ in range(300):
+        p = random_poly(rnd, spec, rnd.randint(0, 12))
+        c = rnd.randrange(spec.order)
+        assert p.root_split(c) == reference_root_split(p, c)
+
+
+def test_valuation_of_zero_polynomial_is_infinite():
+    zero = Poly(F256, ())
+    assert zero.valuation(5) == math.inf
+    assert zero.valuation(0) == math.inf
+    assert reference_root_split(zero, 5)[0] == math.inf
+    with pytest.raises(ValueError):
+        zero.root_split(5)
+
+
+@pytest.mark.parametrize("m", [4, 8, 32])
+def test_sum_over_lcm_matches_cross_multiplied_sum(m):
+    spec = FieldSpec(m=m)
+    rnd = random.Random(200 + m)
+    zero = RatFunc.zero(spec)
+
+    def monic(degree):
+        return random_poly(rnd, spec, degree).monic()
+
+    for _ in range(25):
+        u, v, w = monic(rnd.randint(1, 4)), monic(rnd.randint(1, 4)), \
+            linear_power(spec, rnd.randrange(spec.order), rnd.randint(1, 5))
+        a, b = (random_poly(rnd, spec, rnd.randint(0, 8)) for _ in range(2))
+        pairs = [
+            (RatFunc(a, u * w), RatFunc(b, u * w)),      # equal
+            (RatFunc(a, u * w), RatFunc(b, w * v)),      # overlapping
+            (RatFunc(a, u), RatFunc(b, v)),              # coprime
+            (RatFunc(a, u * w), RatFunc(a, u * w)),      # sum zero
+            (zero, RatFunc(b, v)), (RatFunc(a, u), zero), (zero, zero),
+        ]
+        for f, g in pairs:
+            got = f + g
+            want = reference_sum(f, g)
+            assert got.num.coeffs == want.num.coeffs
+            assert got.den.coeffs == want.den.coeffs
+
+
+def test_valuation_takes_logarithmically_many_division_passes(monkeypatch):
+    # the degenerate n=32 orbit datum's denominators carry roots of
+    # multiplicity up to 127 in degree 379
+    rnd = random.Random(5)
+    c = 0x53
+    p = linear_power(F256, c, 127) * random_poly(rnd, F256, 252,
+                                                 avoid_root=c)
+    assert p.degree == 379
+    passes = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            passes.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # div_linear divides by one factor s + c, _divmod_binomial by one
+    # binomial s^k + c^k
+    monkeypatch.setattr(Poly, "div_linear", counting(Poly.div_linear))
+    monkeypatch.setattr(ratlaurent, "_divmod_binomial",
+                        counting(ratlaurent._divmod_binomial))
+    assert p.valuation(c) == 127
+    assert len(passes) <= 2 * math.ceil(math.log2(128)) + 2
+
+
+def test_laurent_at_infinity_costs_count_times_degree(monkeypatch):
+    rnd = random.Random(6)
+    f = RatFunc(random_poly(rnd, F256, 380), random_poly(rnd, F256, 379))
+    deg = max(f.num.degree, f.den.degree)
+    assert deg >= 379
+    count = 5
+    multiplies = [0]
+    mask_mul, fixed = ratlaurent._mask_mul, ratlaurent.fixed_multiplier
+
+    def counting_mask_mul(spec, a, b):
+        multiplies[0] += 1
+        return mask_mul(spec, a, b)
+
+    def counting_fixed(c, modulus):
+        mul = fixed(c, modulus)
+
+        def counted(x):
+            multiplies[0] += 1
+            return mul(x)
+        return counted
+
+    monkeypatch.setattr(ratlaurent, "_mask_mul", counting_mask_mul)
+    monkeypatch.setattr(ratlaurent, "fixed_multiplier", counting_fixed)
+    chunk = f.laurent_at(Place.infinity(), count)
+    assert chunk.order == f.den.degree - f.num.degree
+    assert multiplies[0] <= count * (deg + 1)
