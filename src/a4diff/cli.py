@@ -241,8 +241,7 @@ def _verification_block(data, kG, kH, timings):
     if data.spec.m > MAX_M:
         raise ValueError(
             f"verify supports fields up to GF(2^{MAX_M}), got m={data.spec.m}:"
-            " the matrix kernel's exp/log tables and the oracle's parameter"
-            " scan grow as 2^m")
+            " the matrix kernel's exp/log tables grow as 2^m")
     t0 = time.perf_counter()
     gr = build_global_rep(data)
     timings["build"] = time.perf_counter() - t0

@@ -20,16 +20,27 @@ apart:
   ``hom_dim(X, M)`` against the counts ``hom_labels`` predicts from the
   extracted multiset.
 
+The parameters of the tubes over H and of the bands over A4 are where a
+linear pencil P + lam Q loses rank.  They are not looked for by ranking the
+pencil at every field element.  An invertible minor S0 of the pencil at one
+generic reference value lam0 must turn singular at each of them, so each
+is lam0 + 1/nu for an eigenvalue nu of S0^-1 Qs, with Qs the same minor of
+Q.  The eigenvalues are the roots in the field of a characteristic
+polynomial taken by Hessenberg reduction, and the pencil is ranked only at
+those few candidates.
+
 All arithmetic is exact; nothing is randomized.
 """
 
+import itertools
+
 import numpy as np
 
-from ._linalg import (Matrix, col_basis, coords_in_basis, hstack,
-                      image_space, intersect_spaces, kron, preimage_space,
-                      vstack, zero_space)
-from .gf import all_elements
+from ._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
+                      coords_in_basis, hstack, image_space, intersect_spaces,
+                      kron, preimage_space, vstack, zero_space)
 from .ramification import INF
+from .ratlaurent import Poly, field_roots
 from .decomp import KHLabel, KGLabel
 from .modulezoo import (StringWord, a4_quiver_rep_from_group,
                         induce_restrict_label, kg_group_rep, kg_label_word,
@@ -293,23 +304,113 @@ def _chain_dims(P, Q, cap):
     return dims
 
 
-def _scan_order(spec, skip_zero=False):
-    seen = set()
-    out = []
-
-    def push(x):
-        if skip_zero and not x:
-            return
-        if x.mask not in seen:
-            seen.add(x.mask)
-            out.append(x)
-
+def _scan_head(spec):
     z = spec.zeta()
-    for e in (spec.zero(), spec.one(), z, z * z):
-        push(e)
-    for e in all_elements(spec):
-        push(e)
-    return out
+    return [0, 1, z.mask, (z * z).mask]
+
+
+def _scan_order(spec, skip_zero=False):
+    """Field elements in scan order, lazily: 0, 1, zeta, zeta^2, then the
+    other masks ascending; 0 is left out when skip_zero."""
+    head = _scan_head(spec)
+    rest = (x for x in range(spec.order) if x not in head)
+    for mask in itertools.chain(head, rest):
+        if mask or not skip_zero:
+            yield spec.element(mask)
+
+
+def _in_scan_order(spec, params):
+    head = _scan_head(spec)
+    pos = {mask: i - len(head) for i, mask in enumerate(head)}
+    return sorted(params, key=lambda x: pos.get(x.mask, x.mask))
+
+
+def _reference_param(spec, rank_at, cap, skip_zero, what):
+    """(lam0, rank) of the first element of maximal pencil rank among the
+    first cap + 1 of scan order.
+
+    The pencil loses rank at no more than cap parameters, so one of these
+    is generic, and lam0 has the generic rank.
+    """
+    first = list(itertools.islice(_scan_order(spec, skip_zero), cap + 1))
+    if len(first) < cap + 1:
+        raise _StructureError(f"field too small for the {what} scan")
+    lam0 = None
+    best = -1
+    for lam in first:
+        rk = rank_at(lam)
+        if rk > best:
+            lam0, best = lam, rk
+        if best == cap:
+            break
+    return lam0, best
+
+
+def _charpoly(N):
+    """det(x I + N) of a square matrix, as a monic Poly.
+
+    Hessenberg reduction by elementary similarities (Cohen, Alg. 2.2.9),
+    each step clearing one column below the subdiagonal in all rows at
+    once, then the usual recurrence for the leading principal minors
+    p_k of x I + H, one step per k; in characteristic 2 it has no signs.
+    """
+    spec = N.spec
+    n = N.rows
+    H = N.a.copy()
+    for j in range(n - 2):
+        hit = np.flatnonzero(H[j + 1:, j])
+        if hit.size == 0:
+            continue
+        i = j + 1 + int(hit[0])
+        if i != j + 1:
+            H[[i, j + 1]] = H[[j + 1, i]]
+            H[:, [i, j + 1]] = H[:, [j + 1, i]]
+        rows = j + 2 + np.flatnonzero(H[j + 2:, j])
+        if rows.size == 0:
+            continue
+        # E H E^-1 with E = I + sum_r u_r e_r e_{j+1}^T, its own inverse
+        u = _mul_arrays(spec, H[rows, j],
+                        np.int64(_inv_mask(spec, int(H[j + 1, j]))))
+        H[rows, j:] ^= _mul_arrays(spec, u[:, None], H[j + 1, j:])
+        H[:, j + 1] ^= np.bitwise_xor.reduce(
+            _mul_arrays(spec, H[:, rows], u), axis=1)
+    # P[k] holds p_k, lowest coefficient first; p_k = (x + h_kk) p_{k-1}
+    # + sum_{i<k} h_ik (h_{i+1,i} ... h_{k,k-1}) p_{i-1}, 1-indexed.
+    P = np.zeros((n + 1, n + 1), dtype=np.int64)
+    P[0, 0] = 1
+    sub = np.zeros(0, dtype=np.int64)   # the subdiagonal products
+    for k in range(1, n + 1):
+        prev = P[k - 1, :k]
+        P[k, 1:k + 1] = prev
+        P[k, :k] ^= _mul_arrays(spec, H[k - 1, k - 1], prev)
+        if k > 1:
+            sub = _mul_arrays(spec, np.append(sub, 1), H[k - 1, k - 2])
+            c = _mul_arrays(spec, H[:k - 1, k - 1], sub)
+            P[k, :k - 1] ^= np.bitwise_xor.reduce(
+                _mul_arrays(spec, c[:, None], P[:k - 1, :k - 1]), axis=0)
+    return Poly(spec, P[n].tolist())
+
+
+def _drop_candidates(P0, Q, lam0):
+    """Parameters lam != lam0 at which the pencil P0 + (lam + lam0) Q may
+    have lower rank than P0.
+
+    S0 is an invertible minor of P0 of size rank P0 (its pivot columns,
+    then the pivot rows of those columns) and Qs the same minor of Q.  At
+    a rank drop every minor of that size vanishes, so S0 + mu Qs is
+    singular for mu = lam + lam0, which is nonzero: 1/mu is an eigenvalue
+    of N = S0^-1 Qs.  The eigenvalues in the field are all candidates; a
+    candidate where the rank does not drop is spurious and costs its
+    caller one rank check.
+    """
+    spec = P0.spec
+    _, cols = P0.rref()
+    Pc = Matrix(spec, P0.a[:, cols])
+    _, rows = Pc.transpose().rref()
+    N = coords_in_basis(Matrix(spec, Pc.a[rows]),
+                        Matrix(spec, Q.a[np.ix_(rows, cols)]))
+    return [lam0 + spec.element(nu).inverse()
+            for nu in field_roots(_charpoly(N)) if nu]
 
 
 def _string_counts_from(dims):
@@ -389,19 +490,7 @@ def _klein_counts(M):
     # reference parameter: there are at most min(t, r) tube parameters,
     # so among min(t, r) + 1 distinct finite values one is tube-free,
     # and it is the one of maximal rank.
-    finite = _scan_order(spec)
-    cap = min(t, r)
-    if len(finite) < cap + 1:
-        raise _StructureError("field too small for the tube scan")
-    lam0 = None
-    best = -1
-    for lam in finite[:cap + 1]:
-        rk = rank_at(lam)
-        if rk > best:
-            lam0, best = lam, rk
-        if best == cap:
-            break
-    rgen = best
+    lam0, rgen = _reference_param(spec, rank_at, min(t, r), False, "tube")
 
     P0 = pencil(lam0)
     ref = _chain_dims(P0, Abar, t)
@@ -419,8 +508,14 @@ def _klein_counts(M):
     if tube_top < 0 or tube_top != tube_rad:
         raise _StructureError("top/radical bookkeeping does not close")
 
+    # tube parameters: INF, then the eigenvalue candidates in scan order.
+    # Every finite rank drop is among the candidates; a spurious one is
+    # rejected by its rank.
     found = 0
-    for lam in [INF] + finite:
+    params = []
+    if tube_top:
+        params = [INF] + _in_scan_order(spec, _drop_candidates(P0, Abar, lam0))
+    for lam in params:
         if found == tube_top:
             break
         drop = rgen - rank_at(lam)
@@ -437,7 +532,7 @@ def _klein_counts(M):
             counts[KHLabel.even(2 * n, param)] = c
             found += n * c
     if found != tube_top:
-        # every rational eigenvalue was scanned, yet tube dimension is
+        # every rational candidate was checked, yet tube dimension is
         # left over: an even summand whose parameter lies in a proper
         # extension of the working field
         raise ValueError(
@@ -620,7 +715,8 @@ def _a4_counts(M):
     for (n, i), cnt in zc.items():
         counts[KGLabel.even(2 * n, 0, i)] = cnt
 
-    # bands: rank scan of the ungraded pencil D + phi C on top -> rad.
+    # bands: rank drops of the ungraded pencil D + phi C on top -> rad,
+    # for phi != 0 among the eigenvalue candidates, in scan order.
     # Strings contribute parameter-independent background there, so the
     # cleaned kernel chains at each rank drop are pure Jordan data.
     tlist = [tdims[v] for v in range(3)]
@@ -647,20 +743,12 @@ def _a4_counts(M):
                 ranks[phi.mask] = (Dbig + Cbig.scale(phi)).rank()
             return ranks[phi.mask]
 
-        order = _scan_order(spec, skip_zero=True)
-        cap = min(T, sum(rlist))
-        if len(order) < cap + 1:
-            raise _StructureError("field too small for the band scan")
-        phi0 = None
-        best = -1
-        for phi in order[:cap + 1]:
-            rk = rank_at(phi)
-            if rk > best:
-                phi0, best = phi, rk
-            if best == cap:
-                break
-        rgen = best
-        ref = _chain_dims(Dbig + Cbig.scale(phi0), Cbig, T)
+        phi0, rgen = _reference_param(spec, rank_at, min(T, sum(rlist)),
+                                      True, "band")
+        P0 = Dbig + Cbig.scale(phi0)
+        ref = _chain_dims(P0, Cbig, T)
+        order = _in_scan_order(spec, [phi for phi in
+                                      _drop_candidates(P0, Cbig, phi0) if phi])
 
         found = {}
         located = 0
@@ -690,7 +778,7 @@ def _a4_counts(M):
             # every rank drop was explained, yet top dimension is left
             # over: a band whose parameter has no cube root in the
             # working field.  Its pencil never drops rationally, so no
-            # scan over this field can see it.
+            # candidate in this field can see it.
             raise ValueError(
                 "unsupported configuration: band parameter outside "
                 "the working field scan")

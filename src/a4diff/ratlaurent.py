@@ -15,6 +15,10 @@ scalar multiplies by the fixed c, each a byte-table lookup.  At infinity
 the substitution s -> 1/s reverses the coefficient lists, which are
 already the expansions: no multiplies at all.
 
+The roots of p in the field are those of its split part gcd(p, s^(2^m) + s),
+which trace splitting takes apart.  The Frobenius powers s^(2^i) mod p are
+computed once per polynomial and reduced into each factor.
+
 The degree-3 twist rho acts on functions by (rho f)(s) = f(zeta s); the
 trace to the fixed field k(s^3) is f + rho f + rho^2 f.
 """
@@ -599,28 +603,43 @@ def _distinct_roots(p: Poly, context: str) -> set[int]:
 
 def _roots_squarefree(p: Poly, context: str) -> set[int]:
     """Roots of a squarefree monic p; raises if p does not split."""
-    spec = p.spec
-    if p.degree <= 0:
-        return set()
-    # the split part of p is gcd(p, s^(2^m) + s)
-    frob = Poly(spec, (0, 1))
-    for _ in range(spec.m):
-        frob = (frob * frob) % p
-    linear_part = p.gcd(frob + Poly.x(spec))
-    if linear_part.degree < p.degree:
-        nonsplit = p.divmod(linear_part if linear_part.degree > 0
-                            else Poly(spec, (1,)))[0]
+    roots = field_roots(p)
+    if len(roots) < p.degree:
+        linear_part = Poly(p.spec, (1,))
+        for r in roots:
+            linear_part = linear_part * Poly(p.spec, (r, 1))
+        nonsplit = p.divmod(linear_part)[0]
         raise ValueError(
             f"{context} not split over working field: irreducible factor of "
             f"degree {nonsplit.degree} with coeff masks "
             f"{list(nonsplit.monic().coeffs)}")
+    return roots
+
+
+def field_roots(p: Poly) -> set[int]:
+    """The distinct roots of a nonzero p in its field.
+
+    The split part of p is gcd(p, s^(2^m) + s); trace splitting takes it
+    apart.  Factors of p that do not split over the field are ignored.
+    """
+    spec = p.spec
+    if p.degree <= 0:
+        return set()
+    p = p.monic()
+    frob = [Poly(spec, (0, 1)) % p]     # frob[i] = s^(2^i) mod p
+    for _ in range(spec.m):
+        frob.append((frob[-1] * frob[-1]) % p)
+    linear_part = p.gcd(frob.pop() + Poly.x(spec))
     out: set[int] = set()
-    _trace_split(linear_part, out)
+    _trace_split(linear_part, out, [f % linear_part for f in frob])
     return out
 
 
-def _trace_split(p: Poly, out: set[int]):
-    """Deterministic trace-based splitting of a split squarefree monic p."""
+def _trace_split(p: Poly, out: set[int], frob):
+    """Deterministic trace-based splitting of a split squarefree monic p.
+
+    frob[i] is s^(2^i) mod p for i < m.
+    """
     spec = p.spec
     if p.degree <= 0:
         return
@@ -628,18 +647,20 @@ def _trace_split(p: Poly, out: set[int]):
         out.add(p.coeffs[0])  # the root of s + c is c
         return
     for bit in range(spec.m):
-        beta = 1 << bit
-        # T(beta s) = sum_{i<m} (beta s)^(2^i) mod p takes values in GF(2)
-        # on the roots; some basis element beta separates any two of them.
-        term = Poly(spec, (0, beta)) % p
-        acc = Poly(spec, ())
-        for _ in range(spec.m):
-            acc = acc + term
-            term = (term * term) % p
-        g = p.gcd(acc)
+        # T(beta s) = sum_{i<m} beta^(2^i) s^(2^i) mod p takes values in
+        # GF(2) on the roots; some basis element beta separates any two.
+        acc = [0] * p.degree
+        power = 1 << bit
+        for f in frob:
+            for j, c in enumerate(f.coeffs):
+                if c:
+                    acc[j] ^= _mask_mul(spec, c, power)
+            power = _mask_mul(spec, power, power)
+        g = p.gcd(Poly(spec, acc))
         if 0 < g.degree < p.degree:
-            _trace_split(g, out)
-            _trace_split(p.divmod(g)[0].monic(), out)
+            _trace_split(g, out, [f % g for f in frob])
+            h = p.divmod(g)[0].monic()
+            _trace_split(h, out, [f % h for f in frob])
             return
     raise AssertionError("trace splitting failed on a squarefree input")
 

@@ -1,13 +1,15 @@
 """Shared test utilities: random trace-zero data, closed-form
 expectations for the parametric families, and slow reference versions of
-the matrix kernel's field tables and rank, of root multiplicities and of
-rational-function sums."""
+the matrix kernel's field tables and rank, of root multiplicities, of
+rational-function sums, of trace splitting and of the oracle's
+field-wide parameter scan."""
 
 import math
 
 import numpy as np
 
 from a4diff.artin_schreier import symmetrize_h
+from a4diff.gf import all_elements
 from a4diff.ramification import analyze_branch_data
 from a4diff.ratlaurent import Poly, RatFunc, trace_K_over_J
 
@@ -219,3 +221,51 @@ def reference_root_split(p, c):
 def reference_sum(f, g):
     """f + g over the product of the denominators."""
     return RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def reference_trace_split(p, out):
+    """Trace splitting of a split squarefree monic p into the set out.
+
+    Each trial beta recomputes T(beta s) = sum_{i<m} (beta s)^(2^i) mod p
+    from scratch, m squarings mod p.
+    """
+    spec = p.spec
+    if p.degree <= 0:
+        return
+    if p.degree == 1:
+        out.add(p.coeffs[0])
+        return
+    for bit in range(spec.m):
+        beta = 1 << bit
+        term = Poly(spec, (0, beta)) % p
+        acc = Poly(spec, ())
+        for _ in range(spec.m):
+            acc = acc + term
+            term = (term * term) % p
+        g = p.gcd(acc)
+        if 0 < g.degree < p.degree:
+            reference_trace_split(g, out)
+            reference_trace_split(p.divmod(g)[0].monic(), out)
+            return
+    raise AssertionError("trace splitting failed on a squarefree input")
+
+
+def reference_scan_order(spec, skip_zero=False):
+    """The whole field in the oracle's scan order, as a list: 0, 1, zeta,
+    zeta^2, then the other elements by mask; 0 left out when skip_zero."""
+    seen = set()
+    out = []
+    z = spec.zeta()
+    for e in [spec.zero(), spec.one(), z, z * z] + list(all_elements(spec)):
+        if (e or not skip_zero) and e.mask not in seen:
+            seen.add(e.mask)
+            out.append(e)
+    return out
+
+
+def reference_rank_drops(P, Q, skip_zero=False):
+    """Elements lam, in scan order, where rank(P + lam Q) is below its
+    largest value over the field; the pencil is ranked at every element."""
+    order = reference_scan_order(P.spec, skip_zero)
+    ranks = [(P + Q.scale(lam)).rank() for lam in order]
+    return [lam for lam, rk in zip(order, ranks) if rk < max(ranks)]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from a4diff._linalg import Matrix
 from a4diff.cli import JobSpec, run_cli
 from a4diff.gf import FieldSpec
 
@@ -190,6 +191,42 @@ def test_golden_example_reports(capsys, args, digest):
     code, out, _ = run(capsys, "examples", *args, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# sha256 of the --verify --json stdout of two family-3 examples whose
+# H-side tube parameters and A4-side band parameters the oracle has to find
+GOLDEN_VERIFY_REPORTS = [
+    (("--which", "3", "--n", "1", "--m", "12", "--psi", "19"),
+     "70194bcbd212363c6eb9a90d27d65138f44d0fc22977e1c373d6754ab9797ee9"),
+    (("--which", "3", "--n", "2", "--m", "16"),
+     "ec55214ddfa8e067850020eb9a1df8a0681da02e61d3a76113395d4e7ae46d34"),
+]
+
+
+@pytest.mark.parametrize("args,digest", GOLDEN_VERIFY_REPORTS,
+                         ids=["-".join(a[1::2])
+                              for a, _ in GOLDEN_VERIFY_REPORTS])
+def test_golden_verify_reports(capsys, args, digest):
+    code, out, _ = run(capsys, "examples", *args, "--verify", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_oracle_ranks_few_parameters(capsys, monkeypatch):
+    # the tube and band parameters come from eigenvalues, not from
+    # ranking the pencil at each of the 4096 field elements
+    calls = [0]
+    rank = Matrix.rank
+
+    def counting_rank(self):
+        calls[0] += 1
+        return rank(self)
+
+    monkeypatch.setattr(Matrix, "rank", counting_rank)
+    code, out, _ = run(capsys, "examples", "--which", "3", "--n", "1",
+                       "--m", "12", "--psi", "19", "--verify")
+    assert code == 0 and "verification: PASS" in out
+    assert calls[0] <= 40
 
 
 def test_batch_runs_jobs_in_order(tmp_path, capsys):

@@ -2,19 +2,22 @@
 
 import random
 
+import numpy as np
 import pytest
 
-from a4diff._linalg import Matrix, coords_in_basis
+from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.gf import FieldSpec
 from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
                               kg_group_rep, kh_group_rep, labels_group_rep,
                               restrict_to_h)
-from a4diff.oracle import (MultiplicitySolution, decompose_rep, hom_dim,
+from a4diff.oracle import (MultiplicitySolution, _charpoly, _drop_candidates,
+                           _reference_param, decompose_rep, hom_dim,
                            hom_labels, string_pair_homs)
 from a4diff.ramification import INF
+from a4diff.ratlaurent import Poly
 
-from helpers import gf2_blowup_rank
+from helpers import gf2_blowup_rank, reference_rank_drops
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -373,3 +376,155 @@ class TestDecompose:
         assert sol.to_json() == {"multiplicities": {"S[i=2]": 2},
                                  "spot_hom": {"S[i=0]": 0, "S[i=1]": 0}}
         assert isinstance(sol, MultiplicitySolution)
+
+
+# ---------------------------------------------------------------------------
+# tube and band parameters as eigenvalues of a pivot minor
+
+def random_matrix(spec, rnd, rows, cols, density=1.0):
+    entries = [rnd.randrange(spec.order) if rnd.random() < density else 0
+               for _ in range(rows * cols)]
+    return Matrix(spec, np.array(entries, dtype=np.int64).reshape(rows, cols))
+
+
+def random_invertible(spec, rnd, n):
+    while True:
+        X = random_matrix(spec, rnd, n, n)
+        if X.rank() == n:
+            return X
+
+
+def poly_at_matrix(p, N):
+    """p(N) by Horner's rule."""
+    spec, n = N.spec, N.rows
+    acc = Matrix.zeros(spec, n, n)
+    for c in reversed(p.coeffs):
+        acc = acc @ N + Matrix.scalar(spec, n, spec.element(c))
+    return acc
+
+
+class TestCharpoly:
+    @pytest.mark.parametrize("m", [2, 4, 8])
+    def test_roots_are_the_singular_shifts(self, m):
+        spec = FieldSpec(m=m)
+        rnd = random.Random(40 + m)
+        for n in (0, 1, 2, 3, 5, 7):
+            for density in (1.0, 0.3):
+                N = random_matrix(spec, rnd, n, n, density)
+                p = _charpoly(N)
+                assert p.degree == n and p.leading() == 1
+                for lam in range(spec.order):
+                    shifted = N + Matrix.scalar(spec, n, spec.element(lam))
+                    assert (p.eval(lam) == 0) == (shifted.rank() < n)
+                assert poly_at_matrix(p, N).is_zero()
+
+    def test_repeated_eigenvalues_and_zero_subdiagonal(self):
+        # conjugated Jordan blocks: the Hessenberg form splits into
+        # blocks and the polynomial is the product of (x + mu)^size
+        spec = FieldSpec(m=4)
+        rnd = random.Random(7)
+        blocks = [(3, 5), (2, 5), (1, 0), (2, 9)]
+        J = Matrix.assemble(spec, [b for b, _ in blocks],
+                            [b for b, _ in blocks],
+                            {(i, i): jordan_block(spec, b, spec.element(mu))
+                             for i, (b, mu) in enumerate(blocks)})
+        X = random_invertible(spec, rnd, J.rows)
+        N = coords_in_basis(X, J @ X)
+        want = Poly(spec, (1,))
+        for size, mu in blocks:
+            for _ in range(size):
+                want = want * Poly(spec, (mu, 1))
+        assert _charpoly(J) == want
+        assert _charpoly(N) == want
+        assert _charpoly(Matrix.zeros(spec, 4, 4)) == Poly(spec,
+                                                           (0, 0, 0, 0, 1))
+
+
+def planted_pencil(spec, rnd, kron, kron_t, finite, infinite):
+    """A random conjugate of a pencil (P, Q) in Kronecker form.
+
+    P + lam Q carries one L_k block (k x (k+1)) per k in kron, one L_k^T
+    per k in kron_t, a Jordan block of size s at the finite parameter mu
+    for each (s, mu) in finite, and one of size s at infinity for each s
+    in infinite.
+    """
+    blocks = []
+    for k in kron:
+        eye = np.eye(k, k + 1, dtype=np.int64)
+        blocks.append((eye, np.eye(k, k + 1, k=1, dtype=np.int64)))
+    for k in kron_t:
+        eye = np.eye(k + 1, k, dtype=np.int64)
+        blocks.append((eye, np.eye(k + 1, k, k=-1, dtype=np.int64)))
+    for size, mu in finite:
+        blocks.append((jordan_block(spec, size, spec.element(mu)).a,
+                       np.eye(size, dtype=np.int64)))
+    for size in infinite:
+        blocks.append((np.eye(size, dtype=np.int64),
+                       np.eye(size, k=1, dtype=np.int64)))
+    rows = [b.shape[0] for b, _ in blocks]
+    cols = [b.shape[1] for b, _ in blocks]
+    P = Matrix.assemble(spec, rows, cols, {(i, i): Matrix(spec, b)
+                                           for i, (b, _) in enumerate(blocks)})
+    Q = Matrix.assemble(spec, rows, cols, {(i, i): Matrix(spec, q)
+                                           for i, (_, q) in enumerate(blocks)})
+    X = random_invertible(spec, rnd, P.rows)
+    Y = random_invertible(spec, rnd, P.cols)
+    return X @ P @ Y, X @ Q @ Y
+
+
+class TestDropCandidates:
+    @pytest.mark.parametrize("m", [4, 6, 8])
+    @pytest.mark.parametrize("skip_zero", [False, True])
+    def test_no_rank_drop_is_missed(self, m, skip_zero):
+        spec = FieldSpec(m=m)
+        rnd = random.Random(m * 10 + skip_zero)
+        z = spec.zeta().mask
+        for _ in range(4):
+            params = [0, 1, z, rnd.randrange(spec.order),
+                      rnd.randrange(spec.order)]
+            finite = [(rnd.randint(1, 3), mu)
+                      for mu in rnd.sample(params, rnd.randint(1, 3))]
+            finite.append((rnd.randint(1, 2), finite[0][1]))
+            P, Q = planted_pencil(
+                spec, rnd, kron=rnd.sample([0, 1, 2], rnd.randint(0, 2)),
+                kron_t=rnd.sample([0, 1, 2], rnd.randint(0, 2)),
+                finite=finite, infinite=[1, 2][:rnd.randint(0, 2)])
+            ranks = {}
+
+            def rank_at(lam):
+                if lam.mask not in ranks:
+                    ranks[lam.mask] = (P + Q.scale(lam)).rank()
+                return ranks[lam.mask]
+
+            cap = min(P.shape)
+            lam0, rgen = _reference_param(spec, rank_at, cap, skip_zero,
+                                          "test")
+            drops = reference_rank_drops(P, Q, skip_zero)
+            assert rgen == max(rank_at(lam) for lam in
+                               map(spec.element, range(skip_zero, spec.order)))
+            want = {mu for _, mu in finite if mu or not skip_zero}
+            assert {lam.mask for lam in drops} == want
+            cands = _drop_candidates(P + Q.scale(lam0), Q, lam0)
+            assert len({c.mask for c in cands}) == len(cands)
+            assert lam0 not in cands
+            assert set(drops) <= set(cands)
+            # a zero first row and column: the minor must take the pivot
+            # rows and columns, not the leading ones
+            Pz, Qz = (Matrix(spec, np.pad(X.a, ((1, 0), (1, 0))))
+                      for X in (P, Q))
+            assert set(_drop_candidates(Pz + Qz.scale(lam0), Qz,
+                                        lam0)) == set(cands)
+
+    def test_band_orbit_is_named_by_its_first_element_in_scan_order(self):
+        # the orbit phi, zeta phi, zeta^2 phi of a band parameter is found
+        # at its first member in scan order: 1 for the unit orbit, else
+        # the smallest mask
+        rnd = random.Random(11)
+        for p in [ONE, Z * Z] + [SPEC.element(rnd.randrange(2, 256))
+                                 for _ in range(6)]:
+            M = conjugated(kg_group_rep(SPEC, KGLabel.band(6, p ** 3,
+                                                           phi=p)), rnd)
+            (label, count), = decompose_rep(M).multiplicities.items()
+            orbit = [p, p * Z, p * Z * Z]
+            first = ONE if ONE in orbit else min(orbit, key=lambda x: x.mask)
+            assert count == 1 and label.phi == first

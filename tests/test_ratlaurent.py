@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +10,8 @@ from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import (
     Poly, RatFunc, Place, poly_roots, trace_K_over_J, rho_pullback,
 )
-from helpers import linear_power, reference_root_split, reference_sum
+from helpers import (linear_power, reference_root_split, reference_sum,
+                     reference_trace_split)
 
 F16 = FieldSpec(m=4)
 F256 = FieldSpec(m=8)
@@ -379,3 +381,64 @@ def test_laurent_at_infinity_costs_count_times_degree(monkeypatch):
     chunk = f.laurent_at(Place.infinity(), count)
     assert chunk.order == f.den.degree - f.num.degree
     assert multiplies[0] <= count * (deg + 1)
+
+
+class _AddLog(set):
+    """A set that records the order of its insertions."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def add(self, x):
+        self.log.append(x)
+        super().add(x)
+
+
+def _product_of_linears(spec, roots):
+    p = Poly(spec, (1,))
+    for r in roots:
+        p = p * Poly(spec, (r, 1))
+    return p
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 32])
+def test_trace_split_matches_the_per_beta_reference(m):
+    # same beta order, same gcds: the same roots in the same order
+    spec = FieldSpec(m=m)
+    rnd = random.Random(200 + m)
+    for degree in (1, 2, 3, 5, 9, 14):
+        roots = rnd.sample(range(min(spec.order, 1 << 20)), degree)
+        p = _product_of_linears(spec, roots)
+        new, ref = _AddLog(), _AddLog()
+        frob = [Poly(spec, (0, 1)) % p]
+        for _ in range(m - 1):
+            frob.append((frob[-1] * frob[-1]) % p)
+        ratlaurent._trace_split(p, new, frob)
+        reference_trace_split(p, ref)
+        assert new.log == ref.log
+        assert sorted(new.log) == sorted(roots)
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 32])
+def test_field_roots_ignores_factors_that_do_not_split(m):
+    spec = FieldSpec(m=m)
+    rnd = random.Random(300 + m)
+    quad = None
+    while quad is None:
+        # s^2 + s + c is irreducible when c has absolute trace 1
+        cand = Poly(spec, (rnd.randrange(1, spec.order), 1, 1))
+        if not ratlaurent.field_roots(cand):
+            quad = cand
+    roots = rnd.sample(range(min(spec.order, 1 << 20)), 4)
+    split = _product_of_linears(spec, roots)
+    p = split * split * quad * quad * quad
+    p = p.scale(rnd.randrange(1, spec.order))
+    assert ratlaurent.field_roots(p) == set(roots)
+    assert ratlaurent.field_roots(quad) == set()
+    assert ratlaurent.field_roots(Poly(spec, (7,))) == set()
+    with pytest.raises(ValueError,
+                       match=r"not split over working field: irreducible "
+                             r"factor of degree 2 with coeff masks "
+                             + re.escape(str(list(quad.coeffs)))):
+        poly_roots(split * quad)
