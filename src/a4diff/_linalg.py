@@ -1,13 +1,24 @@
-"""Dense exact linear algebra over GF(2^m).
+"""Exact linear algebra over GF(2^m).
 
 A matrix holds its entries as bit masks in a numpy int64 array.
 
-A matrix product is one float32 BLAS call on 0/1 bit planes.  Bit t of
-(A B)[i, j] is the parity of sum over l and s of bit s of A[i, l] times
-bit t of x^s B[l, j], so m shift-and-reduce steps give the planes x^s B,
-one (n x mk)(mk x mp) product counts the terms, and `& 1` with a pack
-back to masks finishes it.  The counts are at most mk, which float32
-holds exactly below 2^24.
+A matrix product runs in one of two regimes.
+
+* Gathered (Gustavson's row-wise sparse product), whenever the field has
+  exp/log tables (m <= MAX_M).  List the nonzeros (i, l, a) of one
+  operand; multiply each a by row l of the other with one exp/log table
+  product, and XOR the rows of one i together with `bitwise_xor.reduceat`.
+  A @ B costs nnz(A) * cols(B) table lookups; when nnz(B) * rows(A) is
+  smaller, the same is done on the transposes.  The models' group
+  matrices are nearly monomial (about 1.4 nonzeros a row), so their
+  products cost a few lookups per entry.  The nonzeros go in runs of at
+  most _TERMS terms, so the temporaries stay in cache whatever the size.
+* Bit planes (M4RIE-style), one float32 BLAS call, for the fields above
+  MAX_M, which have no tables.  Bit t of (A B)[i, j] is the parity of sum
+  over l and s of bit s of A[i, l] times bit t of x^s B[l, j], so m
+  shift-and-reduce steps give the planes x^s B, one (n x mk)(mk x mp)
+  product counts the terms, and `& 1` with a pack back to masks finishes
+  it.  The counts are at most mk, which float32 holds exactly below 2^24.
 
 Entrywise products (scaling, Kronecker products, the row operations of
 row reduction) go through exp/log tables built once per field: a few
@@ -19,8 +30,11 @@ fixed power of g.  They hold 3 * 2^m int64 entries, so the kernel stops
 at m = MAX_M.
 
 Rank is the number of pivots of the row reduction over the field, which
-is vectorized one pivot at a time; that is fine at the sizes these
-modules meet.
+is vectorized one pivot at a time.  A pivot row is not normalised when
+it is found: each other row with an entry in the pivot column takes the
+pivot row times M[o, j] / M[r, j], one log difference, and rows without
+an entry there are skipped.  The pivot rows are scaled to a leading 1
+once, at the end, which gives the same reduced matrix.
 """
 
 import numpy as np
@@ -30,6 +44,7 @@ from .gf import _prime_factors, _ppowmod
 MAX_M = 24
 _CHUNK = 1 << 13      # 64 KB blocks stay under malloc's mmap threshold
 _TABLES = {}
+_TERMS = 1 << 16      # gathered product terms per pass, 512 KB
 
 
 def _xtime(v, m, modulus):
@@ -102,6 +117,43 @@ def _inv_mask(spec, mask):
     return int(exp[(spec.order - 1 - log[mask]) % (spec.order - 1)])
 
 
+def _plane_product(spec, a, b):
+    """a @ b as one float32 GEMM on bit planes."""
+    m, f = spec.m, spec.modulus
+    n, k = a.shape
+    p = b.shape[1]
+    assert m * k < 1 << 24, "bit-plane counts would overflow float32"
+    # shifted[l, s] = x^s * b[l]; the plane matrix has rows (l, s) and
+    # columns (j, t), holding bit t of shifted[l, s, j].
+    shifted = np.empty((k, m, p), dtype=np.int64)
+    shifted[:, 0] = b
+    for s in range(1, m):
+        shifted[:, s] = _xtime(shifted[:, s - 1], m, f)
+    counts = (_bit_planes(a, m).reshape(n, k * m)
+              @ _bit_planes(shifted, m).reshape(k * m, p * m))
+    bits = counts.astype(np.int32).reshape(n, p, m) & 1
+    return bits @ (np.int64(1) << np.arange(m, dtype=np.int64))
+
+
+def _gather_product(spec, a, b):
+    """a @ b from the nonzeros of a: each a[i, l] times row l of b, the
+    rows of one i XORed together.
+
+    The nonzeros go in row-major runs of at most _TERMS // cols(b), so
+    the temporaries stay in cache; a row split between two runs gets
+    both partial sums.
+    """
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
+    i, l = np.nonzero(a)
+    step = max(1, _TERMS // max(b.shape[1], 1))
+    for lo in range(0, i.size, step):
+        ii, ll = i[lo:lo + step], l[lo:lo + step]
+        terms = _mul_arrays(spec, a[ii, ll, None], b[ll])
+        starts = np.flatnonzero(np.r_[True, ii[1:] != ii[:-1]])
+        out[ii[starts]] ^= np.bitwise_xor.reduceat(terms, starts, axis=0)
+    return out
+
+
 class Matrix:
     """An exact matrix over GF(2^m), entries stored as masks."""
 
@@ -164,20 +216,13 @@ class Matrix:
 
     def __matmul__(self, other):
         assert self.cols == other.rows
-        m, f = self.spec.m, self.spec.modulus
-        n, k, p = self.rows, self.cols, other.cols
-        assert m * k < 1 << 24, "bit-plane counts would overflow float32"
-        # shifted[l, s] = x^s * other[l]; the plane matrix has rows (l, s)
-        # and columns (j, t), holding bit t of shifted[l, s, j].
-        shifted = np.empty((k, m, p), dtype=np.int64)
-        shifted[:, 0] = other.a
-        for s in range(1, m):
-            shifted[:, s] = _xtime(shifted[:, s - 1], m, f)
-        counts = (_bit_planes(self.a, m).reshape(n, k * m)
-                  @ _bit_planes(shifted, m).reshape(k * m, p * m))
-        bits = counts.astype(np.int32).reshape(n, p, m) & 1
-        return Matrix(self.spec,
-                      bits @ (np.int64(1) << np.arange(m, dtype=np.int64)))
+        spec = self.spec
+        if spec.m <= MAX_M:
+            if (np.count_nonzero(self.a) * other.cols
+                    <= np.count_nonzero(other.a) * self.rows):
+                return Matrix(spec, _gather_product(spec, self.a, other.a))
+            return Matrix(spec, _gather_product(spec, other.a.T, self.a.T).T)
+        return Matrix(spec, _plane_product(spec, self.a, other.a))
 
     def scale(self, c):
         return Matrix(self.spec,
@@ -211,37 +256,41 @@ class Matrix:
         """(reduced matrix, pivot column list), over the field."""
         M = self.a.copy()
         spec = self.spec
+        exp, log = _field_tables(spec)
+        q1 = spec.order - 1
         piv = []
         r = 0
         for j in range(self.cols):
             if r == self.rows:
                 break
-            hit = np.nonzero(M[r:, j])[0]
+            hit = M[r:, j].nonzero()[0]
             if hit.size == 0:
                 continue
             i = r + int(hit[0])
             if i != r:
                 M[[r, i]] = M[[i, r]]
             # Row r is zero left of j; only rows with an entry in column j
-            # change.
-            inv = _inv_mask(spec, int(M[r, j]))
-            M[r, j:] = _mul_arrays(spec, np.int64(inv), M[r, j:])
-            others = np.flatnonzero(M[:, j])
+            # change, each by M[o, j] / M[r, j] times row r.
+            others = M[:, j].nonzero()[0]
             others = others[others != r]
-            M[others, j:] ^= _mul_arrays(spec, M[others, j, None], M[r, j:])
+            if others.size:
+                f = exp[log[M[others, j]] - log[M[r, j]] + q1]
+                M[others, j:] ^= _mul_arrays(spec, f[:, None], M[r, j:])
             piv.append(j)
             r += 1
+        # the pivot rows are scaled to a leading 1 once, at the end
+        lead = M[np.arange(r), np.array(piv, dtype=np.intp)]
+        M[:r] = _mul_arrays(spec, exp[q1 - log[lead], None], M[:r])
         return Matrix(spec, M), piv
 
-    def right_nullspace(self):
-        """Matrix whose columns form a basis of the kernel."""
-        R, piv = self.rref()
-        free = [j for j in range(self.cols) if j not in piv]
-        out = np.zeros((self.cols, len(free)), dtype=np.int64)
-        for t, j in enumerate(free):
-            out[j, t] = 1
-            for r, p in enumerate(piv):
-                out[p, t] = R.a[r, j]
+    def right_nullspace(self, reduced=None):
+        """Matrix whose columns form a basis of the kernel; reduced is
+        self.rref() when the caller has it."""
+        R, piv = reduced or self.rref()
+        free = np.setdiff1d(np.arange(self.cols), piv)
+        out = np.zeros((self.cols, free.size), dtype=np.int64)
+        out[free, np.arange(free.size)] = 1
+        out[piv] = R.a[:len(piv), free]
         return Matrix(self.spec, out)
 
 
@@ -288,10 +337,6 @@ def equations_of(S):
     return S.transpose().right_nullspace().transpose()
 
 
-def sum_spaces(spaces):
-    return col_basis(hstack(spaces))
-
-
 def intersect_spaces(S1, S2):
     if S1.cols == 0 or S2.cols == 0:
         return zero_space(S1.spec, S1.rows)
@@ -309,14 +354,6 @@ def preimage_space(f, S):
     if E.rows == 0:
         return Matrix.identity(f.spec, f.cols)
     return col_basis((E @ f).right_nullspace())
-
-
-def space_contains(S, vecs):
-    """Whether every column of vecs lies in colspace(S)."""
-    E = equations_of(S)
-    if E.rows == 0:
-        return True
-    return (E @ vecs).is_zero()
 
 
 def coords_in_basis(B, vecs):

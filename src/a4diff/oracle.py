@@ -15,10 +15,9 @@ apart:
 * ``decompose_rep`` reads the summand multiset of a representation off
   invariant subspace chains.  What it checks against the matrices: the
   group relations, the extraction's own bookkeeping (chain and budget
-  identities), the A4 vertex profile, the total dimension, and, for
-  representations of dimension at most 150, two dense hom counts
-  ``hom_dim(X, M)`` against the counts ``hom_labels`` predicts from the
-  extracted multiset.
+  identities), the A4 vertex profile, the total dimension, and two
+  dense hom counts ``hom_dim(X, M)`` against the counts ``hom_labels``
+  predicts from the extracted multiset.
 
 The parameters of the tubes over H and of the bands over A4 are where a
 linear pencil P + lam Q loses rank.  They are not looked for by ranking the
@@ -292,9 +291,10 @@ def _complement(S, d):
     return Matrix(spec, out)
 
 
-def _chain_dims(P, Q, cap):
-    """Dimensions of ker P <= P^-1(Q ker P) <= ... until stable."""
-    K = P.right_nullspace()
+def _chain_dims(P, Q, cap, reduced=None):
+    """Dimensions of ker P <= P^-1(Q ker P) <= ... until stable; reduced
+    is P.rref() when the caller has it."""
+    K = P.right_nullspace(reduced)
     dims = [K.cols]
     while dims[-1] < cap:
         K = preimage_space(P, image_space(Q, K))
@@ -325,23 +325,23 @@ def _in_scan_order(spec, params):
     return sorted(params, key=lambda x: pos.get(x.mask, x.mask))
 
 
-def _reference_param(spec, rank_at, cap, skip_zero, what):
-    """(lam0, rank) of the first element of maximal pencil rank among the
-    first cap + 1 of scan order.
+def _reference_param(spec, reduce_at, cap, skip_zero, what):
+    """(lam0, (R0, piv0)) for the first element lam0 of maximal pencil rank
+    among the first cap + 1 of scan order, with the pencil's row reduction
+    there; reduce_at(lam) returns that reduction for any lam.
 
     The pencil loses rank at no more than cap parameters, so one of these
-    is generic, and lam0 has the generic rank.
+    is generic, and lam0 has the generic rank len(piv0).
     """
     first = list(itertools.islice(_scan_order(spec, skip_zero), cap + 1))
     if len(first) < cap + 1:
         raise _StructureError(f"field too small for the {what} scan")
-    lam0 = None
-    best = -1
+    lam0 = best = None
     for lam in first:
-        rk = rank_at(lam)
-        if rk > best:
-            lam0, best = lam, rk
-        if best == cap:
+        red = reduce_at(lam)
+        if best is None or len(red[1]) > len(best[1]):
+            lam0, best = lam, red
+        if len(best[1]) == cap:
             break
     return lam0, best
 
@@ -391,9 +391,9 @@ def _charpoly(N):
     return Poly(spec, P[n].tolist())
 
 
-def _drop_candidates(P0, Q, lam0):
+def _drop_candidates(P0, cols, Q, lam0):
     """Parameters lam != lam0 at which the pencil P0 + (lam + lam0) Q may
-    have lower rank than P0.
+    have lower rank than P0, whose pivot columns are cols.
 
     S0 is an invertible minor of P0 of size rank P0 (its pivot columns,
     then the pivot rows of those columns) and Qs the same minor of Q.  At
@@ -404,7 +404,6 @@ def _drop_candidates(P0, Q, lam0):
     caller one rank check.
     """
     spec = P0.spec
-    _, cols = P0.rref()
     Pc = Matrix(spec, P0.a[:, cols])
     _, rows = Pc.transpose().rref()
     N = coords_in_basis(Matrix(spec, Pc.a[rows]),
@@ -481,6 +480,11 @@ def _klein_counts(M):
             return Bbar
         return Bbar + Abar.scale(lam)
 
+    def reduce_at(lam):
+        red = pencil(lam).rref()
+        ranks[lam.mask] = len(red[1])
+        return red
+
     def rank_at(lam):
         key = "inf" if lam is INF else lam.mask
         if key not in ranks:
@@ -489,11 +493,13 @@ def _klein_counts(M):
 
     # reference parameter: there are at most min(t, r) tube parameters,
     # so among min(t, r) + 1 distinct finite values one is tube-free,
-    # and it is the one of maximal rank.
-    lam0, rgen = _reference_param(spec, rank_at, min(t, r), False, "tube")
+    # and it is the one of maximal rank.  Its one row reduction gives the
+    # generic rank, ker P0 and the pivot columns of the minor.
+    lam0, red0 = _reference_param(spec, reduce_at, min(t, r), False, "tube")
+    rgen = len(red0[1])
 
     P0 = pencil(lam0)
-    ref = _chain_dims(P0, Abar, t)
+    ref = _chain_dims(P0, Abar, t, red0)
     refT = _chain_dims(P0.transpose(), Abar.transpose(), r)
     a = _string_counts_from(ref)
     b = _string_counts_from(refT)
@@ -514,7 +520,8 @@ def _klein_counts(M):
     found = 0
     params = []
     if tube_top:
-        params = [INF] + _in_scan_order(spec, _drop_candidates(P0, Abar, lam0))
+        params = [INF] + _in_scan_order(
+            spec, _drop_candidates(P0, red0[1], Abar, lam0))
     for lam in params:
         if found == tube_top:
             break
@@ -738,17 +745,23 @@ def _a4_counts(M):
     if band_top:
         ranks = {}
 
+        def reduce_at(phi):
+            red = (Dbig + Cbig.scale(phi)).rref()
+            ranks[phi.mask] = len(red[1])
+            return red
+
         def rank_at(phi):
             if phi.mask not in ranks:
                 ranks[phi.mask] = (Dbig + Cbig.scale(phi)).rank()
             return ranks[phi.mask]
 
-        phi0, rgen = _reference_param(spec, rank_at, min(T, sum(rlist)),
+        phi0, red0 = _reference_param(spec, reduce_at, min(T, sum(rlist)),
                                       True, "band")
+        rgen = len(red0[1])
         P0 = Dbig + Cbig.scale(phi0)
-        ref = _chain_dims(P0, Cbig, T)
-        order = _in_scan_order(spec, [phi for phi in
-                                      _drop_candidates(P0, Cbig, phi0) if phi])
+        ref = _chain_dims(P0, Cbig, T, red0)
+        order = _in_scan_order(spec, [
+            phi for phi in _drop_candidates(P0, red0[1], Cbig, phi0) if phi])
 
         found = {}
         located = 0
@@ -831,7 +844,8 @@ class MultiplicitySolution:
 
     multiplicities maps labels to positive integers.  spot_hom maps the
     label string of each dense spot-check probe X to dim Hom(X, M) as
-    computed from the matrices; it is empty when the check was skipped.
+    computed from the matrices; probes larger than the representation are
+    left out.
     """
 
     __slots__ = ("multiplicities", "spot_hom")
@@ -858,19 +872,14 @@ class MultiplicitySolution:
         return f"MultiplicitySolution({{{inner}}})"
 
 
-_SPOT_DIM_CAP = 150
-
-
 def _spot_check(M, counts):
     """Compare two dense hom counts against the extracted multiset.
 
     The probes are the two smallest labels of the side (the trivial
     module and the tube at 0 over H, the simples S_0 and S_1 over G),
     those larger than M left out.  Returns the dense counts by label
-    string, or {} above _SPOT_DIM_CAP.
+    string.
     """
-    if M.dim > _SPOT_DIM_CAP:
-        return {}
     spec = M.spec
     if M.group == "H":
         probes = [KHLabel.triv(), KHLabel.even(2, spec.zero())]
@@ -898,9 +907,8 @@ def decompose_rep(M):
     Checks the group relations, reads the summands off invariant
     subspace chains and rejects the result unless the extraction's own
     bookkeeping closes, the A4 vertex profile matches (over G), the
-    dimensions add up to dim M and, for dim M <= _SPOT_DIM_CAP, two dense
-    hom counts agree with the multiset (see _spot_check).  The closed
-    form is not consulted.
+    dimensions add up to dim M and two dense hom counts agree with the
+    multiset (see _spot_check).  The closed form is not consulted.
 
     Raises ValueError("no nonnegative integer solution") with a
     .certificate attribute {reason, dim, side} when the input provably

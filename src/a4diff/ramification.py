@@ -61,10 +61,6 @@ def param_to_json(value):
     return "inf" if value is INF else value.mask
 
 
-def param_from_json(spec, value):
-    return INF if value == "inf" else spec.element(value)
-
-
 def mobius_step(spec, lam):
     """lambda -> (1 + lambda)/lambda on the projective parameter line."""
     if lam is INF:
@@ -344,12 +340,6 @@ class RamData:
     @property
     def ell(self):
         return len(self.orbits)
-
-    def klass_counts(self):
-        counts = dict.fromkeys(KLASSES, 0)
-        for orb in self.orbits:
-            counts[orb.klass] += 1
-        return counts
 
     def branch_points(self):
         """All branch points: special first, then orbits in order."""

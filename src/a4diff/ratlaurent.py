@@ -77,10 +77,6 @@ class Poly:
         self.coeffs = tuple(coeffs)
 
     @classmethod
-    def from_elements(cls, spec: FieldSpec, elems) -> "Poly":
-        return cls(spec, [e.mask for e in elems])
-
-    @classmethod
     def x(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, (0, 1))
 
@@ -464,11 +460,6 @@ class RatFunc:
 
     def is_constant(self) -> bool:
         return self.num.degree <= 0 and self.den.degree == 0
-
-    def constant_value(self) -> FieldElement:
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        return self.spec.element(self.num.coeffs[0] if self.num.coeffs else 0)
 
     def __eq__(self, other):
         if not isinstance(other, RatFunc):

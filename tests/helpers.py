@@ -1,13 +1,14 @@
 """Shared test utilities: random trace-zero data, closed-form
 expectations for the parametric families, and slow reference versions of
-the matrix kernel's field tables and rank, of root multiplicities, of
-rational-function sums, of trace splitting and of the oracle's
-field-wide parameter scan."""
+the matrix kernel's field tables, row reduction, kernel bases and rank,
+of root multiplicities, of rational-function sums, of trace splitting and
+of the oracle's field-wide parameter scan."""
 
 import math
 
 import numpy as np
 
+from a4diff._linalg import Matrix, _inv_mask, _mul_arrays
 from a4diff.artin_schreier import symmetrize_h
 from a4diff.gf import all_elements
 from a4diff.ramification import analyze_branch_data
@@ -171,6 +172,44 @@ def reference_field_tables(spec):
         log[acc.mask] = i
         acc = acc * gen
     return exp, log
+
+
+def reference_rref(A):
+    """(reduced matrix, pivot column list) of A, normalising each pivot
+    row to a leading 1 before it clears its column."""
+    M = A.a.copy()
+    spec = A.spec
+    piv = []
+    r = 0
+    for j in range(A.cols):
+        if r == A.rows:
+            break
+        hit = np.nonzero(M[r:, j])[0]
+        if hit.size == 0:
+            continue
+        i = r + int(hit[0])
+        if i != r:
+            M[[r, i]] = M[[i, r]]
+        inv = _inv_mask(spec, int(M[r, j]))
+        M[r, j:] = _mul_arrays(spec, np.int64(inv), M[r, j:])
+        others = np.flatnonzero(M[:, j])
+        others = others[others != r]
+        M[others, j:] ^= _mul_arrays(spec, M[others, j, None], M[r, j:])
+        piv.append(j)
+        r += 1
+    return Matrix(spec, M), piv
+
+
+def reference_right_nullspace(A):
+    """Kernel basis of A, one free column and one pivot row at a time."""
+    R, piv = reference_rref(A)
+    free = [j for j in range(A.cols) if j not in piv]
+    out = np.zeros((A.cols, len(free)), dtype=np.int64)
+    for t, j in enumerate(free):
+        out[j, t] = 1
+        for r, p in enumerate(piv):
+            out[p, t] = R.a[r, j]
+    return Matrix(A.spec, out)
 
 
 def gf2_blowup_rank(M):

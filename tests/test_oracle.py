@@ -5,7 +5,10 @@ import random
 import numpy as np
 import pytest
 
+from a4diff import oracle
+from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix, coords_in_basis, jordan_block
+from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.gf import FieldSpec
 from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
@@ -14,8 +17,9 @@ from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
 from a4diff.oracle import (MultiplicitySolution, _charpoly, _drop_candidates,
                            _reference_param, decompose_rep, hom_dim,
                            hom_labels, string_pair_homs)
-from a4diff.ramification import INF
+from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly
+from a4diff.repbuilder import build_global_rep
 
 from helpers import gf2_blowup_rank, reference_rank_drops
 
@@ -356,6 +360,25 @@ class TestDecompose:
         with pytest.raises(RuntimeError, match="disagrees at Triv"):
             decompose_rep(M)
 
+    def test_wrong_extraction_rejected_above_dimension_150(self, monkeypatch):
+        # the genus-234 one-point model over H, with one M_{3,1} read as
+        # Triv + N_{2,0}: the same dimension, but other Hom counts
+        data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 2, 2)))
+        M = restrict_to_h(build_global_rep(data).rep)
+        assert M.dim == 234
+        extract = oracle._klein_counts
+
+        def swapped(rep):
+            counts = extract(rep)
+            counts[KHLabel.string(3, 1)] -= 1
+            for lab in (KHLabel.triv(), KHLabel.even(2, SPEC.zero())):
+                counts[lab] = counts.get(lab, 0) + 1
+            return counts
+
+        monkeypatch.setattr(oracle, "_klein_counts", swapped)
+        with pytest.raises(RuntimeError, match="disagrees at"):
+            decompose_rep(M)
+
     def test_non_cube_band_parameter_unsupported(self):
         M = kg_group_rep(SPEC, KGLabel.band(6, Z))
         with pytest.raises(ValueError, match="unsupported configuration"):
@@ -489,22 +512,22 @@ class TestDropCandidates:
                 spec, rnd, kron=rnd.sample([0, 1, 2], rnd.randint(0, 2)),
                 kron_t=rnd.sample([0, 1, 2], rnd.randint(0, 2)),
                 finite=finite, infinite=[1, 2][:rnd.randint(0, 2)])
-            ranks = {}
 
-            def rank_at(lam):
-                if lam.mask not in ranks:
-                    ranks[lam.mask] = (P + Q.scale(lam)).rank()
-                return ranks[lam.mask]
+            def reduce_at(lam):
+                return (P + Q.scale(lam)).rref()
 
             cap = min(P.shape)
-            lam0, rgen = _reference_param(spec, rank_at, cap, skip_zero,
-                                          "test")
+            lam0, (R0, piv0) = _reference_param(spec, reduce_at, cap,
+                                                skip_zero, "test")
+            P0 = P + Q.scale(lam0)
+            assert (R0, piv0) == P0.rref()
             drops = reference_rank_drops(P, Q, skip_zero)
-            assert rgen == max(rank_at(lam) for lam in
-                               map(spec.element, range(skip_zero, spec.order)))
+            assert len(piv0) == max(
+                (P + Q.scale(lam)).rank()
+                for lam in map(spec.element, range(skip_zero, spec.order)))
             want = {mu for _, mu in finite if mu or not skip_zero}
             assert {lam.mask for lam in drops} == want
-            cands = _drop_candidates(P + Q.scale(lam0), Q, lam0)
+            cands = _drop_candidates(P0, piv0, Q, lam0)
             assert len({c.mask for c in cands}) == len(cands)
             assert lam0 not in cands
             assert set(drops) <= set(cands)
@@ -512,7 +535,8 @@ class TestDropCandidates:
             # rows and columns, not the leading ones
             Pz, Qz = (Matrix(spec, np.pad(X.a, ((1, 0), (1, 0))))
                       for X in (P, Q))
-            assert set(_drop_candidates(Pz + Qz.scale(lam0), Qz,
+            Pz0 = Pz + Qz.scale(lam0)
+            assert set(_drop_candidates(Pz0, Pz0.rref()[1], Qz,
                                         lam0)) == set(cands)
 
     def test_band_orbit_is_named_by_its_first_element_in_scan_order(self):
