@@ -21,13 +21,10 @@ A matrix product runs in one of two regimes.
   it.  The counts are at most mk, which float32 holds exactly below 2^24.
 
 Entrywise products (scaling, Kronecker products, the row operations of
-row reduction) go through exp/log tables built once per field: a few
-vectorized lookups instead of m shift-and-reduce passes.  The tables
-take the smallest primitive element, found by the order test
-g^((q-1)/p) != 1 for the primes p dividing q - 1, and fill exp by
-doubling and then chunk by chunk, each block the one before times a
-fixed power of g.  They hold 3 * 2^m int64 entries, so the kernel stops
-at m = MAX_M.
+row reduction) go through the field's exp/log tables, which gf builds
+and caches once per field (gf._field_tables): a few vectorized lookups
+instead of m shift-and-reduce passes.  They hold 3 * 2^m int64 entries,
+so the kernel stops at m = MAX_M.
 
 Rank is the number of pivots of the row reduction over the field, which
 is vectorized one pivot at a time.  A pivot row is not normalised when
@@ -39,60 +36,10 @@ once, at the end, which gives the same reduced matrix.
 
 import numpy as np
 
-from .gf import _prime_factors, _ppowmod
+# _TABLES, the tables' cache, is re-exported for perfbench's layer trace
+from .gf import MAX_M, _TABLES, _field_tables, _xtime  # noqa: F401
 
-MAX_M = 24
-_CHUNK = 1 << 13      # 64 KB blocks stay under malloc's mmap threshold
-_TABLES = {}
 _TERMS = 1 << 16      # gathered product terms per pass, 512 KB
-
-
-def _xtime(v, m, modulus):
-    """x * v for an array v of masks."""
-    v = v << 1
-    return v ^ ((v >> m) * modulus)
-
-
-def _field_tables(spec):
-    """(exp, log) arrays for spec, cached.
-
-    exp has length 2(q-1) so exp[log a + log b] never needs a modulo;
-    log[0] is -1 and multiplication masks those lanes to zero.
-    """
-    key = (spec.m, spec.modulus)
-    if key in _TABLES:
-        return _TABLES[key]
-    m, f = spec.m, spec.modulus
-    if m > MAX_M:
-        raise ValueError(
-            f"GF(2^{m}) is too large for the matrix kernel: its exp/log "
-            f"tables need 3 * 2^{m} entries, supported up to m = {MAX_M}")
-    n = spec.order - 1
-    primes = _prime_factors(n)
-    gen = next(g for g in range(2, n + 1)
-               if all(_ppowmod(g, n // p, f) != 1 for p in primes))
-    exp = np.zeros(2 * n, dtype=np.int64)
-    log = np.full(n + 1, -1, dtype=np.int64)
-    exp[0] = 1
-    done = 1
-    while done < n:
-        # exp[done:done+size] is the block before it times gen^size.
-        size = min(done, _CHUNK, n - done)
-        step = _ppowmod(gen, size, f)
-        src = exp[done - size:done]
-        acc = np.zeros_like(src)
-        for s in range(m):
-            if step >> s & 1:
-                acc ^= src
-            src = _xtime(src, m, f)
-        exp[done:done + size] = acc
-        done += size
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        log[exp[lo:hi]] = np.arange(lo, hi)
-    exp[n:] = exp[:n]
-    _TABLES[key] = (exp, log)
-    return exp, log
 
 
 def _bit_planes(a, m):

@@ -57,16 +57,17 @@ class A4Report:
     """Verdict of the alternating-four cover criteria for alpha."""
 
     __slots__ = ("trace_zero", "nontrivial_alpha", "nontrivial_rho_alpha",
-                 "nontrivial_sum", "verdict")
+                 "nontrivial_sum", "verdict", "form")
 
     def __init__(self, trace_zero, nontrivial_alpha, nontrivial_rho_alpha,
-                 nontrivial_sum):
+                 nontrivial_sum, form=None):
         self.trace_zero = trace_zero
         self.nontrivial_alpha = nontrivial_alpha
         self.nontrivial_rho_alpha = nontrivial_rho_alpha
         self.nontrivial_sum = nontrivial_sum
         self.verdict = (trace_zero and nontrivial_alpha
                         and nontrivial_rho_alpha and nontrivial_sum)
+        self.form = form          # as_reduce(alpha), for symmetrize_h
 
     def to_json(self) -> dict:
         return {
@@ -193,17 +194,24 @@ def as_reduce(alpha: RatFunc) -> ASForm:
     return ASForm(reduced, h, pole_table, dropped)
 
 
-def symmetrize_h(alpha: RatFunc) -> ASForm:
-    """Reduce a trace-zero alpha keeping Tr(h) = Tr(h^2) = 0."""
+def symmetrize_h(alpha: RatFunc, form: ASForm | None = None) -> ASForm:
+    """Reduce a trace-zero alpha keeping Tr(h) = Tr(h^2) = 0.
+
+    form is as_reduce(alpha) when the caller has it, as
+    check_a4_conditions(alpha).form; the reduction is the same one, since
+    the trace-zero grouping lives in _even_legs.  The trace checks run on
+    it either way.
+    """
     if not trace_K_over_J(alpha).is_zero():
         raise ValueError("trace nonzero")
-    reduced, h, dropped = _reduce_core(alpha)
-    assert dropped.mask == 0, "trace-zero input produced a constant"
-    assert trace_K_over_J(h).is_zero()
-    assert trace_K_over_J(h.square()).is_zero()
-    assert trace_K_over_J(reduced).is_zero()
-    pole_table = _validate_reduced(reduced)
-    return ASForm(reduced, h, pole_table, dropped)
+    if form is None:
+        form = as_reduce(alpha)
+    assert form.dropped_constant.mask == 0, \
+        "trace-zero input produced a constant"
+    assert trace_K_over_J(form.h).is_zero()
+    assert trace_K_over_J(form.h.square()).is_zero()
+    assert trace_K_over_J(form.alpha_reduced).is_zero()
+    return form
 
 
 def is_as_trivial(alpha: RatFunc) -> bool:
@@ -220,12 +228,24 @@ def check_a4_conditions(alpha: RatFunc) -> A4Report:
 
     Needs: Tr(alpha) = 0, and nontriviality of alpha, rho alpha, and
     alpha + rho alpha, so that the three degree-two subcovers are distinct.
+
+    alpha is reduced once, and the report keeps that reduction as .form.
+    rho is a k-automorphism of k(s), so rho alpha = xi^2 - xi is solvable
+    exactly when alpha is.  When Tr(alpha) = 0, alpha + rho alpha =
+    rho^2 alpha, so the sum is trivial exactly when alpha is; only a datum
+    of nonzero trace reduces the sum on its own.
     """
     trace_zero = trace_K_over_J(alpha).is_zero()
-    ra = rho_pullback(alpha)
+    form = as_reduce(alpha)
+    nontrivial = not form.alpha_reduced.is_zero()
+    if trace_zero:
+        nontrivial_sum = nontrivial
+    else:
+        nontrivial_sum = not is_as_trivial(alpha + rho_pullback(alpha))
     return A4Report(
         trace_zero=trace_zero,
-        nontrivial_alpha=not is_as_trivial(alpha),
-        nontrivial_rho_alpha=not is_as_trivial(ra),
-        nontrivial_sum=not is_as_trivial(alpha + ra),
+        nontrivial_alpha=nontrivial,
+        nontrivial_rho_alpha=nontrivial,
+        nontrivial_sum=nontrivial_sum,
+        form=form,
     )

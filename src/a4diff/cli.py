@@ -200,7 +200,10 @@ def _field_from_args(args):
 # ---------------------------------------------------------------- pipeline
 
 def _precheck(alpha):
-    """The three double covers must be distinct and the trace zero."""
+    """The three double covers must be distinct and the trace zero.
+
+    Returns the reduction of alpha that the check made.
+    """
     crit = check_a4_conditions(alpha)
     if not crit.trace_zero:
         raise ValueError(
@@ -213,6 +216,7 @@ def _precheck(alpha):
             raise ValueError(
                 f"trivial datum: {name} = xi^2 - xi is solvable; the cover "
                 "needs all three conditions alpha != xi^2 - xi")
+    return crit.form
 
 
 def _hkg_block(data):
@@ -269,9 +273,9 @@ def run_job(job):
         alpha = _synthesize_example(job)
     assert alpha is not None
     job.alpha = alpha
-    _precheck(alpha)
+    form = _precheck(alpha)
     t0 = time.perf_counter()
-    data = analyze_branch_data(symmetrize_h(alpha))
+    data = analyze_branch_data(symmetrize_h(alpha, form))
     timings["analyze"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     kH = kH_decomposition(data)

@@ -1,12 +1,19 @@
 """Binary field arithmetic GF(2^m) in polynomial basis.
 
 Elements are bit masks: bit i holds the coefficient of x^i, so the mask's
-integer value doubles as the canonical ordering of field elements.  All
-arithmetic is carry-less polynomial arithmetic reduced by an irreducible
-modulus; no discrete-log tables are built, which keeps construction O(m)
-and lets m grow to 32 without precomputation blowups.  Loops that multiply
-many values by one fixed scalar take fixed_multiplier's ceil(m/8) byte
-tables of 256 entries, built for that scalar alone and dropped after.
+integer value doubles as the canonical ordering of field elements.
+
+The field owns its exp/log tables: _field_tables builds them once per
+(m, modulus), with numpy, for m <= MAX_M, and caches them.  The matrix
+kernel in _linalg uses them entrywise.  For m <= SCALAR_TABLE_M the
+scalar layer reads the same tables as Python lists: a product is
+exp[log a + log b], an inverse exp[-log a] and a square root halves the
+log, each one or two list lookups.  Above SCALAR_TABLE_M scalars use
+the carry-less bit loop _pmulmod, so an analyze-only run over a large
+field builds no tables; the table build itself uses the bit loop at every
+m.  Loops that multiply many values by one fixed scalar take
+fixed_multiplier's ceil(m/8) byte tables of 256 entries, built for that
+scalar alone and dropped after.
 
 The degree m must be even so that GF(4), and with it a primitive cube root
 of unity zeta, embeds in the field.  zeta is chosen deterministically as
@@ -14,6 +21,8 @@ the smaller of the two roots of x^2 + x + 1 in the mask ordering.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +158,113 @@ def default_modulus(m: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# exp/log tables
+
+MAX_M = 24            # the largest field with tables, 3 * 2^m int64 entries
+# Scalars take the tables as lists up to here.  On a 2-core x86 machine a
+# list lookup product costs 0.1 us against 2 to 4 us for _pmulmod; at
+# m = 16 the numpy build and the lists take 16 ms and 5 MB, at m = 20 they
+# would take 0.3 s and 80 MB, which an analyze-only run never earns back.
+SCALAR_TABLE_M = 16
+_CHUNK = 1 << 13      # 64 KB blocks stay under malloc's mmap threshold
+_TABLES = {}
+
+
+def _xtime(v, m, modulus):
+    """x * v for an array v of masks."""
+    v = v << 1
+    return v ^ ((v >> m) * modulus)
+
+
+def _field_tables(spec):
+    """(exp, log) int64 arrays for spec, cached.
+
+    exp has length 2(q-1) so exp[log a + log b] never needs a modulo;
+    log[0] is -1 and multiplication masks those lanes to zero.  The
+    generator is the smallest primitive element, found by the order test
+    g^((q-1)/p) != 1 for the primes p dividing q - 1; exp is filled by
+    doubling and then chunk by chunk, each block the one before times a
+    fixed power of g.  The tables hold 3 * 2^m entries, so they stop at
+    m = MAX_M.
+    """
+    key = (spec.m, spec.modulus)
+    if key in _TABLES:
+        return _TABLES[key]
+    m, f = spec.m, spec.modulus
+    if m > MAX_M:
+        raise ValueError(
+            f"GF(2^{m}) is too large for the matrix kernel: its exp/log "
+            f"tables need 3 * 2^{m} entries, supported up to m = {MAX_M}")
+    n = spec.order - 1
+    primes = _prime_factors(n)
+    gen = next(g for g in range(2, n + 1)
+               if all(_ppowmod(g, n // p, f) != 1 for p in primes))
+    exp = np.zeros(2 * n, dtype=np.int64)
+    log = np.full(n + 1, -1, dtype=np.int64)
+    exp[0] = 1
+    done = 1
+    while done < n:
+        # exp[done:done+size] is the block before it times gen^size.
+        size = min(done, _CHUNK, n - done)
+        step = _ppowmod(gen, size, f)
+        src = exp[done - size:done]
+        acc = np.zeros_like(src)
+        for s in range(m):
+            if step >> s & 1:
+                acc ^= src
+            src = _xtime(src, m, f)
+        exp[done:done + size] = acc
+        done += size
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        log[exp[lo:hi]] = np.arange(lo, hi)
+    exp[n:] = exp[:n]
+    _TABLES[key] = (exp, log)
+    return exp, log
+
+
+def _scalar_tables(spec):
+    """(exp, log) of spec as Python lists, or None above SCALAR_TABLE_M.
+
+    Kept on the spec, so a scalar product is exp[log[a] + log[b]] for
+    nonzero a, b; the two halves of exp share their int objects.  exp
+    has period q - 1 and length 2(q - 1), so with Python's negative
+    indices exp[k] = g^k for every -2(q - 1) <= k < 2(q - 1).
+    """
+    t = spec._lut
+    if t is None:
+        t = ()
+        if spec.m <= SCALAR_TABLE_M:
+            exp, log = _field_tables(spec)
+            e = exp[:spec.order - 1].tolist()
+            t = (e + e, log.tolist())
+        spec._lut = t
+    return t or None
+
+
+def _mask_mul(spec, a: int, b: int) -> int:
+    """a * b for masks of spec: a table lookup, or the bit loop."""
+    t = _scalar_tables(spec)
+    if t is None:
+        return _pmulmod(a, b, spec.modulus)
+    if a and b:
+        exp, log = t
+        return exp[log[a] + log[b]]
+    return 0
+
+
+def _mask_inv(spec, a: int) -> int:
+    """1 / a for a nonzero mask of spec."""
+    if a == 0:
+        raise ZeroDivisionError("inverse of zero")
+    t = _scalar_tables(spec)
+    if t is None:
+        return _ppowmod(a, spec.order - 2, spec.modulus)   # a^(q-2) = 1/a
+    exp, log = t
+    return exp[-log[a]]
+
+
+# ---------------------------------------------------------------------------
 
 class FieldSpec:
     """An even-degree binary field GF(2^m) with a pinned modulus.
@@ -157,7 +273,7 @@ class FieldSpec:
     specs never mix.  Invariant: modulus is irreducible of degree m, m even.
     """
 
-    __slots__ = ("m", "modulus", "_zeta_mask")
+    __slots__ = ("m", "modulus", "_zeta_mask", "_lut")
 
     def __init__(self, m: int = 8, modulus: int | None = None):
         if m <= 0 or m % 2 != 0:
@@ -176,6 +292,11 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self._zeta_mask = None
+        self._lut = None          # _scalar_tables' lists, built on first use
+
+    def __reduce__(self):
+        # the cached zeta and tables are rebuilt on demand, not pickled
+        return FieldSpec, (self.m, self.modulus)
 
     # -- identity ----------------------------------------------------------
 
@@ -335,7 +456,7 @@ class FieldElement:
             return NotImplemented
         self._check(other)
         return FieldElement(
-            self.spec, _pmulmod(self.mask, other.mask, self.spec.modulus))
+            self.spec, _mask_mul(self.spec, self.mask, other.mask))
 
     def __truediv__(self, other):
         if not isinstance(other, FieldElement):
@@ -353,10 +474,7 @@ class FieldElement:
         """Multiplicative inverse; raises on zero."""
         if self.mask == 0:
             raise ZeroDivisionError("inverse of zero in GF(2^m)")
-        # a^(2^m - 2) = a^-1
-        return FieldElement(
-            self.spec,
-            _ppowmod(self.mask, self.spec.order - 2, self.spec.modulus))
+        return FieldElement(self.spec, _mask_inv(self.spec, self.mask))
 
     def sqrt(self) -> "FieldElement":
         """The unique square root (Frobenius inverse)."""
@@ -388,23 +506,26 @@ class FieldElement:
 
 
 def sqrt_frobenius(a: FieldElement) -> FieldElement:
-    """Square root via x -> x^(2^(m-1)); exact inverse of squaring.
+    """Square root, the exact inverse of squaring.
 
-    Every element of GF(2^m) has exactly one square root, so the map is a
-    field automorphism and sqrt(a + b) = sqrt(a) + sqrt(b) holds; tests
-    rely on that linearity.
+    With the tables it halves the log; q - 1 is odd, so an odd log l is
+    first replaced by l + q - 1.  Above SCALAR_TABLE_M it is
+    x -> x^(2^(m-1)), m - 1 squarings.  Every element of GF(2^m) has
+    exactly one square root, so the map is a field automorphism and
+    sqrt(a + b) = sqrt(a) + sqrt(b) holds; tests rely on that linearity.
     """
+    spec = a.spec
     mask = a.mask
-    f = a.spec.modulus
-    for _ in range(a.spec.m - 1):
-        mask = _pmulmod(mask, mask, f)
-    return FieldElement(a.spec, mask)
-
-
-def cube_roots_of_unity(spec: FieldSpec):
-    """(1, zeta, zeta^2) with zeta the canonical primitive cube root."""
-    z = spec.zeta()
-    return spec.one(), z, z * z
+    t = _scalar_tables(spec)
+    if t is not None:
+        if mask:
+            exp, log = t
+            l = log[mask]
+            mask = exp[(l + (l & 1) * (spec.order - 1)) >> 1]
+        return FieldElement(spec, mask)
+    for _ in range(spec.m - 1):
+        mask = _pmulmod(mask, mask, spec.modulus)
+    return FieldElement(spec, mask)
 
 
 def all_elements(spec: FieldSpec):

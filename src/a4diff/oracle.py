@@ -291,6 +291,22 @@ def _complement(S, d):
     return Matrix(spec, out)
 
 
+class _Reduced(Matrix):
+    """A pencil value that row-reduces at most once, so the rank taken at
+    a rank-drop parameter and the kernel chain there share one rref."""
+
+    __slots__ = ("_rref",)
+
+    def __init__(self, M):
+        super().__init__(M.spec, M.a)
+        self._rref = None
+
+    def rref(self):
+        if self._rref is None:
+            self._rref = super().rref()
+        return self._rref
+
+
 def _chain_dims(P, Q, cap, reduced=None):
     """Dimensions of ker P <= P^-1(Q ker P) <= ... until stable; reduced
     is P.rref() when the caller has it."""
@@ -472,6 +488,7 @@ def _klein_counts(M):
     Bbar = coords_in_basis(rad, B @ top)
 
     ranks = {}
+    drops = {}    # pencils that rank_at found below the generic rank
 
     def pencil(lam):
         if lam is INF:
@@ -488,7 +505,10 @@ def _klein_counts(M):
     def rank_at(lam):
         key = "inf" if lam is INF else lam.mask
         if key not in ranks:
-            ranks[key] = pencil(lam).rank()
+            P = _Reduced(pencil(lam))
+            ranks[key] = P.rank()
+            if ranks[key] < rgen:
+                drops[key] = P
         return ranks[key]
 
     # reference parameter: there are at most min(t, r) tube parameters,
@@ -531,7 +551,8 @@ def _klein_counts(M):
         if drop == 0:
             continue
         Q = Bbar if lam is INF else Abar
-        sizes = _cleaned_sizes(_chain_dims(pencil(lam), Q, t), ref)
+        P = drops.get("inf" if lam is INF else lam.mask) or pencil(lam)
+        sizes = _cleaned_sizes(_chain_dims(P, Q, t), ref)
         if sum(sizes.values()) != drop:
             raise _StructureError("rank drop does not match block count")
         param = INF if lam is INF else lam
@@ -744,6 +765,7 @@ def _a4_counts(M):
 
     if band_top:
         ranks = {}
+        drops = {}    # pencils that rank_at found below the generic rank
 
         def reduce_at(phi):
             red = (Dbig + Cbig.scale(phi)).rref()
@@ -752,7 +774,10 @@ def _a4_counts(M):
 
         def rank_at(phi):
             if phi.mask not in ranks:
-                ranks[phi.mask] = (Dbig + Cbig.scale(phi)).rank()
+                P = _Reduced(Dbig + Cbig.scale(phi))
+                ranks[phi.mask] = P.rank()
+                if ranks[phi.mask] < rgen:
+                    drops[phi.mask] = P
             return ranks[phi.mask]
 
         phi0, red0 = _reference_param(spec, reduce_at, min(T, sum(rlist)),
@@ -775,9 +800,10 @@ def _a4_counts(M):
             orbit = [phi, phi * z, phi * z * z]
             datas = []
             for ph in orbit:
-                sizes = _cleaned_sizes(
-                    _chain_dims(Dbig + Cbig.scale(ph), Cbig, T), ref)
-                if sum(sizes.values()) != rgen - rank_at(ph):
+                drop = rgen - rank_at(ph)
+                P = drops.get(ph.mask) or Dbig + Cbig.scale(ph)
+                sizes = _cleaned_sizes(_chain_dims(P, Cbig, T), ref)
+                if sum(sizes.values()) != drop:
                     raise _StructureError("band drop does not match blocks")
                 datas.append(sizes)
                 found[ph.mask] = True

@@ -4,7 +4,10 @@ A RatFunc is a reduced fraction num/den with monic denominator; all
 consumers rely on that canonical form (pole orders are read off the
 denominator, gcd-freeness makes them honest).  Sums are formed over the
 lcm of the denominators, so the canonicalising gcd runs at the degree of
-the lcm, not of the product.
+the lcm, not of the product.  Where the field has scalar tables
+(gf.SCALAR_TABLE_M), polynomial products and long division run in the
+log domain: the logs of the fixed operand are taken once, and each term
+is one exp lookup.
 
 Local data at a place c is computed adically.  In characteristic 2,
 (s + c)^(2^j) = s^(2^j) + c^(2^j), so the multiplicity v of the root c and
@@ -27,17 +30,8 @@ from __future__ import annotations
 
 import math
 
-from .gf import FieldSpec, FieldElement, _pmulmod, _ppowmod, fixed_multiplier
-
-
-def _mask_mul(spec: FieldSpec, a: int, b: int) -> int:
-    return _pmulmod(a, b, spec.modulus)
-
-
-def _mask_inv(spec: FieldSpec, a: int) -> int:
-    if a == 0:
-        raise ZeroDivisionError("inverse of zero")
-    return _ppowmod(a, spec.order - 2, spec.modulus)
+from .gf import (FieldSpec, FieldElement, _mask_inv, _mask_mul,
+                 _scalar_tables, fixed_multiplier)
 
 
 def _multiplier(spec: FieldSpec, d: int):
@@ -71,10 +65,11 @@ class Poly:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
+        n = len(coeffs)
+        while n and coeffs[n - 1] == 0:
+            n -= 1
         self.spec = spec
-        self.coeffs = tuple(coeffs)
+        self.coeffs = tuple(coeffs[:n])
 
     @classmethod
     def x(cls, spec: FieldSpec) -> "Poly":
@@ -121,12 +116,24 @@ class Poly:
             return Poly(self.spec, ())
         spec = self.spec
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        t = _scalar_tables(spec)
+        if t is None:
+            for i, a in enumerate(self.coeffs):
+                if a == 0:
+                    continue
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        out[i + j] ^= _mask_mul(spec, a, b)
+            return Poly(spec, out)
+        # in the log domain: the logs of other once, then one exp lookup
+        # per pair of nonzero coefficients
+        exp, log = t
+        logs = [(j, log[b]) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] ^= _mask_mul(spec, a, b)
+            if a:
+                la = log[a]
+                for j, lb in logs:
+                    out[i + j] ^= exp[la + lb]
         return Poly(spec, out)
 
     def scale(self, mask: int) -> "Poly":
@@ -146,16 +153,36 @@ class Poly:
         rem = list(self.coeffs)
         dd = other.degree
         lead = other.leading()
-        lead_inv = 1 if lead == 1 else _mask_inv(spec, lead)
         q = [0] * max(0, len(rem) - dd)
+        t = _scalar_tables(spec)
+        if t is None:
+            lead_inv = 1 if lead == 1 else _mask_inv(spec, lead)
+            for i in range(len(rem) - 1, dd - 1, -1):
+                if rem[i] == 0:
+                    continue
+                f = (rem[i] if lead_inv == 1
+                     else _mask_mul(spec, rem[i], lead_inv))
+                q[i - dd] = f
+                for j, b in enumerate(other.coeffs):
+                    if b:
+                        rem[i - dd + j] ^= _mask_mul(spec, f, b)
+            return Poly(spec, q), Poly(spec, rem)
+        # in the log domain: the logs of the divisor below its leading
+        # term once; each quotient coefficient is one log difference, and
+        # its step clears rem[i] and updates the rest by exp lookups
+        exp, log = t
+        llead = log[lead]
+        logs = [(j, log[b]) for j, b in enumerate(other.coeffs[:-1]) if b]
         for i in range(len(rem) - 1, dd - 1, -1):
-            if rem[i] == 0:
+            r = rem[i]
+            if r == 0:
                 continue
-            f = rem[i] if lead_inv == 1 else _mask_mul(spec, rem[i], lead_inv)
-            q[i - dd] = f
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    rem[i - dd + j] ^= _mask_mul(spec, f, b)
+            lf = log[r] - llead
+            q[i - dd] = exp[lf]
+            rem[i] = 0
+            base = i - dd
+            for j, lb in logs:
+                rem[base + j] ^= exp[lf + lb]
         return Poly(spec, q), Poly(spec, rem)
 
     def __mod__(self, other: "Poly") -> "Poly":
@@ -617,6 +644,8 @@ def field_roots(p: Poly) -> set[int]:
     if p.degree <= 0:
         return set()
     p = p.monic()
+    if p.degree == 1:
+        return {p.coeffs[0]}            # the root of s + c is c
     frob = [Poly(spec, (0, 1)) % p]     # frob[i] = s^(2^i) mod p
     for _ in range(spec.m):
         frob.append((frob[-1] * frob[-1]) % p)

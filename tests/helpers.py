@@ -1,18 +1,26 @@
 """Shared test utilities: random trace-zero data, closed-form
 expectations for the parametric families, and slow reference versions of
-the matrix kernel's field tables, row reduction, kernel bases and rank,
-of root multiplicities, of rational-function sums, of trace splitting and
-of the oracle's field-wide parameter scan."""
+the field's exp/log tables and its bit-loop scalar arithmetic, of the
+coefficient loops of polynomial products and division, of the matrix
+kernel's row reduction, kernel bases and rank, of root multiplicities, of
+rational-function sums, of trace splitting, of the oracle's field-wide
+parameter scan and of the three-reduction A4 precheck."""
 
 import math
 
 import numpy as np
 
 from a4diff._linalg import Matrix, _inv_mask, _mul_arrays
-from a4diff.artin_schreier import symmetrize_h
-from a4diff.gf import all_elements
+from a4diff.artin_schreier import A4Report, is_as_trivial, symmetrize_h
+from a4diff.gf import FieldElement, _pmulmod, _ppowmod, all_elements
 from a4diff.ramification import analyze_branch_data
-from a4diff.ratlaurent import Poly, RatFunc, trace_K_over_J
+from a4diff.ratlaurent import Poly, RatFunc, rho_pullback, trace_K_over_J
+
+
+def cube_roots_of_unity(spec):
+    """(1, zeta, zeta^2) with zeta the canonical primitive cube root."""
+    z = spec.zeta()
+    return spec.one(), z, z * z
 
 
 def linear_power(spec, mask, e):
@@ -148,30 +156,83 @@ def reference_field_tables(spec):
     """(exp, log) as Matrix kernels expect them, by the plain method.
 
     The generator is the smallest mask whose powers reach every nonzero
-    element, and the tables are filled one field multiply at a time.
+    element, and the tables are filled one bit-loop multiply at a time.
     """
-    q = spec.order
+    q, f = spec.order, spec.modulus
     gen = None
     for cand in range(2, q):
-        e = spec.element(cand)
-        acc = e
+        acc = cand
         steps = 1
-        while acc.mask != 1:
-            acc = acc * e
+        while acc != 1:
+            acc = _pmulmod(acc, cand, f)
             steps += 1
         if steps == q - 1:
-            gen = e
+            gen = cand
             break
     assert gen is not None
     exp = np.zeros(2 * (q - 1), dtype=np.int64)
     log = np.full(q, -1, dtype=np.int64)
-    acc = spec.one()
+    acc = 1
     for i in range(q - 1):
-        exp[i] = acc.mask
-        exp[i + q - 1] = acc.mask
-        log[acc.mask] = i
-        acc = acc * gen
+        exp[i] = acc
+        exp[i + q - 1] = acc
+        log[acc] = i
+        acc = _pmulmod(acc, gen, f)
     return exp, log
+
+
+def reference_inverse(a):
+    """1 / a as a^(q-2) by bit-loop square and multiply."""
+    return FieldElement(a.spec, _ppowmod(a.mask, a.spec.order - 2,
+                                         a.spec.modulus))
+
+
+def reference_sqrt(a):
+    """sqrt(a) = a^(2^(m-1)) by m - 1 bit-loop squarings."""
+    mask = a.mask
+    for _ in range(a.spec.m - 1):
+        mask = _pmulmod(mask, mask, a.spec.modulus)
+    return FieldElement(a.spec, mask)
+
+
+def reference_poly_mul(p, q):
+    """p * q by the schoolbook loop, one bit-loop multiply per term."""
+    if p.is_zero() or q.is_zero():
+        return Poly(p.spec, ())
+    f = p.spec.modulus
+    out = [0] * (len(p.coeffs) + len(q.coeffs) - 1)
+    for i, a in enumerate(p.coeffs):
+        for j, b in enumerate(q.coeffs):
+            out[i + j] ^= _pmulmod(a, b, f)
+    return Poly(p.spec, out)
+
+
+def reference_poly_divmod(p, d):
+    """(quotient, remainder) of p by d by long division with bit-loop
+    multiplies, the leading coefficient of d inverted as a^(q-2)."""
+    spec, f = p.spec, p.spec.modulus
+    rem = list(p.coeffs)
+    dd = d.degree
+    lead_inv = _ppowmod(d.leading(), spec.order - 2, f)
+    quo = [0] * max(0, len(rem) - dd)
+    for i in range(len(rem) - 1, dd - 1, -1):
+        c = _pmulmod(rem[i], lead_inv, f)
+        quo[i - dd] = c
+        for j, b in enumerate(d.coeffs):
+            rem[i - dd + j] ^= _pmulmod(c, b, f)
+    return Poly(spec, quo), Poly(spec, rem)
+
+
+def reference_check_a4_conditions(alpha):
+    """The A4 precheck with alpha, rho alpha and alpha + rho alpha each
+    reduced on its own."""
+    ra = rho_pullback(alpha)
+    return A4Report(
+        trace_zero=trace_K_over_J(alpha).is_zero(),
+        nontrivial_alpha=not is_as_trivial(alpha),
+        nontrivial_rho_alpha=not is_as_trivial(ra),
+        nontrivial_sum=not is_as_trivial(alpha + ra),
+    )
 
 
 def reference_rref(A):

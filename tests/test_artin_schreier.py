@@ -1,11 +1,19 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from a4diff import artin_schreier
+from a4diff._families import (degenerate_orbit_alpha, generic_orbit_alpha,
+                              hkg_alpha)
+from a4diff.cli import run_cli
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import Place, RatFunc, trace_K_over_J
 from a4diff.artin_schreier import (
     ASForm, as_reduce, check_a4_conditions, is_as_trivial, symmetrize_h,
 )
+
+from helpers import random_trace_zero_alpha, reference_check_a4_conditions
 
 F = FieldSpec(m=8)
 Z = F.zeta()
@@ -240,3 +248,74 @@ def test_symmetrize_canonical_under_trivial_shift(amask, aexp, ac,
     base = symmetrize_h(alpha)
     shifted = symmetrize_h(alpha + g.square() + g)
     assert shifted.alpha_reduced == base.alpha_reduced
+
+
+FLAGS = ("trace_zero", "nontrivial_alpha", "nontrivial_rho_alpha",
+         "nontrivial_sum", "verdict")
+
+
+def _flags(report):
+    return [getattr(report, name) for name in FLAGS]
+
+
+def _precheck_cases():
+    spec12 = FieldSpec(m=12)
+    rnd = random.Random(7)
+    cases = [hkg_alpha(F, 2, 2), degenerate_orbit_alpha(F, 4),
+             generic_orbit_alpha(spec12, 1, spec12.element(19)),
+             mono(3), mono(2) + mono(1), mono(47) + mono(31),
+             const(F.one()), RatFunc.zero(F)]
+    for _ in range(12):
+        g = random_trace_zero_alpha(rnd, F)
+        cases.append(g)                      # trace zero
+        cases.append(g.square() + g)         # trace zero and trivial
+        w = RatFunc.from_coeff_masks(
+            F, [rnd.randrange(256) for _ in range(rnd.randint(1, 6))], [1])
+        cases.append(g + w)                  # mostly of nonzero trace
+        cases.append(w * inv_pow(F.element(rnd.randrange(2, 256)),
+                                 rnd.randint(1, 4)))
+    return cases
+
+
+def test_check_a4_flags_match_three_reductions():
+    cases = _precheck_cases()
+    seen = set()
+    for alpha in cases:
+        report = check_a4_conditions(alpha)
+        assert _flags(report) == _flags(reference_check_a4_conditions(alpha))
+        assert report.form.to_json() == as_reduce(alpha).to_json()
+        seen.add(tuple(_flags(report)))
+    # trace zero and nonzero, trivial and not, and a nonzero trace whose
+    # alpha + rho alpha is trivial (s^3) all occur
+    assert (True, True, True, True, True) in seen
+    assert (True, False, False, False, False) in seen
+    assert (False, True, True, True, False) in seen
+    assert (False, True, True, False, False) in seen
+
+
+def test_symmetrize_reuses_the_precheck_reduction():
+    for alpha in (hkg_alpha(F, 2, 2), degenerate_orbit_alpha(F, 4),
+                  mono(47) + mono(31)):
+        form = check_a4_conditions(alpha).form
+        assert symmetrize_h(alpha, form) is form
+        assert form.to_json() == symmetrize_h(alpha).to_json()
+    with pytest.raises(ValueError, match="trace nonzero"):
+        symmetrize_h(mono(3), check_a4_conditions(mono(3)).form)
+
+
+def test_one_job_reduces_alpha_once(monkeypatch, capsys):
+    calls = [0]
+    reduce_core = artin_schreier._reduce_core
+
+    def counting(alpha):
+        calls[0] += 1
+        return reduce_core(alpha)
+
+    monkeypatch.setattr(artin_schreier, "_reduce_core", counting)
+    for argv in (["examples", "--which", "2", "--n", "4", "--m", "8"],
+                 ["examples", "--which", "1", "--n", "1", "--x", "2"],
+                 ["analyze", "--alpha", '{"num":[0,0,0,0,0,1],"den":[1]}']):
+        calls[0] = 0
+        assert run_cli(argv + ["--json"]) == 0
+        assert calls[0] == 1, argv
+    capsys.readouterr()

@@ -1,13 +1,17 @@
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from a4diff import gf
 from a4diff.gf import (
-    FieldSpec, FieldElement, sqrt_frobenius, cube_roots_of_unity,
+    FieldSpec, FieldElement, sqrt_frobenius,
     all_elements, is_irreducible_gf2, default_modulus, fixed_multiplier,
-    _pmulmod,
+    _mask_inv, _mask_mul, _pmulmod,
 )
+
+from helpers import cube_roots_of_unity, reference_inverse, reference_sqrt
 
 F4 = FieldSpec(m=2)          # modulus x^2 + x + 1
 F256 = FieldSpec(m=8)
@@ -165,3 +169,46 @@ def test_fixed_multiplier_random_and_all_ones(m):
         mul = fixed_multiplier(c, f)
         xs = [0, 1, top] + [rnd.randrange(1 << m) for _ in range(60)]
         assert [mul(x) for x in xs] == [_pmulmod(c, x, f) for x in xs]
+
+
+def _check_scalar_arithmetic(spec, masks):
+    f = spec.modulus
+    for a in masks:
+        x = spec.element(a)
+        assert [_mask_mul(spec, a, b) for b in masks] == \
+            [_pmulmod(a, b, f) for b in masks]
+        assert [(x * spec.element(b)).mask for b in masks] == \
+            [_pmulmod(a, b, f) for b in masks]
+        assert sqrt_frobenius(x) == reference_sqrt(x)
+        if a:
+            assert x.inverse() == reference_inverse(x)
+            assert _mask_inv(spec, a) == reference_inverse(x).mask
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_table_arithmetic_matches_the_bit_loop_exhaustively(m):
+    spec = FieldSpec(m)
+    assert gf._scalar_tables(spec) is not None
+    _check_scalar_arithmetic(spec, range(spec.order))
+
+
+@pytest.mark.parametrize("m", [10, 12, 16, 18])
+def test_scalar_arithmetic_matches_the_bit_loop_at_random(m):
+    spec = FieldSpec(m)
+    # tables up to SCALAR_TABLE_M = 16, the bit loop above it
+    assert (gf._scalar_tables(spec) is None) == (m == 18)
+    rnd = random.Random(m)
+    top = spec.order - 1
+    masks = [0, 1, 2, top] + [rnd.randrange(spec.order) for _ in range(60)]
+    _check_scalar_arithmetic(spec, masks)
+    with pytest.raises(ZeroDivisionError):
+        _mask_inv(spec, 0)
+
+
+def test_a_pickled_field_leaves_its_tables_behind():
+    spec = FieldSpec(m=10)
+    assert gf._scalar_tables(spec) is not None
+    back = pickle.loads(pickle.dumps(spec))
+    assert back == spec and back._lut is None
+    assert (back.element(77) * back.element(300)).mask == \
+        _pmulmod(77, 300, spec.modulus)

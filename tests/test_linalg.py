@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from a4diff import _linalg
+from a4diff import _linalg, gf
 from a4diff._linalg import (Matrix, _field_tables, _gather_product,
                             _plane_product)
 from a4diff.cli import run_cli
@@ -113,7 +113,7 @@ def test_field_tables_match_the_plain_build(m):
 
 
 def test_field_tables_refuse_fields_above_the_bound(monkeypatch):
-    monkeypatch.setattr(_linalg, "MAX_M", 4)
+    monkeypatch.setattr(gf, "MAX_M", 4)
     with pytest.raises(ValueError, match="supported up to m = 4"):
         _field_tables(FieldSpec(6, 0b1011011))   # a modulus not yet cached
 

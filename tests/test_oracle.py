@@ -352,6 +352,34 @@ class TestDecompose:
         except ValueError as err:
             assert err.certificate["reason"]
 
+    def test_a_rank_drop_pencil_is_reduced_once(self, monkeypatch):
+        # the rank taken at a rank-drop parameter and the kernel chain
+        # there share one row reduction
+        ranked, again = set(), []
+        rank, rref = Matrix.rank, Matrix.rref
+
+        def key(A):
+            return A.a.shape, A.a.tobytes()
+
+        def recording_rank(self):
+            out = rank(self)
+            ranked.add(key(self))
+            return out
+
+        def recording_rref(self):
+            if key(self) in ranked:
+                again.append(self.shape)
+            return rref(self)
+
+        monkeypatch.setattr(Matrix, "rank", recording_rank)
+        monkeypatch.setattr(Matrix, "rref", recording_rref)
+        phi = SPEC.element(9)
+        G = kg_group_rep(SPEC, KGLabel.band(6, phi ** 3, phi=phi))
+        for M in (G, restrict_to_h(G)):
+            ranked.clear()
+            decompose_rep(M)
+            assert ranked and not again
+
     def test_wrong_extraction_rejected_by_spot_check(self, monkeypatch):
         # right total dimension, but dense Hom(Triv, M) is 2, not 3
         M = kh_group_rep(SPEC, KHLabel.string(3, 2))

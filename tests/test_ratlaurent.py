@@ -10,8 +10,9 @@ from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import (
     Poly, RatFunc, Place, poly_roots, trace_K_over_J, rho_pullback,
 )
-from helpers import (linear_power, reference_root_split, reference_sum,
-                     reference_trace_split)
+from helpers import (linear_power, reference_poly_divmod,
+                     reference_poly_mul, reference_root_split,
+                     reference_sum, reference_trace_split)
 
 F16 = FieldSpec(m=4)
 F256 = FieldSpec(m=8)
@@ -442,3 +443,52 @@ def test_field_roots_ignores_factors_that_do_not_split(m):
                              r"factor of degree 2 with coeff masks "
                              + re.escape(str(list(quad.coeffs)))):
         poly_roots(split * quad)
+
+
+def _sparse_poly(rnd, spec, degree):
+    """A random polynomial of the given degree, about a third of its lower
+    coefficients zero."""
+    return Poly(spec, [rnd.randrange(spec.order) if rnd.random() < 0.7
+                       else 0 for _ in range(degree)]
+                + [rnd.randrange(1, spec.order)])
+
+
+@pytest.mark.parametrize("m", [8, 16, 18])
+def test_poly_product_and_division_match_the_bit_loop(m):
+    # m = 8 and 16 run in the log domain, m = 18 on the bit loop
+    spec = FieldSpec(m=m)
+    rnd = random.Random(400 + m)
+    zero = Poly(spec, ())
+    for _ in range(25):
+        p = _sparse_poly(rnd, spec, rnd.randint(0, 40))
+        d = _sparse_poly(rnd, spec, rnd.randint(0, 12))
+        assert p * d == reference_poly_mul(p, d) == d * p
+        assert p * zero == zero == zero * p
+        quo, rem = p.divmod(d)
+        assert (quo, rem) == reference_poly_divmod(p, d)
+        assert rem.degree < d.degree and quo * d + rem == p
+    monic = Poly(spec, (3, 0, 1))
+    assert Poly(spec, (5,)).divmod(monic) == (zero, Poly(spec, (5,)))
+    with pytest.raises(ZeroDivisionError):
+        monic.divmod(zero)
+
+
+@pytest.mark.parametrize("m", [4, 8, 18])
+def test_field_roots_reads_a_linear_polynomial_directly(m, monkeypatch):
+    spec = FieldSpec(m=m)
+    rnd = random.Random(500 + m)
+    divisions = [0]
+    divmod_ = Poly.divmod
+
+    def counting_divmod(self, other):
+        divisions[0] += 1
+        return divmod_(self, other)
+
+    monkeypatch.setattr(Poly, "divmod", counting_divmod)
+    for _ in range(10):
+        a = spec.element(rnd.randrange(1, spec.order))
+        b = spec.element(rnd.randrange(spec.order))
+        # a s + b vanishes at b / a
+        assert ratlaurent.field_roots(Poly(spec, (b.mask, a.mask))) == \
+            {(b / a).mask}
+    assert divisions[0] == 0
