@@ -230,10 +230,9 @@ class Matrix:
         M[:r] = _mul_arrays(spec, exp[q1 - log[lead], None], M[:r])
         return Matrix(spec, M), piv
 
-    def right_nullspace(self, reduced=None):
-        """Matrix whose columns form a basis of the kernel; reduced is
-        self.rref() when the caller has it."""
-        R, piv = reduced or self.rref()
+    def right_nullspace(self):
+        """Matrix whose columns form a basis of the kernel."""
+        R, piv = self.rref()
         free = np.setdiff1d(np.arange(self.cols), piv)
         out = np.zeros((self.cols, free.size), dtype=np.int64)
         out[free, np.arange(free.size)] = 1

@@ -330,47 +330,12 @@ class FieldSpec:
         return FieldElement(self, 1)
 
     def zeta(self) -> "FieldElement":
-        """The canonical primitive cube root of unity."""
+        """The canonical primitive cube root of unity: the smaller of the
+        two roots of z^2 + z = 1."""
         if self._zeta_mask is None:
-            self._zeta_mask = self._solve_zeta()
+            z = self.artin_schreier_root(self.one()).mask
+            self._zeta_mask = min(z, z ^ 1)
         return FieldElement(self, self._zeta_mask)
-
-    def _solve_zeta(self) -> int:
-        # zeta^2 + zeta = 1 is GF(2)-linear in the mask bits because
-        # squaring is linear; solve (F + I) z = 1 where F is the Frobenius
-        # matrix, then take the smaller of the two solutions z, z + 1.
-        m = self.m
-        cols = []
-        for i in range(m):
-            basis = 1 << i
-            col = _pmulmod(basis, basis, self.modulus) ^ basis
-            cols.append(col)
-        # Gaussian elimination on the m x m GF(2) system cols * z = 1.
-        rows = [[(cols[j] >> i) & 1 for j in range(m)] + [1 if i == 0 else 0]
-                for i in range(m)]
-        piv = []
-        r = 0
-        for c in range(m):
-            sel = None
-            for rr in range(r, m):
-                if rows[rr][c]:
-                    sel = rr
-                    break
-            if sel is None:
-                continue
-            rows[r], rows[sel] = rows[sel], rows[r]
-            for rr in range(m):
-                if rr != r and rows[rr][c]:
-                    rows[rr] = [x ^ y for x, y in zip(rows[rr], rows[r])]
-            piv.append(c)
-            r += 1
-        z = 0
-        for idx, c in enumerate(piv):
-            if rows[idx][m]:
-                z |= 1 << c
-        if _pmulmod(z, z, self.modulus) ^ z != 1:
-            raise AssertionError("cube root of unity solve failed")
-        return min(z, z ^ 1)
 
     def artin_schreier_root(self, c: "FieldElement") -> "FieldElement | None":
         """A root of x^2 + x = c, or None when c is not in the image.

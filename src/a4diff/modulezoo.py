@@ -384,7 +384,8 @@ def _ab_from_cd(spec, C, D):
 
 
 def klein_group_matrices(rep):
-    """GroupRep of H from a representation of either Klein quiver."""
+    """GroupRep of H from a representation of either Klein quiver; the
+    group relations follow from the quiver relations rep.validate checks."""
     rep.validate()
     spec = rep.spec
     if rep.quiver is KLEIN_AB:
@@ -394,16 +395,15 @@ def klein_group_matrices(rep):
     else:
         raise ValueError("expected a Klein four quiver representation")
     I = Matrix.identity(spec, rep.total_dim)
-    out = GroupRep("H", spec, I + A, I + B)
-    validate_group_rep(out)
-    return out
+    return GroupRep("H", spec, I + A, I + B)
 
 
 def kG_group_matrices(rep):
     """GroupRep of G from an A4 quiver representation.
 
     Basis order: vertex 0 block, then vertex 1, then vertex 2; rho acts
-    as zeta^i on the vertex-i block.
+    as zeta^i on the vertex-i block.  The group relations follow from the
+    quiver relations rep.validate checks.
     """
     if rep.quiver is not A4_QUIVER:
         raise ValueError("expected an A4 quiver representation")
@@ -422,9 +422,7 @@ def kG_group_matrices(rep):
         (i, i): Matrix.scalar(spec, dims[i], z ** i) for i in range(3)})
     A, B = _ab_from_cd(spec, C, D)
     I = Matrix.identity(spec, rep.total_dim)
-    out = GroupRep("G", spec, I + A, I + B, rho)
-    validate_group_rep(out)
-    return out
+    return GroupRep("G", spec, I + A, I + B, rho)
 
 
 def restrict_to_h(grep):
@@ -437,7 +435,8 @@ def induce_to_g(hrep):
     """Induce an H-representation to G along the coset basis 1, rho, rho^2.
 
     sigma permutes the cosets trivially but twists by the conjugate
-    generator on each block; rho cycles the blocks.
+    generator on each block; rho cycles the blocks.  The result satisfies
+    the relations of G whenever hrep satisfies those of H.
     """
     assert hrep.group == "H"
     spec = hrep.spec
@@ -452,9 +451,7 @@ def induce_to_g(hrep):
     I = Matrix.identity(spec, d)
     rho = Matrix.assemble(spec, dims, dims,
                           {(1, 0): I, (2, 1): I, (0, 2): I})
-    out = GroupRep("G", spec, sigma, tau, rho)
-    validate_group_rep(out)
-    return out
+    return GroupRep("G", spec, sigma, tau, rho)
 
 
 def direct_sum_group_reps(reps):

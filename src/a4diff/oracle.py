@@ -26,7 +26,9 @@ generic reference value lam0 must turn singular at each of them, so each
 is lam0 + 1/nu for an eigenvalue nu of S0^-1 Qs, with Qs the same minor of
 Q.  The eigenvalues are the roots in the field of a characteristic
 polynomial taken by Hessenberg reduction, and the pencil is ranked only at
-those few candidates.
+those few candidates.  Both sides go through one routine, ``_Pencil``:
+the reference scan, the candidates, a memoised rank at each and the
+Jordan block sizes read off the kernel chain where the rank drops.
 
 All arithmetic is exact; nothing is randomized.
 """
@@ -307,10 +309,9 @@ class _Reduced(Matrix):
         return self._rref
 
 
-def _chain_dims(P, Q, cap, reduced=None):
-    """Dimensions of ker P <= P^-1(Q ker P) <= ... until stable; reduced
-    is P.rref() when the caller has it."""
-    K = P.right_nullspace(reduced)
+def _chain_dims(P, Q, cap):
+    """Dimensions of ker P <= P^-1(Q ker P) <= ... until stable."""
+    K = P.right_nullspace()
     dims = [K.cols]
     while dims[-1] < cap:
         K = preimage_space(P, image_space(Q, K))
@@ -339,27 +340,6 @@ def _in_scan_order(spec, params):
     head = _scan_head(spec)
     pos = {mask: i - len(head) for i, mask in enumerate(head)}
     return sorted(params, key=lambda x: pos.get(x.mask, x.mask))
-
-
-def _reference_param(spec, reduce_at, cap, skip_zero, what):
-    """(lam0, (R0, piv0)) for the first element lam0 of maximal pencil rank
-    among the first cap + 1 of scan order, with the pencil's row reduction
-    there; reduce_at(lam) returns that reduction for any lam.
-
-    The pencil loses rank at no more than cap parameters, so one of these
-    is generic, and lam0 has the generic rank len(piv0).
-    """
-    first = list(itertools.islice(_scan_order(spec, skip_zero), cap + 1))
-    if len(first) < cap + 1:
-        raise _StructureError(f"field too small for the {what} scan")
-    lam0 = best = None
-    for lam in first:
-        red = reduce_at(lam)
-        if best is None or len(red[1]) > len(best[1]):
-            lam0, best = lam, red
-        if len(best[1]) == cap:
-            break
-    return lam0, best
 
 
 def _charpoly(N):
@@ -465,6 +445,92 @@ def _cleaned_sizes(ch, ref):
     return out
 
 
+class _Pencil:
+    """The pencil P + lam Q, which is Q alone at lam = INF, and its Jordan
+    blocks at the parameters where it loses rank.
+
+    The reference scan row-reduces the pencil at the first cap + 1
+    elements of scan order (0 left out when skip_zero) and keeps the
+    first of maximal rank as lam0.  The pencil loses rank at no more than
+    cap parameters, so one of these is generic, and lam0 has the generic
+    rank rgen.  P0, the pencil at lam0, keeps its reduction, which gives
+    ker P0, the minor of the eigenvalue candidates and the reference
+    kernel chain ref of P0 against Q, up to chain_cap.
+    """
+
+    def __init__(self, P, Q, cap, chain_cap, skip_zero, what):
+        self.spec = P.spec
+        self.P, self.Q = P, Q
+        self.chain_cap = chain_cap
+        self.skip_zero = skip_zero
+        first = list(itertools.islice(_scan_order(self.spec, skip_zero),
+                                      cap + 1))
+        if len(first) < cap + 1:
+            raise _StructureError(f"field too small for the {what} scan")
+        self._ranks = {}
+        self._drops = {}    # values that rank found below rgen
+        self._sizes = {}
+        self.P0 = None
+        for lam in first:
+            V = self.value(lam)
+            rank = len(V.rref()[1])
+            self._ranks[_tube_key(lam)] = rank
+            if self.P0 is None or rank > self.rgen:
+                self.lam0, self.P0, self.rgen = lam, V, rank
+            if rank == cap:
+                break
+        self.ref = _chain_dims(self.P0, Q, chain_cap)
+
+    def ref_transposed(self, cap):
+        """The reference kernel chain of the transposed pencil."""
+        return _chain_dims(self.P0.transpose(), self.Q.transpose(), cap)
+
+    def value(self, lam):
+        if lam is INF:
+            return _Reduced(self.Q)
+        if not lam:
+            return _Reduced(self.P)
+        return _Reduced(self.P + self.Q.scale(lam))
+
+    def candidates(self):
+        """The eigenvalue candidates of _drop_candidates in scan order, 0
+        left out when skip_zero; every finite rank drop is among them."""
+        cands = _drop_candidates(self.P0, self.P0.rref()[1], self.Q,
+                                 self.lam0)
+        return _in_scan_order(self.spec, [
+            lam for lam in cands if lam or not self.skip_zero])
+
+    def rank(self, lam):
+        key = _tube_key(lam)
+        if key not in self._ranks:
+            V = self.value(lam)
+            self._ranks[key] = V.rank()
+            if self._ranks[key] < self.rgen:
+                self._drops[key] = V
+        return self._ranks[key]
+
+    def sizes(self, lam):
+        """{n: number of Jordan blocks of size n} at lam, from the kernel
+        chain there with the reference chain removed; {} where the rank
+        does not drop."""
+        key = _tube_key(lam)
+        if key not in self._sizes:
+            drop = self.rgen - self.rank(lam)
+            if drop < 0:
+                raise _StructureError("rank above the generic value")
+            out = {}
+            if drop:
+                V = self._drops.pop(key, None) or self.value(lam)
+                Q = self.P if lam is INF else self.Q
+                out = _cleaned_sizes(_chain_dims(V, Q, self.chain_cap),
+                                     self.ref)
+                if sum(out.values()) != drop:
+                    raise _StructureError(
+                        "rank drop does not match block count")
+            self._sizes[key] = out
+        return self._sizes[key]
+
+
 def _klein_counts(M):
     """Summand multiset of an H-representation with vanishing rad^2."""
     spec = M.spec
@@ -487,40 +553,10 @@ def _klein_counts(M):
     Abar = coords_in_basis(rad, A @ top)
     Bbar = coords_in_basis(rad, B @ top)
 
-    ranks = {}
-    drops = {}    # pencils that rank_at found below the generic rank
-
-    def pencil(lam):
-        if lam is INF:
-            return Abar
-        if not lam:
-            return Bbar
-        return Bbar + Abar.scale(lam)
-
-    def reduce_at(lam):
-        red = pencil(lam).rref()
-        ranks[lam.mask] = len(red[1])
-        return red
-
-    def rank_at(lam):
-        key = "inf" if lam is INF else lam.mask
-        if key not in ranks:
-            P = _Reduced(pencil(lam))
-            ranks[key] = P.rank()
-            if ranks[key] < rgen:
-                drops[key] = P
-        return ranks[key]
-
-    # reference parameter: there are at most min(t, r) tube parameters,
-    # so among min(t, r) + 1 distinct finite values one is tube-free,
-    # and it is the one of maximal rank.  Its one row reduction gives the
-    # generic rank, ker P0 and the pivot columns of the minor.
-    lam0, red0 = _reference_param(spec, reduce_at, min(t, r), False, "tube")
-    rgen = len(red0[1])
-
-    P0 = pencil(lam0)
-    ref = _chain_dims(P0, Abar, t, red0)
-    refT = _chain_dims(P0.transpose(), Abar.transpose(), r)
+    # there are at most min(t, r) tube parameters
+    pencil = _Pencil(Bbar, Abar, min(t, r), t, False, "tube")
+    ref = pencil.ref
+    refT = pencil.ref_transposed(r)
     a = _string_counts_from(ref)
     b = _string_counts_from(refT)
     if _at(ref, 1) != triv + sum(a.values()):
@@ -538,26 +574,12 @@ def _klein_counts(M):
     # Every finite rank drop is among the candidates; a spurious one is
     # rejected by its rank.
     found = 0
-    params = []
-    if tube_top:
-        params = [INF] + _in_scan_order(
-            spec, _drop_candidates(P0, red0[1], Abar, lam0))
+    params = [INF] + pencil.candidates() if tube_top else []
     for lam in params:
         if found == tube_top:
             break
-        drop = rgen - rank_at(lam)
-        if drop < 0:
-            raise _StructureError("rank above the generic value")
-        if drop == 0:
-            continue
-        Q = Bbar if lam is INF else Abar
-        P = drops.get("inf" if lam is INF else lam.mask) or pencil(lam)
-        sizes = _cleaned_sizes(_chain_dims(P, Q, t), ref)
-        if sum(sizes.values()) != drop:
-            raise _StructureError("rank drop does not match block count")
-        param = INF if lam is INF else lam
-        for n, c in sizes.items():
-            counts[KHLabel.even(2 * n, param)] = c
+        for n, c in pencil.sizes(lam).items():
+            counts[KHLabel.even(2 * n, lam)] = c
             found += n * c
     if found != tube_top:
         # every rational candidate was checked, yet tube dimension is
@@ -764,49 +786,17 @@ def _a4_counts(M):
         raise _StructureError("band budget does not close")
 
     if band_top:
-        ranks = {}
-        drops = {}    # pencils that rank_at found below the generic rank
-
-        def reduce_at(phi):
-            red = (Dbig + Cbig.scale(phi)).rref()
-            ranks[phi.mask] = len(red[1])
-            return red
-
-        def rank_at(phi):
-            if phi.mask not in ranks:
-                P = _Reduced(Dbig + Cbig.scale(phi))
-                ranks[phi.mask] = P.rank()
-                if ranks[phi.mask] < rgen:
-                    drops[phi.mask] = P
-            return ranks[phi.mask]
-
-        phi0, red0 = _reference_param(spec, reduce_at, min(T, sum(rlist)),
-                                      True, "band")
-        rgen = len(red0[1])
-        P0 = Dbig + Cbig.scale(phi0)
-        ref = _chain_dims(P0, Cbig, T, red0)
-        order = _in_scan_order(spec, [
-            phi for phi in _drop_candidates(P0, red0[1], Cbig, phi0) if phi])
-
-        found = {}
+        pencil = _Pencil(Dbig, Cbig, min(T, sum(rlist)), T, True, "band")
+        found = set()
         located = 0
-        for phi in order:
+        for phi in pencil.candidates():
             if located == band_top:
                 break
-            if phi.mask in found:
-                continue
-            if rgen - rank_at(phi) == 0:
+            if phi.mask in found or not pencil.sizes(phi):
                 continue
             orbit = [phi, phi * z, phi * z * z]
-            datas = []
-            for ph in orbit:
-                drop = rgen - rank_at(ph)
-                P = drops.get(ph.mask) or Dbig + Cbig.scale(ph)
-                sizes = _cleaned_sizes(_chain_dims(P, Cbig, T), ref)
-                if sum(sizes.values()) != drop:
-                    raise _StructureError("band drop does not match blocks")
-                datas.append(sizes)
-                found[ph.mask] = True
+            datas = [pencil.sizes(ph) for ph in orbit]
+            found.update(ph.mask for ph in orbit)
             if datas[0] != datas[1] or datas[0] != datas[2]:
                 raise _StructureError("band parameters not zeta-symmetric")
             mu = phi ** 3

@@ -16,6 +16,7 @@ import logging
 import numpy as np
 
 from ._linalg import Matrix, _mul_arrays, coords_in_basis
+from .gf import _mask_mul
 from .modulezoo import GroupRep
 from .ramification import INF, RamData
 
@@ -262,10 +263,6 @@ def _conj_diag(spec, M, exps, t):
     return Matrix(spec, _mul_arrays(spec, M.a, fac))
 
 
-def _mul_mask(spec, a, b):
-    return (spec.element(int(a)) * spec.element(int(b))).mask
-
-
 def _solve_udagger_rho(spec, sig6, tau6):
     """rho on the six-dimensional index-one block of the leading orbit.
 
@@ -294,7 +291,7 @@ def _solve_udagger_rho(spec, sig6, tau6):
                         if p in pinned:
                             for (pi, pm) in pinned[p]:
                                 if pi == i:
-                                    acc ^= _mul_mask(spec, pm, ca)
+                                    acc ^= _mask_mul(spec, pm, int(ca))
                         else:
                             row[var_index[(i, p)]] ^= ca
                     cb = B.a[i, p]
@@ -302,7 +299,7 @@ def _solve_udagger_rho(spec, sig6, tau6):
                         if j in pinned:
                             for (pi, pm) in pinned[j]:
                                 if pi == p:
-                                    acc ^= _mul_mask(spec, cb, pm)
+                                    acc ^= _mask_mul(spec, int(cb), pm)
                         else:
                             row[var_index[(p, j)]] ^= cb
                 rows.append(row)

@@ -1,10 +1,11 @@
 """Shared test utilities: random trace-zero data, closed-form
 expectations for the parametric families, and slow reference versions of
-the field's exp/log tables and its bit-loop scalar arithmetic, of the
-coefficient loops of polynomial products and division, of the matrix
-kernel's row reduction, kernel bases and rank, of root multiplicities, of
-rational-function sums, of trace splitting, of the oracle's field-wide
-parameter scan and of the three-reduction A4 precheck."""
+the field's exp/log tables, its bit-loop scalar arithmetic and its zeta
+solver, of the coefficient loops of polynomial products and division, of
+the matrix kernel's row reduction, kernel bases and rank, of root
+multiplicities, of rational-function sums, of trace splitting, of the
+oracle's field-wide parameter scan and of the three-reduction A4
+precheck."""
 
 import math
 
@@ -179,6 +180,38 @@ def reference_field_tables(spec):
         log[acc] = i
         acc = _pmulmod(acc, gen, f)
     return exp, log
+
+
+def reference_zeta(spec):
+    """The mask of zeta, by the plain method: zeta^2 + zeta = 1 is
+    GF(2)-linear in the mask bits because squaring is linear; solve
+    (F + I) z = 1, F the Frobenius matrix, by Gaussian elimination on the
+    m x m system, then take the smaller of the two solutions z, z + 1."""
+    m = spec.m
+    cols = []
+    for i in range(m):
+        basis = 1 << i
+        cols.append(_pmulmod(basis, basis, spec.modulus) ^ basis)
+    rows = [[(cols[j] >> i) & 1 for j in range(m)] + [1 if i == 0 else 0]
+            for i in range(m)]
+    piv = []
+    r = 0
+    for c in range(m):
+        sel = next((rr for rr in range(r, m) if rows[rr][c]), None)
+        if sel is None:
+            continue
+        rows[r], rows[sel] = rows[sel], rows[r]
+        for rr in range(m):
+            if rr != r and rows[rr][c]:
+                rows[rr] = [x ^ y for x, y in zip(rows[rr], rows[r])]
+        piv.append(c)
+        r += 1
+    z = 0
+    for idx, c in enumerate(piv):
+        if rows[idx][m]:
+            z |= 1 << c
+    assert _pmulmod(z, z, spec.modulus) ^ z == 1
+    return min(z, z ^ 1)
 
 
 def reference_inverse(a):

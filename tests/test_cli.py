@@ -301,6 +301,23 @@ def test_zoo_table_all_valid(capsys):
     assert sides == {"kH", "kG"}
 
 
+def test_zoo_flags_a_model_that_breaks_the_relations(capsys, monkeypatch):
+    # the model builders do not check the group relations; zoo does, and
+    # reports a failure in the table instead of raising
+    from a4diff import cli
+    from a4diff.modulezoo import GroupRep
+
+    def broken(spec, label):
+        J = Matrix.from_rows(spec, [[0, 1], [1, 1]])
+        return GroupRep("H", spec, J, Matrix.identity(spec, 2))
+
+    monkeypatch.setattr(cli, "kh_group_rep", broken)
+    code, out, _ = run(capsys, "zoo", "--m", "4", "--max-dim", "2",
+                       "--side", "kH", "--json")
+    assert code == 3
+    assert not any(e["valid"] for e in json.loads(out)["entries"])
+
+
 def test_zoo_single_label_dump(capsys):
     code, out, _ = run(capsys, "zoo", "--label", "B[6n=6,mu=9]", "--json")
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import random
 
@@ -11,7 +12,8 @@ from a4diff.gf import (
     _mask_inv, _mask_mul, _pmulmod,
 )
 
-from helpers import cube_roots_of_unity, reference_inverse, reference_sqrt
+from helpers import (cube_roots_of_unity, reference_inverse, reference_sqrt,
+                     reference_zeta)
 
 F4 = FieldSpec(m=2)          # modulus x^2 + x + 1
 F256 = FieldSpec(m=8)
@@ -57,6 +59,18 @@ def test_zeta_is_primitive_cube_root():
         assert zeta + zeta2 == one  # 1 + zeta + zeta^2 = 0
         # canonical: the smaller root of x^2 + x + 1
         assert zeta.mask < (zeta + one).mask
+
+
+def test_zeta_matches_the_linear_solve():
+    # every supported degree with its default modulus, and a few others
+    specs = [FieldSpec(m=m) for m in range(2, 33, 2)]
+    for m in (4, 8, 12, 16, 20):
+        moduli = (f for f in range((1 << m) + 1, 1 << (m + 1), 2)
+                  if is_irreducible_gf2(f))
+        specs += [FieldSpec(m=m, modulus=f)
+                  for f in itertools.islice(moduli, 1, 3)]
+    for spec in specs:
+        assert spec.zeta().mask == reference_zeta(spec), spec
 
 
 def test_inverse_and_division_exhaustive_gf16():

@@ -226,28 +226,29 @@ def test_quiver_relation_validator():
 
 
 def test_every_small_label_validates():
+    # the model builders check the quiver relations only, so each group
+    # model is validated here
+    def built(grep, dim):
+        validate_group_rep(grep)
+        assert grep.dim == dim
+
     lam_sample = [F.zero(), ONE, Z, Z2, INF, F.element(9)]
     for dim in (2, 4, 6):
         for lam in lam_sample:
             for coords in ("AB", "CD"):
-                grep = kh_group_rep(F, KHLabel.even(dim, lam), coords)
-                assert grep.dim == dim
+                built(kh_group_rep(F, KHLabel.even(dim, lam), coords), dim)
     for dim in (3, 5):
         for x in (1, 2):
-            grep = kh_group_rep(F, KHLabel.string(dim, x))
-            assert grep.dim == dim
+            built(kh_group_rep(F, KHLabel.string(dim, x)), dim)
             for i in range(3):
-                g = kg_group_rep(F, KGLabel.odd(dim, x, i))
-                assert g.dim == dim
+                built(kg_group_rep(F, KGLabel.odd(dim, x, i)), dim)
     for dim in (2, 4, 6):
         for star in (0, INF):
             for i in range(3):
-                g = kg_group_rep(F, KGLabel.even(dim, star, i))
-                assert g.dim == dim
+                built(kg_group_rep(F, KGLabel.even(dim, star, i)), dim)
     for n in (1, 2):
-        g = kg_group_rep(F, KGLabel.band(6 * n, F.element(7)))
-        assert g.dim == 6 * n
-    assert kh_group_rep(F, KHLabel.triv()).dim == 1
+        built(kg_group_rep(F, KGLabel.band(6 * n, F.element(7))), 6 * n)
+    built(kh_group_rep(F, KHLabel.triv()), 1)
 
 
 def test_rho_idempotents_split_vertices():

@@ -14,14 +14,15 @@ from a4diff.gf import FieldSpec
 from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
                               kg_group_rep, kh_group_rep, labels_group_rep,
                               restrict_to_h)
-from a4diff.oracle import (MultiplicitySolution, _charpoly, _drop_candidates,
-                           _reference_param, decompose_rep, hom_dim,
-                           hom_labels, string_pair_homs)
+from a4diff.oracle import (MultiplicitySolution, _charpoly, _Pencil,
+                           decompose_rep, hom_dim, hom_labels,
+                           string_pair_homs)
 from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
-from helpers import gf2_blowup_rank, reference_rank_drops
+from helpers import (gf2_blowup_rank, reference_rank_drops,
+                     reference_scan_order)
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -523,49 +524,80 @@ def planted_pencil(spec, rnd, kron, kron_t, finite, infinite):
     return X @ P @ Y, X @ Q @ Y
 
 
+def random_planted_pencil(spec, rnd):
+    """A planted pencil with one to three finite parameters, drawn from 0,
+    1, zeta and two random elements, one of them carrying two blocks;
+    returns (P, Q, finite, infinite)."""
+    z = spec.zeta().mask
+    params = [0, 1, z, rnd.randrange(spec.order), rnd.randrange(spec.order)]
+    finite = [(rnd.randint(1, 3), mu)
+              for mu in rnd.sample(params, rnd.randint(1, 3))]
+    finite.append((rnd.randint(1, 2), finite[0][1]))
+    kron = rnd.sample([0, 1, 2], rnd.randint(0, 2))
+    kron_t = rnd.sample([0, 1, 2], rnd.randint(0, 2))
+    infinite = [1, 2][:rnd.randint(0, 2)]
+    P, Q = planted_pencil(spec, rnd, kron, kron_t, finite, infinite)
+    return P, Q, finite, infinite
+
+
 class TestDropCandidates:
     @pytest.mark.parametrize("m", [4, 6, 8])
     @pytest.mark.parametrize("skip_zero", [False, True])
     def test_no_rank_drop_is_missed(self, m, skip_zero):
         spec = FieldSpec(m=m)
         rnd = random.Random(m * 10 + skip_zero)
-        z = spec.zeta().mask
         for _ in range(4):
-            params = [0, 1, z, rnd.randrange(spec.order),
-                      rnd.randrange(spec.order)]
-            finite = [(rnd.randint(1, 3), mu)
-                      for mu in rnd.sample(params, rnd.randint(1, 3))]
-            finite.append((rnd.randint(1, 2), finite[0][1]))
-            P, Q = planted_pencil(
-                spec, rnd, kron=rnd.sample([0, 1, 2], rnd.randint(0, 2)),
-                kron_t=rnd.sample([0, 1, 2], rnd.randint(0, 2)),
-                finite=finite, infinite=[1, 2][:rnd.randint(0, 2)])
-
-            def reduce_at(lam):
-                return (P + Q.scale(lam)).rref()
-
+            P, Q, finite, _ = random_planted_pencil(spec, rnd)
             cap = min(P.shape)
-            lam0, (R0, piv0) = _reference_param(spec, reduce_at, cap,
-                                                skip_zero, "test")
+            pencil = _Pencil(P, Q, cap, P.cols, skip_zero, "test")
+            lam0 = pencil.lam0
             P0 = P + Q.scale(lam0)
-            assert (R0, piv0) == P0.rref()
+            assert pencil.P0 == P0 and pencil.P0.rref() == P0.rref()
             drops = reference_rank_drops(P, Q, skip_zero)
-            assert len(piv0) == max(
+            assert pencil.rgen == max(
                 (P + Q.scale(lam)).rank()
                 for lam in map(spec.element, range(skip_zero, spec.order)))
             want = {mu for _, mu in finite if mu or not skip_zero}
             assert {lam.mask for lam in drops} == want
-            cands = _drop_candidates(P0, piv0, Q, lam0)
+            cands = pencil.candidates()
             assert len({c.mask for c in cands}) == len(cands)
             assert lam0 not in cands
             assert set(drops) <= set(cands)
+            order = reference_scan_order(spec, skip_zero)
+            assert cands == [lam for lam in order if lam in cands]
             # a zero first row and column: the minor must take the pivot
             # rows and columns, not the leading ones
             Pz, Qz = (Matrix(spec, np.pad(X.a, ((1, 0), (1, 0))))
                       for X in (P, Q))
-            Pz0 = Pz + Qz.scale(lam0)
-            assert set(_drop_candidates(Pz0, Pz0.rref()[1], Qz,
-                                        lam0)) == set(cands)
+            padded = _Pencil(Pz, Qz, cap, Pz.cols, skip_zero, "test")
+            assert padded.lam0 == lam0
+            assert padded.candidates() == cands
+
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_sizes_are_the_planted_blocks(self, m):
+        # the cleaned chains give the Jordan block sizes at each finite
+        # parameter and at infinity, and nothing where the rank is generic
+        spec = FieldSpec(m=m)
+        rnd = random.Random(70 + m)
+        spurious = 0
+        for _ in range(6):
+            P, Q, finite, infinite = random_planted_pencil(spec, rnd)
+            # no more rank drops than finite blocks
+            pencil = _Pencil(P, Q, len(finite), P.cols, False, "test")
+            want = {}
+            for size, mu in finite:
+                at = want.setdefault(mu, {})
+                at[size] = at.get(size, 0) + 1
+            for mu, sizes in want.items():
+                assert pencil.sizes(spec.element(mu)) == sizes
+            assert pencil.sizes(INF) == {
+                size: infinite.count(size) for size in set(infinite)}
+            assert pencil.sizes(pencil.lam0) == {}
+            for lam in pencil.candidates():
+                if lam.mask not in want:
+                    spurious += 1
+                    assert pencil.sizes(lam) == {}
+        assert spurious
 
     def test_band_orbit_is_named_by_its_first_element_in_scan_order(self):
         # the orbit phi, zeta phi, zeta^2 phi of a band parameter is found
