@@ -2,84 +2,59 @@
 
 A matrix holds its entries as bit masks in a numpy int64 array.
 
-A matrix product runs in one of two regimes.
+A matrix product is gathered from one operand's nonzeros (Gustavson's
+row-wise sparse product).  List the nonzeros (i, l, a) of one operand;
+multiply each a by row l of the other with one entrywise table product,
+and XOR the rows of one i together with `bitwise_xor.reduceat`.  A @ B
+costs nnz(A) * cols(B) table products; when nnz(B) * rows(A) is smaller,
+the same is done on the transposes.  The models' group matrices are
+nearly monomial (about 1.4 nonzeros a row), so their products cost a few
+lookups per entry.  The nonzeros go in runs of at most _TERMS terms, so
+the temporaries stay in cache whatever the size.
 
-* Gathered (Gustavson's row-wise sparse product), whenever the field has
-  exp/log tables (m <= MAX_M).  List the nonzeros (i, l, a) of one
-  operand; multiply each a by row l of the other with one exp/log table
-  product, and XOR the rows of one i together with `bitwise_xor.reduceat`.
-  A @ B costs nnz(A) * cols(B) table lookups; when nnz(B) * rows(A) is
-  smaller, the same is done on the transposes.  The models' group
-  matrices are nearly monomial (about 1.4 nonzeros a row), so their
-  products cost a few lookups per entry.  The nonzeros go in runs of at
-  most _TERMS terms, so the temporaries stay in cache whatever the size.
-* Bit planes (M4RIE-style), one float32 BLAS call, for the fields above
-  MAX_M, which have no tables.  Bit t of (A B)[i, j] is the parity of sum
-  over l and s of bit s of A[i, l] times bit t of x^s B[l, j], so m
-  shift-and-reduce steps give the planes x^s B, one (n x mk)(mk x mp)
-  product counts the terms, and `& 1` with a pack back to masks finishes
-  it.  The counts are at most mk, which float32 holds exactly below 2^24.
-
-Entrywise products (scaling, Kronecker products, the row operations of
-row reduction) go through the field's exp/log tables, which gf builds
-and caches once per field (gf._field_tables): a few vectorized lookups
-instead of m shift-and-reduce passes.  They hold 3 * 2^m int64 entries,
-so the kernel stops at m = MAX_M.
+Entrywise products and inverses (the gathered product, scaling,
+Kronecker products, row reduction) go through _mul_arrays and _inv_mask
+on the tables gf._field_tables caches per field: exp/log tables up to
+m = gf.TABLE_M = 16, the quadratic tower over GF(2^(m/2)) of _tower for
+every even m above it up to 32.  So one product kernel serves every
+field.
 
 Rank is the number of pivots of the row reduction over the field, which
 is vectorized one pivot at a time.  A pivot row is not normalised when
 it is found: each other row with an entry in the pivot column takes the
-pivot row times M[o, j] / M[r, j], one log difference, and rows without
-an entry there are skipped.  The pivot rows are scaled to a leading 1
-once, at the end, which gives the same reduced matrix.
+pivot row times M[o, j] / M[r, j], and rows without an entry there are
+skipped.  The pivot rows are scaled to a leading 1 once, at the end,
+which gives the same reduced matrix.
 """
 
 import numpy as np
 
 # _TABLES, the tables' cache, is re-exported for perfbench's layer trace
-from .gf import MAX_M, _TABLES, _field_tables, _xtime  # noqa: F401
+from .gf import TABLE_M, _TABLES, _field_tables, _table_mul  # noqa: F401
 
 _TERMS = 1 << 16      # gathered product terms per pass, 512 KB
 
 
-def _bit_planes(a, m):
-    """float32 0/1 array of the m low bits of a, on a new last axis."""
-    b = a.astype("<u4").view(np.uint8).reshape(a.shape + (4,))
-    bits = np.unpackbits(b, axis=-1, count=m, bitorder="little")
-    return bits.astype(np.float32)
-
-
 def _mul_arrays(spec, a, b):
     """Entrywise field product of two broadcastable mask arrays."""
-    exp, log = _field_tables(spec)
-    out = exp[log[a] + log[b]]
-    zero = (a == 0) | (b == 0)
-    return np.where(zero, 0, out)
+    t = _field_tables(spec)
+    if spec.m <= TABLE_M:
+        return _table_mul(t, a, b)
+    return t.mul(a, b)
 
 
 def _inv_mask(spec, mask):
-    exp, log = _field_tables(spec)
-    if mask == 0:
+    """1 / mask, for a nonzero mask or entrywise for an array of them."""
+    array = isinstance(mask, np.ndarray)
+    if not (mask.all() if array else mask):
         raise ZeroDivisionError("inverting zero")
-    return int(exp[(spec.order - 1 - log[mask]) % (spec.order - 1)])
-
-
-def _plane_product(spec, a, b):
-    """a @ b as one float32 GEMM on bit planes."""
-    m, f = spec.m, spec.modulus
-    n, k = a.shape
-    p = b.shape[1]
-    assert m * k < 1 << 24, "bit-plane counts would overflow float32"
-    # shifted[l, s] = x^s * b[l]; the plane matrix has rows (l, s) and
-    # columns (j, t), holding bit t of shifted[l, s, j].
-    shifted = np.empty((k, m, p), dtype=np.int64)
-    shifted[:, 0] = b
-    for s in range(1, m):
-        shifted[:, s] = _xtime(shifted[:, s - 1], m, f)
-    counts = (_bit_planes(a, m).reshape(n, k * m)
-              @ _bit_planes(shifted, m).reshape(k * m, p * m))
-    bits = counts.astype(np.int32).reshape(n, p, m) & 1
-    return bits @ (np.int64(1) << np.arange(m, dtype=np.int64))
+    t = _field_tables(spec)
+    if spec.m <= TABLE_M:
+        exp, log = t
+        out = exp[spec.order - 1 - log[mask]]
+    else:
+        out = t.inv(mask)
+    return out if array else int(out)
 
 
 def _gather_product(spec, a, b):
@@ -164,12 +139,10 @@ class Matrix:
     def __matmul__(self, other):
         assert self.cols == other.rows
         spec = self.spec
-        if spec.m <= MAX_M:
-            if (np.count_nonzero(self.a) * other.cols
-                    <= np.count_nonzero(other.a) * self.rows):
-                return Matrix(spec, _gather_product(spec, self.a, other.a))
-            return Matrix(spec, _gather_product(spec, other.a.T, self.a.T).T)
-        return Matrix(spec, _plane_product(spec, self.a, other.a))
+        if (np.count_nonzero(self.a) * other.cols
+                <= np.count_nonzero(other.a) * self.rows):
+            return Matrix(spec, _gather_product(spec, self.a, other.a))
+        return Matrix(spec, _gather_product(spec, other.a.T, self.a.T).T)
 
     def scale(self, c):
         return Matrix(self.spec,
@@ -203,8 +176,6 @@ class Matrix:
         """(reduced matrix, pivot column list), over the field."""
         M = self.a.copy()
         spec = self.spec
-        exp, log = _field_tables(spec)
-        q1 = spec.order - 1
         piv = []
         r = 0
         for j in range(self.cols):
@@ -221,13 +192,13 @@ class Matrix:
             others = M[:, j].nonzero()[0]
             others = others[others != r]
             if others.size:
-                f = exp[log[M[others, j]] - log[M[r, j]] + q1]
+                f = _mul_arrays(spec, M[others, j], _inv_mask(spec, M[r, j]))
                 M[others, j:] ^= _mul_arrays(spec, f[:, None], M[r, j:])
             piv.append(j)
             r += 1
         # the pivot rows are scaled to a leading 1 once, at the end
         lead = M[np.arange(r), np.array(piv, dtype=np.intp)]
-        M[:r] = _mul_arrays(spec, exp[q1 - log[lead], None], M[:r])
+        M[:r] = _mul_arrays(spec, _inv_mask(spec, lead)[:, None], M[:r])
         return Matrix(spec, M), piv
 
     def right_nullspace(self):

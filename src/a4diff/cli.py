@@ -42,7 +42,6 @@ from .modulezoo import (
     zoo_dump,
     zoo_labels,
 )
-from ._linalg import MAX_M
 from .oracle import decompose_rep
 from .repbuilder import build_global_rep
 from ._families import (
@@ -242,10 +241,6 @@ def _param_json(value):
 
 
 def _verification_block(data, kG, kH, timings):
-    if data.spec.m > MAX_M:
-        raise ValueError(
-            f"verify supports fields up to GF(2^{MAX_M}), got m={data.spec.m}:"
-            " the matrix kernel's exp/log tables grow as 2^m")
     t0 = time.perf_counter()
     gr = build_global_rep(data)
     timings["build"] = time.perf_counter() - t0

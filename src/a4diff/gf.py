@@ -3,17 +3,14 @@
 Elements are bit masks: bit i holds the coefficient of x^i, so the mask's
 integer value doubles as the canonical ordering of field elements.
 
-The field owns its exp/log tables: _field_tables builds them once per
-(m, modulus), with numpy, for m <= MAX_M, and caches them.  The matrix
-kernel in _linalg uses them entrywise.  For m <= SCALAR_TABLE_M the
-scalar layer reads the same tables as Python lists: a product is
-exp[log a + log b], an inverse exp[-log a] and a square root halves the
-log, each one or two list lookups.  Above SCALAR_TABLE_M scalars use
-the carry-less bit loop _pmulmod, so an analyze-only run over a large
-field builds no tables; the table build itself uses the bit loop at every
-m.  Loops that multiply many values by one fixed scalar take
-fixed_multiplier's ceil(m/8) byte tables of 256 entries, built for that
-scalar alone and dropped after.
+_field_tables builds the tables of the field's entrywise arithmetic once
+per (m, modulus) and caches them for _linalg: exp/log tables up to
+m = TABLE_M = 16, above it the quadratic tower over GF(2^(m/2)) of
+_tower.  Up to TABLE_M scalars read the same exp/log tables as lists: a
+product is exp[log a + log b], an inverse exp[-log a], a square root
+halves the log.  Above it they use the bit loop _pmulmod, so an
+analyze-only run builds no tables.  fixed_multiplier's ceil(m/8) byte
+tables multiply many values by one fixed scalar.
 
 The degree m must be even so that GF(4), and with it a primitive cube root
 of unity zeta, embeds in the field.  zeta is chosen deterministically as
@@ -58,6 +55,52 @@ def _pmulmod(a: int, b: int, f: int) -> int:
     return _pmod(_pmul(a, b), f)
 
 
+def _byte_tables(images):
+    """Byte tables of the GF(2)-linear map with images[j] the image of bit j.
+
+    Table k at byte value v is the XOR of the images of the bits 8k + i
+    set in v; it is filled from its 8 images by XOR doubling.
+    """
+    tables = []
+    for lo in range(0, len(images), 8):
+        t = [0]
+        for b in images[lo:lo + 8]:
+            t += [x ^ b for x in t]
+        tables.append(t)
+    return tables
+
+
+def _gf2_pivots(images):
+    """Echelon form of the GF(2)-linear map with images[j] the image of
+    bit j: {leading bit: (image, the bits that combine to it)}."""
+    pivots = {}
+    for j, v in enumerate(images):
+        combo = 1 << j
+        while v:
+            lead = v.bit_length() - 1
+            if lead not in pivots:
+                pivots[lead] = (v, combo)
+                break
+            pv, pc = pivots[lead]
+            v ^= pv
+            combo ^= pc
+    return pivots
+
+
+def _gf2_solve(pivots, t):
+    """Bits whose images add up to t under _gf2_pivots' map, or None when
+    t is not in the image."""
+    combo = 0
+    while t:
+        lead = t.bit_length() - 1
+        if lead not in pivots:
+            return None
+        pv, pc = pivots[lead]
+        t ^= pv
+        combo ^= pc
+    return combo
+
+
 def fixed_multiplier(c: int, f: int):
     """The map x -> c x modulo f, as byte-table lookups.
 
@@ -70,16 +113,14 @@ def fixed_multiplier(c: int, f: int):
     arguments must be reduced (below 2^m).
     """
     m = _pdeg(f)
-    tables = []
+    images = []
     b = c
-    for lo in range(0, m, 8):
-        t = [0]
-        for _ in range(min(8, m - lo)):
-            t += [x ^ b for x in t]
-            b <<= 1
-            if b >> m:
-                b ^= f
-        tables.append(t)
+    for _ in range(m):
+        images.append(b)
+        b <<= 1
+        if b >> m:
+            b ^= f
+    tables = _byte_tables(images)
     if len(tables) == 1:
         return tables[0].__getitem__
     if len(tables) == 2:
@@ -160,12 +201,11 @@ def default_modulus(m: int) -> int:
 # ---------------------------------------------------------------------------
 # exp/log tables
 
-MAX_M = 24            # the largest field with tables, 3 * 2^m int64 entries
-# Scalars take the tables as lists up to here.  On a 2-core x86 machine a
-# list lookup product costs 0.1 us against 2 to 4 us for _pmulmod; at
-# m = 16 the numpy build and the lists take 16 ms and 5 MB, at m = 20 they
-# would take 0.3 s and 80 MB, which an analyze-only run never earns back.
-SCALAR_TABLE_M = 16
+# Direct tables stop here, for scalars and arrays alike.  On a 2-core x86
+# machine a list lookup product costs 0.1 us against 2 to 4 us for
+# _pmulmod; at m = 16 the numpy build and the lists take 16 ms and 5 MB,
+# at m = 20 the arrays alone took 0.1 s and 25 MB.
+TABLE_M = 16
 _CHUNK = 1 << 13      # 64 KB blocks stay under malloc's mmap threshold
 _TABLES = {}
 
@@ -176,29 +216,26 @@ def _xtime(v, m, modulus):
     return v ^ ((v >> m) * modulus)
 
 
-def _field_tables(spec):
-    """(exp, log) int64 arrays for spec, cached.
+def _primitive(m: int, f: int) -> int:
+    """The smallest primitive element of GF(2)[x]/(f), f irreducible of
+    degree m: g^((q-1)/p) != 1 for the primes p dividing q - 1."""
+    n = (1 << m) - 1
+    primes = _prime_factors(n)
+    return next(g for g in range(2, n + 1)
+                if all(_ppowmod(g, n // p, f) != 1 for p in primes))
+
+
+def _exp_log(m: int, f: int):
+    """(exp, log) int64 arrays of GF(2)[x]/(f), f irreducible of degree m.
 
     exp has length 2(q-1) so exp[log a + log b] never needs a modulo;
     log[0] is -1 and multiplication masks those lanes to zero.  The
-    generator is the smallest primitive element, found by the order test
-    g^((q-1)/p) != 1 for the primes p dividing q - 1; exp is filled by
-    doubling and then chunk by chunk, each block the one before times a
-    fixed power of g.  The tables hold 3 * 2^m entries, so they stop at
-    m = MAX_M.
+    generator is _primitive's; exp is filled by doubling and then chunk by
+    chunk, each block the one before times a fixed power of g.  m may be
+    odd: the tower's subfield takes its tables from here too.
     """
-    key = (spec.m, spec.modulus)
-    if key in _TABLES:
-        return _TABLES[key]
-    m, f = spec.m, spec.modulus
-    if m > MAX_M:
-        raise ValueError(
-            f"GF(2^{m}) is too large for the matrix kernel: its exp/log "
-            f"tables need 3 * 2^{m} entries, supported up to m = {MAX_M}")
-    n = spec.order - 1
-    primes = _prime_factors(n)
-    gen = next(g for g in range(2, n + 1)
-               if all(_ppowmod(g, n // p, f) != 1 for p in primes))
+    n = (1 << m) - 1
+    gen = _primitive(m, f)
     exp = np.zeros(2 * n, dtype=np.int64)
     log = np.full(n + 1, -1, dtype=np.int64)
     exp[0] = 1
@@ -219,12 +256,34 @@ def _field_tables(spec):
         hi = min(lo + _CHUNK, n)
         log[exp[lo:hi]] = np.arange(lo, hi)
     exp[n:] = exp[:n]
-    _TABLES[key] = (exp, log)
     return exp, log
 
 
+def _table_mul(tables, a, b):
+    """Entrywise product of two broadcastable mask arrays by (exp, log)."""
+    exp, log = tables
+    out = exp[log[a] + log[b]]
+    return np.where((a == 0) | (b == 0), 0, out)
+
+
+def _field_tables(spec):
+    """The cached tables of spec's entrywise arithmetic: (exp, log) int64
+    arrays (see _exp_log) for m <= TABLE_M, a _tower.Tower above."""
+    key = (spec.m, spec.modulus)
+    t = _TABLES.get(key)
+    if t is None:
+        if spec.m <= TABLE_M:
+            t = _exp_log(*key)
+        else:
+            # imported here, so runs over smaller fields never compile it
+            from ._tower import Tower
+            t = Tower(spec)
+        _TABLES[key] = t
+    return t
+
+
 def _scalar_tables(spec):
-    """(exp, log) of spec as Python lists, or None above SCALAR_TABLE_M.
+    """(exp, log) of spec as Python lists, or None above TABLE_M.
 
     Kept on the spec, so a scalar product is exp[log[a] + log[b]] for
     nonzero a, b; the two halves of exp share their int objects.  exp
@@ -234,7 +293,7 @@ def _scalar_tables(spec):
     t = spec._lut
     if t is None:
         t = ()
-        if spec.m <= SCALAR_TABLE_M:
+        if spec.m <= TABLE_M:
             exp, log = _field_tables(spec)
             e = exp[:spec.order - 1].tolist()
             t = (e + e, log.tolist())
@@ -345,26 +404,11 @@ class FieldSpec:
         """
         if c.spec != self:
             raise ValueError("element from a different field")
-        pivots: dict[int, tuple[int, int]] = {}
-        for j in range(self.m):
-            e = 1 << j
-            v, combo = _pmulmod(e, e, self.modulus) ^ e, e
-            while v:
-                lead = v.bit_length() - 1
-                if lead not in pivots:
-                    pivots[lead] = (v, combo)
-                    break
-                pv, pc = pivots[lead]
-                v ^= pv
-                combo ^= pc
-        t, combo = c.mask, 0
-        while t:
-            lead = t.bit_length() - 1
-            if lead not in pivots:
-                return None
-            pv, pc = pivots[lead]
-            t ^= pv
-            combo ^= pc
+        images = [_pmulmod(1 << j, 1 << j, self.modulus) ^ (1 << j)
+                  for j in range(self.m)]
+        combo = _gf2_solve(_gf2_pivots(images), c.mask)
+        if combo is None:
+            return None
         root = self.element(combo)
         assert root * root + root == c
         return root
@@ -474,7 +518,7 @@ def sqrt_frobenius(a: FieldElement) -> FieldElement:
     """Square root, the exact inverse of squaring.
 
     With the tables it halves the log; q - 1 is odd, so an odd log l is
-    first replaced by l + q - 1.  Above SCALAR_TABLE_M it is
+    first replaced by l + q - 1.  Above TABLE_M it is
     x -> x^(2^(m-1)), m - 1 squarings.  Every element of GF(2^m) has
     exactly one square root, so the map is a field automorphism and
     sqrt(a + b) = sqrt(a) + sqrt(b) holds; tests rely on that linearity.

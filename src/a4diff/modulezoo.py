@@ -36,7 +36,8 @@ import re
 
 import numpy as np
 
-from ._linalg import Matrix, col_basis, coords_in_basis, jordan_block
+from ._linalg import (Matrix, col_basis, coords_in_basis, jordan_block,
+                      vstack)
 from .gf import FieldElement, all_elements
 from .ramification import INF, phi_of_lambda
 from .decomp import (KHLabel, KGLabel, Decomposition, restrict_decomposition)
@@ -318,10 +319,11 @@ def band_module_matrices(spec, w, n, mu):
 class GroupRep:
     """Matrices of the group generators, acting on column vectors.
 
-    group is "H" (generators sigma, tau) or "G" (sigma, tau, rho).
+    group is "H" (generators sigma, tau) or "G" (sigma, tau, rho).  The
+    matrices are never changed, so _valid records a passed validation.
     """
 
-    __slots__ = ("group", "spec", "sigma", "tau", "rho")
+    __slots__ = ("group", "spec", "sigma", "tau", "rho", "_valid")
 
     def __init__(self, group, spec, sigma, tau, rho=None):
         assert group in ("H", "G")
@@ -331,6 +333,7 @@ class GroupRep:
         self.sigma = sigma
         self.tau = tau
         self.rho = rho
+        self._valid = False
 
     @property
     def dim(self):
@@ -355,11 +358,14 @@ class GroupRep:
 
 
 def validate_group_rep(rep):
-    """Check the defining relations, naming the first one that fails."""
+    """Check the defining relations, naming the first one that fails;
+    a representation that passed before is not checked again."""
     def check(holds, name):
         if not holds:
             raise ValueError(f"relation violation: {name}")
 
+    if rep._valid:
+        return
     I = Matrix.identity(rep.spec, rep.dim)
     s, t = rep.sigma, rep.tau
     check(s @ s == I, "sigma^2 != 1")
@@ -372,6 +378,28 @@ def validate_group_rep(rep):
         check(r @ s @ rr == t, "rho sigma rho^-1 != tau")
         sr = s @ r
         check(sr @ sr @ sr == I, "(sigma rho)^3 != 1")
+    rep._valid = True
+
+
+def probe_hom(X, M):
+    """dim Hom(X, M) for a cyclic zoo module X (Triv, N_{2,lam}, S_i):
+    the kernel on M of the relations of X's generator.  With
+    A = sigma + 1 and B = tau + 1, Hom(k, M) = ker [A; B],
+    Hom(N_{2,lam}, M) = ker(B + lam A) (ker A at lam = inf) and
+    Hom(S_i, M) = ker [A; B; rho + zeta^i].
+    """
+    spec = M.spec
+    I = Matrix.identity(spec, M.dim)
+    A, B = M.sigma + I, M.tau + I
+    if X.kind == "EvenDim":
+        assert X.dim == 2
+        rel = A if X.param is INF else B + A.scale(X.param)
+    elif X.kind == "Triv":
+        rel = vstack([A, B])
+    else:
+        assert X.kind == "Simple"
+        rel = vstack([A, B, M.rho + I.scale(spec.zeta() ** X.i)])
+    return M.dim - rel.rank()
 
 
 def _ab_from_cd(spec, C, D):
@@ -426,9 +454,12 @@ def kG_group_matrices(rep):
 
 
 def restrict_to_h(grep):
-    """Forget rho."""
+    """Forget rho.  The relations of H are among those of G, so the
+    restriction of a validated representation counts as validated."""
     assert grep.group == "G"
-    return GroupRep("H", grep.spec, grep.sigma, grep.tau)
+    out = GroupRep("H", grep.spec, grep.sigma, grep.tau)
+    out._valid = grep._valid
+    return out
 
 
 def induce_to_g(hrep):

@@ -16,8 +16,9 @@ apart:
   invariant subspace chains.  What it checks against the matrices: the
   group relations, the extraction's own bookkeeping (chain and budget
   identities), the A4 vertex profile, the total dimension, and two
-  dense hom counts ``hom_dim(X, M)`` against the counts ``hom_labels``
-  predicts from the extracted multiset.
+  hom counts Hom(X, M), each the kernel of the cyclic probe X's
+  relations on M, against the counts ``hom_labels`` predicts from the
+  extracted multiset.
 
 The parameters of the tubes over H and of the bands over A4 are where a
 linear pencil P + lam Q loses rank.  They are not looked for by ranking the
@@ -44,8 +45,8 @@ from .ramification import INF
 from .ratlaurent import Poly, field_roots
 from .decomp import KHLabel, KGLabel
 from .modulezoo import (StringWord, a4_quiver_rep_from_group,
-                        induce_restrict_label, kg_group_rep, kg_label_word,
-                        kh_group_rep, validate_group_rep)
+                        induce_restrict_label, kg_label_word, probe_hom,
+                        validate_group_rep)
 
 __all__ = [
     "Matrix",
@@ -889,25 +890,24 @@ class MultiplicitySolution:
 
 
 def _spot_check(M, counts):
-    """Compare two dense hom counts against the extracted multiset.
+    """Compare two hom counts from the matrices against the extracted
+    multiset.
 
     The probes are the two smallest labels of the side (the trivial
     module and the tube at 0 over H, the simples S_0 and S_1 over G),
-    those larger than M left out.  Returns the dense counts by label
-    string.
+    those larger than M left out, counted by probe_hom.  Returns the
+    counts by label string.
     """
     spec = M.spec
     if M.group == "H":
         probes = [KHLabel.triv(), KHLabel.even(2, spec.zero())]
-        build = kh_group_rep
     else:
         probes = [KGLabel.simple(0), KGLabel.simple(1)]
-        build = kg_group_rep
     out = {}
     for X in probes:
         if X.dim > M.dim:
             continue
-        got = hom_dim(build(spec, X), M)
+        got = probe_hom(X, M)
         want = sum(c * hom_labels(spec, X, Y) for Y, c in counts.items())
         if got != want:
             raise RuntimeError(

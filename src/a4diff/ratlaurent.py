@@ -5,7 +5,7 @@ consumers rely on that canonical form (pole orders are read off the
 denominator, gcd-freeness makes them honest).  Sums are formed over the
 lcm of the denominators, so the canonicalising gcd runs at the degree of
 the lcm, not of the product.  Where the field has scalar tables
-(gf.SCALAR_TABLE_M), polynomial products and long division run in the
+(gf.TABLE_M), polynomial products and long division run in the
 log domain: the logs of the fixed operand are taken once, and each term
 is one exp lookup.
 
@@ -13,10 +13,11 @@ Local data at a place c is computed adically.  In characteristic 2,
 (s + c)^(2^j) = s^(2^j) + c^(2^j), so the multiplicity v of the root c and
 the cofactor q with p = (s + c)^v q take O(log v) synthetic divisions by
 such binomials, O(deg) each.  The first `count` Laurent coefficients then
-take `count` synthetic divisions of the cofactors by s + c, O(count deg)
-scalar multiplies by the fixed c, each a byte-table lookup.  At infinity
-the substitution s -> 1/s reverses the coefficient lists, which are
-already the expansions: no multiplies at all.
+take one division of each cofactor by (s + c)^(2^j) with 2^j >= count,
+and `count` synthetic divisions of the remainder by s + c: O(deg +
+count^2) scalar multiplies by fixed scalars, each a byte-table lookup.
+At infinity the substitution s -> 1/s reverses the coefficient lists,
+which are already the expansions: no multiplies at all.
 
 The roots of p in the field are those of its split part gcd(p, s^(2^m) + s),
 which trace splitting takes apart.  The Frobenius powers s^(2^i) mod p are
@@ -208,10 +209,18 @@ class Poly:
         return Poly(self.spec, q), (r[0] if r else 0)
 
     def adic_coeffs(self, c: int, count: int) -> list[int]:
-        """First `count` coefficients of the (s + c)-adic expansion."""
-        mul = _multiplier(self.spec, c)
+        """First `count` coefficients of the (s + c)-adic expansion.
+
+        They are those of p mod (s + c)^k = s^k + c^k, k = 2^j >= count:
+        one O(deg) division, then count divisions of degree < 2 count.
+        """
+        spec = self.spec
+        k, d = 1, c
+        while k < count:
+            k, d = 2 * k, _mask_mul(spec, d, d)
+        _, coeffs = _divmod_binomial(self.coeffs, k, _multiplier(spec, d))
+        mul = _multiplier(spec, c)
         out = []
-        coeffs = self.coeffs
         for _ in range(count):
             coeffs, r = _divmod_binomial(coeffs, 1, mul)
             out.append(r[0] if r else 0)

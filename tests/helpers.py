@@ -3,9 +3,9 @@ expectations for the parametric families, and slow reference versions of
 the field's exp/log tables, its bit-loop scalar arithmetic and its zeta
 solver, of the coefficient loops of polynomial products and division, of
 the matrix kernel's row reduction, kernel bases and rank, of root
-multiplicities, of rational-function sums, of trace splitting, of the
-oracle's field-wide parameter scan and of the three-reduction A4
-precheck."""
+multiplicities and adic expansions, of rational-function sums, of trace
+splitting, of the oracle's field-wide parameter scan and of the
+three-reduction A4 precheck."""
 
 import math
 
@@ -349,6 +349,16 @@ def reference_root_split(p, c):
             return v, p
         v += 1
         p = q
+
+
+def reference_adic_coeffs(p, c, count):
+    """First count (s + c)-adic coefficients of p, one division of the
+    whole quotient by s + c per coefficient: O(count deg)."""
+    out = []
+    for _ in range(count):
+        p, r = p.div_linear(c)
+        out.append(r)
+    return out
 
 
 def reference_sum(f, g):

@@ -209,7 +209,7 @@ def test_table_arithmetic_matches_the_bit_loop_exhaustively(m):
 @pytest.mark.parametrize("m", [10, 12, 16, 18])
 def test_scalar_arithmetic_matches_the_bit_loop_at_random(m):
     spec = FieldSpec(m)
-    # tables up to SCALAR_TABLE_M = 16, the bit loop above it
+    # tables up to TABLE_M = 16, the bit loop above it
     assert (gf._scalar_tables(spec) is None) == (m == 18)
     rnd = random.Random(m)
     top = spec.order - 1

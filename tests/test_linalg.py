@@ -5,11 +5,11 @@ import random
 import numpy as np
 import pytest
 
-from a4diff import _linalg, gf
+from a4diff import _linalg
 from a4diff._linalg import (Matrix, _field_tables, _gather_product,
-                            _plane_product)
-from a4diff.cli import run_cli
-from a4diff.gf import FieldSpec
+                            _inv_mask, _mul_arrays)
+from a4diff.gf import (FieldSpec, _ppowmod, _pmulmod, default_modulus,
+                       is_irreducible_gf2)
 
 from helpers import (gf2_blowup_rank, reference_field_tables,
                      reference_right_nullspace, reference_rref)
@@ -37,10 +37,11 @@ def scalar_product(A, B):
     return [[e.mask for e in row] for row in out]
 
 
-@pytest.mark.parametrize("m", [2, 8, 12, 20, 32])
+@pytest.mark.parametrize("m", [2, 8, 12, 18, 20, 26, 28, 30, 32])
 def test_product_matches_scalar_reference(m, monkeypatch):
-    # both regimes and the product that picks between them, on dense,
-    # sparse and zero operands
+    # the gathered product both ways round and the product that picks
+    # between them, on dense, sparse and zero operands, on direct tables
+    # up to m = 16 and on the tower above
     spec = FieldSpec(m)
     rnd = random.Random(m)
     cases = [(n, k, p, 1.0) for n, k, p in SHAPES]
@@ -54,53 +55,53 @@ def test_product_matches_scalar_reference(m, monkeypatch):
     operands.append((full, full))
     for A, B in operands:
         want = scalar_product(A, B)
-        got = [(A @ B).a, _plane_product(spec, A.a, B.a)]
-        if m <= _linalg.MAX_M:
-            # the gathered product needs the exp/log tables; __matmul__
-            # runs it transposed when B is the cheaper side to gather
-            got += [_gather_product(spec, A.a, B.a),
-                    _gather_product(spec, B.a.T, A.a.T).T]
-            with monkeypatch.context() as mp:
-                # runs of a few terms split rows between passes
-                mp.setattr(_linalg, "_TERMS", 5)
-                got.append(_gather_product(spec, A.a, B.a))
+        # __matmul__ runs the gathered product transposed when B is the
+        # cheaper side to gather
+        got = [(A @ B).a, _gather_product(spec, A.a, B.a),
+               _gather_product(spec, B.a.T, A.a.T).T]
+        with monkeypatch.context() as mp:
+            # runs of a few terms split rows between passes
+            mp.setattr(_linalg, "_TERMS", 5)
+            got.append(_gather_product(spec, A.a, B.a))
         for C in got:
             assert C.shape == (A.rows, B.cols)
             assert C.tolist() == want, (m, A.shape, B.shape)
 
 
-def test_large_model_products_avoid_the_bit_plane_gemm(capsys, monkeypatch):
-    # the genus-234 one-point verify: every product of at least
-    # 234 * 234 * 78 multiply-adds is one of its nearly monomial group
-    # matrices, and goes through the gathered product
-    big = 234 * 234 * 78
-    sizes = []
-    planes = []
-    product = Matrix.__matmul__
-    gemm = _linalg._plane_product
-
-    def sized(a, b):
-        sizes.append(a.rows * a.cols * b.cols)
-        return product(a, b)
-
-    def counted(spec, a, b):
-        planes.append(a.shape[0] * a.shape[1] * b.shape[1])
-        return gemm(spec, a, b)
-
-    monkeypatch.setattr(Matrix, "__matmul__", sized)
-    monkeypatch.setattr(_linalg, "_plane_product", counted)
-    code = run_cli(["examples", "--which", "1", "--n", "2", "--x", "2",
-                    "--m", "8", "--verify"])
-    assert code == 0 and "verification: PASS" in capsys.readouterr().out
-    assert sum(size >= big for size in sizes) == 26
-    assert not [size for size in planes if size >= big]
+def _next_irreducible(f):
+    f += 2
+    while not is_irreducible_gf2(f):
+        f += 2
+    return f
 
 
-def test_product_refuses_inner_dimensions_float32_cannot_count():
-    spec = FieldSpec(32)
-    k = (1 << 24) // spec.m            # m * k reaches 2^24
-    with pytest.raises(AssertionError, match="float32"):
-        Matrix.zeros(spec, 1, k) @ Matrix.zeros(spec, k, 1)
+TOWER_FIELDS = [(m, default_modulus(m)) for m in range(18, 33, 2)]
+TOWER_FIELDS += [(m, _next_irreducible(default_modulus(m)))
+                 for m in (18, 20, 24, 32)]
+
+
+@pytest.mark.parametrize("m,modulus", TOWER_FIELDS)
+def test_tower_products_and_inverses_match_the_bit_loop(m, modulus):
+    spec = FieldSpec(m, modulus)
+    rnd = random.Random(m * modulus)
+    top = spec.order - 1
+    a = np.array([0, 1, 2, top, top] + [rnd.randrange(spec.order)
+                                        for _ in range(200)], dtype=np.int64)
+    b = np.array([top, 0, top, 1, top] + [rnd.randrange(spec.order)
+                                          for _ in range(200)], dtype=np.int64)
+    assert _mul_arrays(spec, a, b).tolist() == \
+        [_pmulmod(int(x), int(y), modulus) for x, y in zip(a, b)]
+    # a scalar against an array, and an outer product by broadcasting
+    assert _mul_arrays(spec, a[7], b).tolist() == \
+        [_pmulmod(int(a[7]), int(y), modulus) for y in b]
+    assert _mul_arrays(spec, a[:5, None], b[None, :4]).tolist() == \
+        [[_pmulmod(int(x), int(y), modulus) for y in b[:4]] for x in a[:5]]
+    nonzero = a[a != 0]
+    want = [_ppowmod(int(x), spec.order - 2, modulus) for x in nonzero]
+    assert _inv_mask(spec, nonzero).tolist() == want
+    assert _inv_mask(spec, int(nonzero[-1])) == want[-1]
+    with pytest.raises(ZeroDivisionError):
+        _inv_mask(spec, a[:3])
 
 
 @pytest.mark.parametrize("m", range(2, 17, 2))
@@ -112,13 +113,7 @@ def test_field_tables_match_the_plain_build(m):
     assert (exp == ref_exp).all() and (log == ref_log).all()
 
 
-def test_field_tables_refuse_fields_above_the_bound(monkeypatch):
-    monkeypatch.setattr(gf, "MAX_M", 4)
-    with pytest.raises(ValueError, match="supported up to m = 4"):
-        _field_tables(FieldSpec(6, 0b1011011))   # a modulus not yet cached
-
-
-@pytest.mark.parametrize("m", [8, 12])
+@pytest.mark.parametrize("m", [8, 12, 18, 26, 28, 30, 32])
 def test_rank_matches_gf2_blowup_on_rank_deficient_matrices(m):
     spec = FieldSpec(m)
     rnd = random.Random(100 + m)

@@ -216,6 +216,26 @@ def test_g_validation_takes_eleven_products(monkeypatch):
         validate_group_rep(GroupRep("G", F, s, t, one))
 
 
+def test_the_restriction_of_a_validated_model_is_not_checked_again(
+        monkeypatch):
+    rep = kg_group_rep(F, KGLabel.odd(5, 1, 0))
+    bad = GroupRep("G", F, rep.sigma, rep.tau, Matrix.identity(F, rep.dim))
+    validate_group_rep(rep)
+    calls = []
+    product = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: calls.append(1) or product(a, b))
+    validate_group_rep(restrict_to_h(rep))
+    validate_group_rep(rep)
+    assert not calls
+    # an unchecked model's restriction is checked on its own relations
+    validate_group_rep(restrict_to_h(bad))
+    assert len(calls) == 4
+    with pytest.raises(ValueError, match="rho\\^3"):
+        validate_group_rep(GroupRep("G", F, rep.sigma, rep.tau,
+                                    rep.sigma))
+
+
 def test_quiver_relation_validator():
     rep = kg_quiver_rep(F, KGLabel.simple(0))
     rep.vertex_dims = {0: 1, 1: 1, 2: 1}

@@ -10,10 +10,10 @@ from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import KGLabel, KHLabel
-from a4diff.gf import FieldSpec
+from a4diff.gf import FieldSpec, all_elements
 from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
                               kg_group_rep, kh_group_rep, labels_group_rep,
-                              restrict_to_h)
+                              probe_hom, restrict_to_h, zoo_labels)
 from a4diff.oracle import (MultiplicitySolution, _charpoly, _Pencil,
                            decompose_rep, hom_dim, hom_labels,
                            string_pair_homs)
@@ -110,6 +110,22 @@ class TestHomDim:
         B = kg_group_rep(SPEC, KGLabel.simple(0))
         with pytest.raises(ValueError):
             hom_dim(A, B)
+
+    def test_probe_presentations_count_like_hom_dim(self):
+        # every label up to dimension 8 over GF(16) as the target, every
+        # tube N_{2,lam} as an H probe besides the trivial module
+        F16 = FieldSpec(4)
+        kh_probes = [KHLabel.triv(), KHLabel.even(2, INF)]
+        kh_probes += [KHLabel.even(2, lam) for lam in all_elements(F16)]
+        kg_probes = [KGLabel.simple(i) for i in range(3)]
+        for side, probes, build in (("kH", kh_probes, kh_group_rep),
+                                    ("kG", kg_probes, kg_group_rep)):
+            models = [build(F16, X) for X in probes]
+            for Y in zoo_labels(F16, 8, side):
+                my = build(F16, Y)
+                for X, mx in zip(probes, models):
+                    assert probe_hom(X, my) == hom_dim(mx, my), \
+                        (str(X), str(Y))
 
     def test_additive_in_both_arguments(self):
         rnd = random.Random(4)

@@ -10,9 +10,10 @@ from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import (
     Poly, RatFunc, Place, poly_roots, trace_K_over_J, rho_pullback,
 )
-from helpers import (linear_power, reference_poly_divmod,
-                     reference_poly_mul, reference_root_split,
-                     reference_sum, reference_trace_split)
+from helpers import (linear_power, reference_adic_coeffs,
+                     reference_poly_divmod, reference_poly_mul,
+                     reference_root_split, reference_sum,
+                     reference_trace_split)
 
 F16 = FieldSpec(m=4)
 F256 = FieldSpec(m=8)
@@ -293,6 +294,19 @@ def test_root_split_matches_reference_on_random_polys(m):
         p = random_poly(rnd, spec, rnd.randint(0, 12))
         c = rnd.randrange(spec.order)
         assert p.root_split(c) == reference_root_split(p, c)
+
+
+@pytest.mark.parametrize("m", [8, 12, 20])
+def test_adic_coeffs_match_the_one_division_per_coefficient_loop(m):
+    spec = FieldSpec(m=m)
+    rnd = random.Random(400 + m)
+    for degree in (0, 1, 5, 40, 130):
+        p = random_poly(rnd, spec, degree)
+        for c in (0, 1, rnd.randrange(2, spec.order)):
+            # counts below, at and above the degree, across powers of 2
+            for count in (0, 1, 2, 3, 17, 64, degree + 1, degree + 9):
+                assert p.adic_coeffs(c, count) == \
+                    reference_adic_coeffs(p, c, count), (degree, c, count)
 
 
 def test_valuation_of_zero_polynomial_is_infinite():
