@@ -12,12 +12,13 @@ nearly monomial (about 1.4 nonzeros a row), so their products cost a few
 lookups per entry.  The nonzeros go in runs of at most _TERMS terms, so
 the temporaries stay in cache whatever the size.
 
-Entrywise products and inverses (the gathered product, scaling,
-Kronecker products, row reduction) go through _mul_arrays and _inv_mask
-on the tables gf._field_tables caches per field: exp/log tables up to
-m = gf.TABLE_M = 16, the quadratic tower over GF(2^(m/2)) of _tower for
+Entrywise products, quotients and inverses (the gathered product,
+scaling, Kronecker products, row reduction) go through _mul_arrays,
+_div_arrays and _inv_mask on the tables _field_tables caches per field:
+int64 exp/log arrays up to m = gf.TABLE_M = 16, copied from the scalar
+layer's tuples, and the quadratic tower over GF(2^(m/2)) of _tower for
 every even m above it up to 32.  So one product kernel serves every
-field.
+field.  numpy enters here: the scalar layers below never import it.
 
 Rank is the number of pivots of the row reduction over the field, which
 is vectorized one pivot at a time.  A pivot row is not normalised when
@@ -29,10 +30,38 @@ which gives the same reduced matrix.
 
 import numpy as np
 
-# _TABLES, the tables' cache, is re-exported for perfbench's layer trace
-from .gf import TABLE_M, _TABLES, _field_tables, _table_mul  # noqa: F401
+from .gf import TABLE_M, _exp_log
 
 _TERMS = 1 << 16      # gathered product terms per pass, 512 KB
+_TABLES = {}          # _field_tables' cache; perfbench's layer trace reads it
+
+
+def _table_arrays(tables):
+    """gf._exp_log's (exp, log) as int64 arrays."""
+    return tuple(np.array(t, dtype=np.int64) for t in tables)
+
+
+def _table_mul(tables, a, b):
+    """Entrywise product of two broadcastable mask arrays by (exp, log)."""
+    exp, log = tables
+    out = exp[log[a] + log[b]]
+    return np.where((a == 0) | (b == 0), 0, out)
+
+
+def _field_tables(spec):
+    """The cached tables of spec's entrywise arithmetic: (exp, log) int64
+    arrays (see _table_arrays) for m <= TABLE_M, a _tower.Tower above."""
+    key = (spec.m, spec.modulus)
+    t = _TABLES.get(key)
+    if t is None:
+        if spec.m <= TABLE_M:
+            t = _table_arrays(_exp_log(*key))
+        else:
+            # imported here, so runs over smaller fields never compile it
+            from ._tower import Tower
+            t = Tower(spec)
+        _TABLES[key] = t
+    return t
 
 
 def _mul_arrays(spec, a, b):
@@ -41,6 +70,18 @@ def _mul_arrays(spec, a, b):
     if spec.m <= TABLE_M:
         return _table_mul(t, a, b)
     return t.mul(a, b)
+
+
+def _div_arrays(spec, a, b):
+    """Entrywise a / b of two broadcastable mask arrays, b nonzero."""
+    t = _field_tables(spec)
+    if spec.m > TABLE_M:
+        return t.mul(a, t.inv(b))
+    exp, log = t
+    # log a - log b + q - 1 lies in [0, 2(q - 1)) also for a = 0; the
+    # brackets keep a scalar b's part scalar
+    out = exp[log[a] + (spec.order - 1 - log[b])]
+    return np.where(a == 0, 0, out)
 
 
 def _inv_mask(spec, mask):
@@ -192,7 +233,7 @@ class Matrix:
             others = M[:, j].nonzero()[0]
             others = others[others != r]
             if others.size:
-                f = _mul_arrays(spec, M[others, j], _inv_mask(spec, M[r, j]))
+                f = _div_arrays(spec, M[others, j], M[r, j])
                 M[others, j:] ^= _mul_arrays(spec, f[:, None], M[r, j:])
             piv.append(j)
             r += 1
@@ -204,7 +245,11 @@ class Matrix:
     def right_nullspace(self):
         """Matrix whose columns form a basis of the kernel."""
         R, piv = self.rref()
-        free = np.setdiff1d(np.arange(self.cols), piv)
+        # a mask, not setdiff1d: that sorts through np.unique, which
+        # imports numpy.ma on its first call
+        free = np.ones(self.cols, dtype=bool)
+        free[piv] = False
+        free = np.flatnonzero(free)
         out = np.zeros((self.cols, free.size), dtype=np.int64)
         out[free, np.arange(free.size)] = 1
         out[piv] = R.a[:len(piv), free]
@@ -280,6 +325,5 @@ def coords_in_basis(B, vecs):
     if any(p >= B.cols for p in piv):
         raise ValueError("vector outside the spanning set")
     out = np.zeros((B.cols, vecs.cols), dtype=np.int64)
-    for row, p in enumerate(piv):
-        out[p] = R.a[row, B.cols:]
+    out[piv] = R.a[:len(piv), B.cols:]
     return Matrix(B.spec, out)

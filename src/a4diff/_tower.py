@@ -5,14 +5,16 @@ subfield's direct exp/log tables hold 3 * 2^(m/2) entries, 1.5 MB at
 m = 32, where direct tables of the field would hold 3 * 2^m.  These are
 the composite-field log tables of De Win, Bosselaers, Vandenberghe, De
 Gersem and Vandewalle, "A fast software implementation for arithmetic
-operations in GF(2^n)", ASIACRYPT 1996.  gf._field_tables imports this
-module only for such a field, since every run compiles what it imports.
+operations in GF(2^n)", ASIACRYPT 1996.  _linalg._field_tables imports
+this module only for such a field, since every run compiles what it
+imports.
 """
 
 import numpy as np
 
+from ._linalg import _table_arrays, _table_mul
 from .gf import (_byte_tables, _exp_log, _gf2_pivots, _gf2_solve, _pmulmod,
-                 _ppowmod, _primitive, _table_mul)
+                 _ppowmod, _primitive)
 
 
 def _byte_map(tables, x):
@@ -66,8 +68,10 @@ class Tower:
                            for t in _byte_tables(images)]
         self.to_tower = [np.array(t, dtype=np.int64) for t in _byte_tables(
             [_gf2_solve(pivots, 1 << j) for j in range(m)])]
-        self.K = _exp_log(k, (1 << k) | int(_byte_map(self.to_tower,
-                                                      powers[k])))
+        # uncached: no scalar reads K's tables, so they are freed once
+        # copied; kept, they would add 1.8 MB to peak RSS at m = 32
+        self.K = _table_arrays(_exp_log.__wrapped__(
+            k, (1 << k) | int(_byte_map(self.to_tower, powers[k]))))
         self.gamma = _table_mul(self.K, 1 << i, np.arange(1 << k))
 
     def mul(self, a, b):

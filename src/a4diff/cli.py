@@ -11,6 +11,11 @@ byte-identical JSON.
 
 Exit codes: 0 success, 1 usage, 2 mathematical precondition failure,
 3 verification mismatch.
+
+A command loads only the layers it runs: the matrix stack (numpy,
+repbuilder, modulezoo, oracle) is imported by the verification and zoo
+paths when they start, and the process pool by a batch, so an analyze
+run never loads numpy.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .gf import FieldSpec
 from .ratlaurent import RatFunc
@@ -33,17 +37,6 @@ from .decomp import (
     mu_nu,
     _string_block,
 )
-from .modulezoo import (
-    kg_group_rep,
-    kh_group_rep,
-    parse_label,
-    restrict_to_h,
-    validate_group_rep,
-    zoo_dump,
-    zoo_labels,
-)
-from .oracle import decompose_rep
-from .repbuilder import build_global_rep
 from ._families import (
     degenerate_orbit_alpha,
     generic_orbit_alpha,
@@ -241,6 +234,9 @@ def _param_json(value):
 
 
 def _verification_block(data, kG, kH, timings):
+    from .modulezoo import restrict_to_h
+    from .oracle import decompose_rep
+    from .repbuilder import build_global_rep
     t0 = time.perf_counter()
     gr = build_global_rep(data)
     timings["build"] = time.perf_counter() - t0
@@ -429,6 +425,8 @@ def _human_report(report, out):
 # ---------------------------------------------------------------- zoo
 
 def _run_zoo(args, out):
+    from .modulezoo import (kg_group_rep, kh_group_rep, parse_label,
+                            validate_group_rep, zoo_dump, zoo_labels)
     field = _field_from_args(args)
     if args.label:
         label = parse_label(field, args.label)
@@ -509,6 +507,10 @@ def _run_batch(path, out):
     if len(jobs) == 1:
         results = [_batch_worker(jobs[0])]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+        # every job verifies: load the verify stack once, before the pool
+        # forks, so that no worker imports it again
+        from . import oracle, repbuilder  # noqa: F401
         workers = min(len(jobs), os.cpu_count() or 1)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_batch_worker, jobs))

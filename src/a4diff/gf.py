@@ -3,14 +3,14 @@
 Elements are bit masks: bit i holds the coefficient of x^i, so the mask's
 integer value doubles as the canonical ordering of field elements.
 
-_field_tables builds the tables of the field's entrywise arithmetic once
-per (m, modulus) and caches them for _linalg: exp/log tables up to
-m = TABLE_M = 16, above it the quadratic tower over GF(2^(m/2)) of
-_tower.  Up to TABLE_M scalars read the same exp/log tables as lists: a
-product is exp[log a + log b], an inverse exp[-log a], a square root
-halves the log.  Above it they use the bit loop _pmulmod, so an
-analyze-only run builds no tables.  fixed_multiplier's ceil(m/8) byte
-tables multiply many values by one fixed scalar.
+This is the scalar layer, in plain Python and without numpy, so runs
+that do no matrix work never load numpy.  Up to m = TABLE_M = 16 scalars
+read exp/log tuples that _exp_log builds once per (m, modulus): a product
+is exp[log a + log b], an inverse exp[-log a], a square root halves the
+log.  Above it they use the bit loop _pmulmod, so an analyze-only run
+builds no tables.  fixed_multiplier's ceil(m/8) byte tables multiply
+many values by one fixed scalar.  The matrix layer's arrays are built
+from these tuples in _linalg.
 
 The degree m must be even so that GF(4), and with it a primitive cube root
 of unity zeta, embeds in the field.  zeta is chosen deterministically as
@@ -19,7 +19,7 @@ the smaller of the two roots of x^2 + x + 1 in the mask ordering.
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
 
 # ---------------------------------------------------------------------------
@@ -202,18 +202,11 @@ def default_modulus(m: int) -> int:
 # exp/log tables
 
 # Direct tables stop here, for scalars and arrays alike.  On a 2-core x86
-# machine a list lookup product costs 0.1 us against 2 to 4 us for
-# _pmulmod; at m = 16 the numpy build and the lists take 16 ms and 5 MB,
-# at m = 20 the arrays alone took 0.1 s and 25 MB.
+# machine a table lookup product costs 0.1 us against 2 to 4 us for
+# _pmulmod; at m = 16 _exp_log takes 12 to 13 ms and raises peak RSS by
+# 6 MB (_linalg's int64 arrays of its tuples add 7 ms and 1 MB), at
+# m = 20 it would take 0.35 s and 103 MB.
 TABLE_M = 16
-_CHUNK = 1 << 13      # 64 KB blocks stay under malloc's mmap threshold
-_TABLES = {}
-
-
-def _xtime(v, m, modulus):
-    """x * v for an array v of masks."""
-    v = v << 1
-    return v ^ ((v >> m) * modulus)
 
 
 def _primitive(m: int, f: int) -> int:
@@ -225,78 +218,42 @@ def _primitive(m: int, f: int) -> int:
                 if all(_ppowmod(g, n // p, f) != 1 for p in primes))
 
 
+@functools.cache
 def _exp_log(m: int, f: int):
-    """(exp, log) int64 arrays of GF(2)[x]/(f), f irreducible of degree m.
+    """(exp, log) tuples of GF(2)[x]/(f), f irreducible of degree m.
 
-    exp has length 2(q-1) so exp[log a + log b] never needs a modulo;
-    log[0] is -1 and multiplication masks those lanes to zero.  The
-    generator is _primitive's; exp is filled by doubling and then chunk by
-    chunk, each block the one before times a fixed power of g.  m may be
-    odd: the tower's subfield takes its tables from here too.
+    exp[k] = g^k for _primitive's g, filled by its fixed_multiplier; it
+    has length 2(q-1), so exp[log a + log b] never needs a modulo, and
+    its two halves share their int objects.  log is filled in one pass
+    and log[0] is -1.  Built once per (m, f) and shared by every caller,
+    hence tuples.  m may be odd: the tower's subfield takes its tables
+    from here too.
     """
     n = (1 << m) - 1
-    gen = _primitive(m, f)
-    exp = np.zeros(2 * n, dtype=np.int64)
-    log = np.full(n + 1, -1, dtype=np.int64)
-    exp[0] = 1
-    done = 1
-    while done < n:
-        # exp[done:done+size] is the block before it times gen^size.
-        size = min(done, _CHUNK, n - done)
-        step = _ppowmod(gen, size, f)
-        src = exp[done - size:done]
-        acc = np.zeros_like(src)
-        for s in range(m):
-            if step >> s & 1:
-                acc ^= src
-            src = _xtime(src, m, f)
-        exp[done:done + size] = acc
-        done += size
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        log[exp[lo:hi]] = np.arange(lo, hi)
-    exp[n:] = exp[:n]
-    return exp, log
-
-
-def _table_mul(tables, a, b):
-    """Entrywise product of two broadcastable mask arrays by (exp, log)."""
-    exp, log = tables
-    out = exp[log[a] + log[b]]
-    return np.where((a == 0) | (b == 0), 0, out)
-
-
-def _field_tables(spec):
-    """The cached tables of spec's entrywise arithmetic: (exp, log) int64
-    arrays (see _exp_log) for m <= TABLE_M, a _tower.Tower above."""
-    key = (spec.m, spec.modulus)
-    t = _TABLES.get(key)
-    if t is None:
-        if spec.m <= TABLE_M:
-            t = _exp_log(*key)
-        else:
-            # imported here, so runs over smaller fields never compile it
-            from ._tower import Tower
-            t = Tower(spec)
-        _TABLES[key] = t
-    return t
+    step = fixed_multiplier(_primitive(m, f), f)
+    exp = [1] * n
+    x = 1
+    for i in range(1, n):
+        x = step(x)
+        exp[i] = x
+    log = [-1] * (n + 1)
+    for i, x in enumerate(exp):
+        log[x] = i
+    exp = tuple(exp)
+    return exp + exp, tuple(log)
 
 
 def _scalar_tables(spec):
-    """(exp, log) of spec as Python lists, or None above TABLE_M.
+    """_exp_log's (exp, log) of spec, or None above TABLE_M.
 
     Kept on the spec, so a scalar product is exp[log[a] + log[b]] for
-    nonzero a, b; the two halves of exp share their int objects.  exp
-    has period q - 1 and length 2(q - 1), so with Python's negative
-    indices exp[k] = g^k for every -2(q - 1) <= k < 2(q - 1).
+    nonzero a, b.  exp has period q - 1 and length 2(q - 1), so with
+    Python's negative indices exp[k] = g^k for every
+    -2(q - 1) <= k < 2(q - 1).
     """
     t = spec._lut
     if t is None:
-        t = ()
-        if spec.m <= TABLE_M:
-            exp, log = _field_tables(spec)
-            e = exp[:spec.order - 1].tolist()
-            t = (e + e, log.tolist())
+        t = _exp_log(spec.m, spec.modulus) if spec.m <= TABLE_M else ()
         spec._lut = t
     return t or None
 
@@ -351,7 +308,7 @@ class FieldSpec:
         self.m = m
         self.modulus = modulus
         self._zeta_mask = None
-        self._lut = None          # _scalar_tables' lists, built on first use
+        self._lut = None          # _scalar_tables' cache
 
     def __reduce__(self):
         # the cached zeta and tables are rebuilt on demand, not pickled

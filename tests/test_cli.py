@@ -161,7 +161,7 @@ def test_verify_mismatch_exits_3(capsys, monkeypatch):
         multiplicities = {}
         def to_json(self):
             return {}
-    monkeypatch.setattr("a4diff.cli.decompose_rep", lambda rep: Hollow())
+    monkeypatch.setattr("a4diff.oracle.decompose_rep", lambda rep: Hollow())
     code, out, _ = run(capsys, "verify", "--alpha", S5, "--json")
     assert code == 3
     assert json.loads(out)["verification"]["status"] == "FAIL"
@@ -305,14 +305,13 @@ def test_zoo_table_all_valid(capsys):
 def test_zoo_flags_a_model_that_breaks_the_relations(capsys, monkeypatch):
     # the model builders do not check the group relations; zoo does, and
     # reports a failure in the table instead of raising
-    from a4diff import cli
     from a4diff.modulezoo import GroupRep
 
     def broken(spec, label):
         J = Matrix.from_rows(spec, [[0, 1], [1, 1]])
         return GroupRep("H", spec, J, Matrix.identity(spec, 2))
 
-    monkeypatch.setattr(cli, "kh_group_rep", broken)
+    monkeypatch.setattr("a4diff.modulezoo.kh_group_rep", broken)
     code, out, _ = run(capsys, "zoo", "--m", "4", "--max-dim", "2",
                        "--side", "kH", "--json")
     assert code == 3

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +13,8 @@ from a4diff.gf import (
     _mask_inv, _mask_mul, _pmulmod,
 )
 
-from helpers import (cube_roots_of_unity, reference_inverse, reference_sqrt,
-                     reference_zeta)
+from helpers import (cube_roots_of_unity, reference_field_tables,
+                     reference_inverse, reference_sqrt, reference_zeta)
 
 F4 = FieldSpec(m=2)          # modulus x^2 + x + 1
 F256 = FieldSpec(m=8)
@@ -226,3 +227,13 @@ def test_a_pickled_field_leaves_its_tables_behind():
     assert back == spec and back._lut is None
     assert (back.element(77) * back.element(300)).mask == \
         _pmulmod(77, 300, spec.modulus)
+
+
+@pytest.mark.parametrize("m", list(range(2, 17, 2)) + [9, 11, 13, 15])
+def test_exp_log_tables_match_the_plain_build(m):
+    # odd m are the tower's subfields at m = 18, 22, 26 and 30
+    f = default_modulus(m)
+    exp, log = gf._exp_log(m, f)
+    ref_exp, ref_log = reference_field_tables(
+        types.SimpleNamespace(order=1 << m, modulus=f))
+    assert (exp, log) == (tuple(ref_exp.tolist()), tuple(ref_log.tolist()))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from a4diff import _linalg
-from a4diff._linalg import (Matrix, _field_tables, _gather_product,
-                            _inv_mask, _mul_arrays)
+from a4diff._linalg import (Matrix, _div_arrays, _field_tables,
+                            _gather_product, _inv_mask, _mul_arrays)
 from a4diff.gf import (FieldSpec, _ppowmod, _pmulmod, default_modulus,
                        is_irreducible_gf2)
 
@@ -102,6 +102,22 @@ def test_tower_products_and_inverses_match_the_bit_loop(m, modulus):
     assert _inv_mask(spec, int(nonzero[-1])) == want[-1]
     with pytest.raises(ZeroDivisionError):
         _inv_mask(spec, a[:3])
+
+
+@pytest.mark.parametrize("m", [2, 8, 12, 18, 32])
+def test_division_matches_product_by_the_inverse(m):
+    spec = FieldSpec(m)
+    rnd = random.Random(200 + m)
+    top = spec.order - 1
+    a = np.array([0, 1, top, 0] + [rnd.randrange(spec.order)
+                                   for _ in range(200)], dtype=np.int64)
+    b = np.array([1, top, top, 2] + [rnd.randrange(1, spec.order)
+                                     for _ in range(200)], dtype=np.int64)
+    assert _div_arrays(spec, a, b).tolist() == \
+        _mul_arrays(spec, a, _inv_mask(spec, b)).tolist()
+    # by one scalar, as rref divides a pivot column by its pivot
+    assert _div_arrays(spec, a, b[5]).tolist() == \
+        _mul_arrays(spec, a, _inv_mask(spec, b[5])).tolist()
 
 
 @pytest.mark.parametrize("m", range(2, 17, 2))
