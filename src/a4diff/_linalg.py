@@ -284,10 +284,6 @@ def vstack(mats):
     return Matrix(spec, np.concatenate([m.a for m in mats], axis=0))
 
 
-def zero_space(spec, d):
-    return Matrix(spec, np.zeros((d, 0), dtype=np.int64))
-
-
 def col_basis(M):
     """Canonical basis of the column space (rref rows, transposed)."""
     R, piv = M.transpose().rref()
@@ -299,23 +295,12 @@ def equations_of(S):
     return S.transpose().right_nullspace().transpose()
 
 
-def intersect_spaces(S1, S2):
-    if S1.cols == 0 or S2.cols == 0:
-        return zero_space(S1.spec, S1.rows)
-    ns = hstack([S1, S2]).right_nullspace()
-    return col_basis(S1 @ Matrix(S1.spec, ns.a[:S1.cols]))
-
-
-def image_space(f, S):
-    return col_basis(f @ S)
-
-
 def preimage_space(f, S):
-    """{x : f x in colspace(S)} as a canonical basis."""
+    """A basis of {x : f x in colspace(S)}."""
     E = equations_of(S)
     if E.rows == 0:
         return Matrix.identity(f.spec, f.cols)
-    return col_basis((E @ f).right_nullspace())
+    return (E @ f).right_nullspace()
 
 
 def coords_in_basis(B, vecs):

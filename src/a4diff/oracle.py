@@ -13,34 +13,33 @@ apart:
   adjunction with the Klein four subgroup (induction and coinduction
   agree here, so the reduction works on either argument).
 * ``decompose_rep`` reads the summand multiset of a representation off
-  invariant subspace chains.  What it checks against the matrices: the
-  group relations, the extraction's own bookkeeping (chain and budget
-  identities), the A4 vertex profile, the total dimension, and two
-  hom counts Hom(X, M), each the kernel of the cyclic probe X's
-  relations on M, against the counts ``hom_labels`` predicts from the
-  extracted multiset.
+  the Wong sequences of its radical pencil.  What it checks against the
+  matrices: the group relations, the extraction's own bookkeeping (the
+  Wong counts are nonnegative and fill the top and the radical), the A4
+  vertex profile, the total dimension, and two hom counts Hom(X, M),
+  each the kernel of the cyclic probe X's relations on M, against the
+  counts ``hom_labels`` predicts from the extracted multiset.
 
-The parameters of the tubes over H and of the bands over A4 are where a
-linear pencil P + lam Q loses rank.  They are not looked for by ranking the
-pencil at every field element.  An invertible minor S0 of the pencil at one
-generic reference value lam0 must turn singular at each of them, so each
-is lam0 + 1/nu for an eigenvalue nu of S0^-1 Qs, with Qs the same minor of
-Q.  The eigenvalues are the roots in the field of a characteristic
-polynomial taken by Hessenberg reduction, and the pencil is ranked only at
-those few candidates.  Both sides go through one routine, ``_Pencil``:
-the reference scan, the candidates, a memoised rank at each and the
-Jordan block sizes read off the kernel chain where the rank drops.
+The summands of a module with rad^2 = 0 are the Kronecker blocks of the
+pencil its radical maps form from the top to the radical, graded over A4
+by the rho eigenvalue.  One routine, ``_kronecker``, serves both sides.
+It reads the strings and the tubes at infinity off the dimensions of the
+pencil's Wong sequences, vertex by vertex.  The finite regular part is
+one small matrix N: its kernel chain gives the tubes at 0, and its
+nonzero eigenvalues in the field, the roots of a characteristic
+polynomial taken by Hessenberg reduction, give the other tube and band
+parameters.  The pencil is never evaluated at a field element, so the
+size of the field does not matter.  A parameter outside the field shows
+as part of N that no eigenvalue in the field explains, or as a band
+parameter with no cube root in the field.
 
 All arithmetic is exact; nothing is randomized.
 """
 
-import itertools
-
 import numpy as np
 
 from ._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
-                      coords_in_basis, hstack, image_space, intersect_spaces,
-                      kron, preimage_space, vstack, zero_space)
+                      coords_in_basis, hstack, kron, preimage_space, vstack)
 from .ramification import INF
 from .ratlaurent import Poly, field_roots
 from .decomp import KHLabel, KGLabel
@@ -257,29 +256,44 @@ def hom_labels(spec, a, b):
 # ---------------------------------------------------------------------------
 # structural extraction
 #
-# Everything below reads off the summand multiset of an explicit
-# representation from basis-free invariants: radical and top, kernel
-# chains of the pencil at each parameter, and graded walk chains on
-# the three-vertex quiver.  Each step checks the identities its counts
-# must satisfy, and decompose_rep checks the total against M.
+# A representation with vanishing rad^2 is the Kronecker pencil of its
+# two radical maps from the top (a complement of the radical) to the
+# radical.  Over H that is P = Bbar, Q = Abar on one vertex.  Over G the
+# rho eigenvalue grades it by Z/3: P = D_v maps T_v to R_{v-1} and
+# Q = C_v maps T_v to R_{v+1}.  Either way P[v] and Q[v + 1] share a
+# codomain, vertices taken mod g, and _kronecker reads the summands off
+# the Wong sequences of the pencil (Wong 1974; Berger, Ilchmann and
+# Trenn 2012), vertex by vertex:
+#
+#   V_0 = T, V_{j+1}[v] = P[v]^-1(Q[v+1] V_j[v+1]), falling to V*;
+#   W_0 = 0, W_{j+1}[v] = Q[v]^-1(P[v-1] W_j[v-1]), rising to W*.
+#
+# Both respect direct sums, so each summand contributes its own:
+#
+#   right strings (Triv, S_v, M_{2n+1,1,i}) lie in V* and in W*, and
+#     W_j holds the first j vectors of each;
+#   tubes at infinity (Q singular, N_{2n,inf,i}) lie in W* but meet V*
+#     in 0, and W_j holds the first j vectors of each;
+#   left strings (M_{2n+1,2,i}) and the tubes at infinity leave V_j
+#     one vector a step, the last vector of each chain first;
+#   the finite regular part (the other tubes, the bands) lies in V*.
+#
+# The j-th vector of a chain sits one vertex further along than the
+# (j-1)-th, up for W_j and down for V_j, so the second differences of
+# these dimensions, taken along that shift, count the chains of each
+# length and vertex.  On a complement Y of V* cap W* in V*, P Y = Q Y N
+# modulo Q W* for one N, which maps Y[v] to Y[v + 1] and has the Jordan
+# form of the finite regular part: the kernel chain of N gives the tubes
+# at 0, the nonzero eigenvalues of N^g on vertex 0 the other parameters.
+
+_OUTSIDE = ("unsupported configuration: band parameter outside "
+            "the working field scan")
+
 
 class _StructureError(Exception):
     def __init__(self, msg, proven=False):
         super().__init__(msg)
         self.proven = proven
-
-
-def _ser(series, j):
-    if j < 0:
-        return 0
-    return series[j] if j < len(series) else series[-1]
-
-
-def _at(dims, j):
-    # dims[i] is the dimension after i+1 steps
-    if j <= 0:
-        return 0
-    return dims[j - 1] if j <= len(dims) else dims[-1]
 
 
 def _complement(S, d):
@@ -292,55 +306,6 @@ def _complement(S, d):
     for t, c in enumerate(extra):
         out[c, t] = 1
     return Matrix(spec, out)
-
-
-class _Reduced(Matrix):
-    """A pencil value that row-reduces at most once, so the rank taken at
-    a rank-drop parameter and the kernel chain there share one rref."""
-
-    __slots__ = ("_rref",)
-
-    def __init__(self, M):
-        super().__init__(M.spec, M.a)
-        self._rref = None
-
-    def rref(self):
-        if self._rref is None:
-            self._rref = super().rref()
-        return self._rref
-
-
-def _chain_dims(P, Q, cap):
-    """Dimensions of ker P <= P^-1(Q ker P) <= ... until stable."""
-    K = P.right_nullspace()
-    dims = [K.cols]
-    while dims[-1] < cap:
-        K = preimage_space(P, image_space(Q, K))
-        if K.cols == dims[-1]:
-            break
-        dims.append(K.cols)
-    return dims
-
-
-def _scan_head(spec):
-    z = spec.zeta()
-    return [0, 1, z.mask, (z * z).mask]
-
-
-def _scan_order(spec, skip_zero=False):
-    """Field elements in scan order, lazily: 0, 1, zeta, zeta^2, then the
-    other masks ascending; 0 is left out when skip_zero."""
-    head = _scan_head(spec)
-    rest = (x for x in range(spec.order) if x not in head)
-    for mask in itertools.chain(head, rest):
-        if mask or not skip_zero:
-            yield spec.element(mask)
-
-
-def _in_scan_order(spec, params):
-    head = _scan_head(spec)
-    pos = {mask: i - len(head) for i, mask in enumerate(head)}
-    return sorted(params, key=lambda x: pos.get(x.mask, x.mask))
 
 
 def _charpoly(N):
@@ -388,148 +353,127 @@ def _charpoly(N):
     return Poly(spec, P[n].tolist())
 
 
-def _drop_candidates(P0, cols, Q, lam0):
-    """Parameters lam != lam0 at which the pencil P0 + (lam + lam0) Q may
-    have lower rank than P0, whose pivot columns are cols.
+def _wong(F, G, shift, S):
+    """Yields S, then S_{j+1}[v] = F[v]^-1(G[v + shift] S_j[v + shift])
+    at every vertex v, until the sequence stops changing; the last value
+    yielded is its limit.  The sequence is monotone, so equal dimensions
+    mean equal subspaces."""
+    g = len(F)
+    while True:
+        yield S
+        nxt = [preimage_space(F[v], G[(v + shift) % g] @ S[(v + shift) % g])
+               for v in range(g)]
+        if sum(x.cols for x in nxt) == sum(x.cols for x in S):
+            return
+        S = nxt
 
-    S0 is an invertible minor of P0 of size rank P0 (its pivot columns,
-    then the pivot rows of those columns) and Qs the same minor of Q.  At
-    a rank drop every minor of that size vanishes, so S0 + mu Qs is
-    singular for mu = lam + lam0, which is nonzero: 1/mu is an eigenvalue
-    of N = S0^-1 Qs.  The eigenvalues in the field are all candidates; a
-    candidate where the rank does not drop is spurious and costs its
-    caller one rank check.
+
+def _chains(flag, shift):
+    """{(n, a): count} of the chains of vectors behind a rising flag.
+
+    flag[j][u] is a dimension at vertex u after j steps.  A chain of
+    length n from vertex a adds its (j+1)-th vector at vertex
+    a + shift j on step j + 1, for j < n.  So the first differences,
+    read along the shift, count the chains longer than j, and the
+    second differences the chains of each length.
     """
-    spec = P0.spec
-    Pc = Matrix(spec, P0.a[:, cols])
-    _, rows = Pc.transpose().rref()
-    N = coords_in_basis(Matrix(spec, Pc.a[rows]),
-                        Matrix(spec, Q.a[np.ix_(rows, cols)]))
-    return [lam0 + spec.element(nu).inverse()
-            for nu in field_roots(_charpoly(N)) if nu]
-
-
-def _string_counts_from(dims):
-    """Odd-string length counts from reference kernel chain diffs.
-
-    A string whose pencil class is Q_m contributes min(j, m+1) to the
-    j-th kernel chain at every parameter, so the second difference of
-    the chain dimensions isolates the count of each length.
-    """
-    top = len(dims) + 3
-    d = [0] + [_at(dims, j) - _at(dims, j - 1) for j in range(1, top)]
+    g = len(flag[0])
+    inc = [[b - a for a, b in zip(lo, hi)] for lo, hi in zip(flag, flag[1:])]
+    inc.append([0] * g)
     out = {}
-    for m in range(1, top - 2):
-        cnt = d[m + 1] - d[m + 2]
-        if cnt < 0:
-            raise _StructureError("kernel chain diffs increase")
-        if cnt:
-            out[m] = cnt
+    for n in range(1, len(inc)):
+        for a in range(g):
+            c = (inc[n - 1][(a + shift * (n - 1)) % g]
+                 - inc[n][(a + shift * n) % g])
+            if c < 0:
+                raise _StructureError("Wong dimension differences increase")
+            if c:
+                out[(n, a)] = c
     return out
 
 
-def _cleaned_sizes(ch, ref):
-    """Jordan block sizes at one parameter, reference chains removed."""
-    top = max(len(ch), len(ref)) + 2
-    clean = [0] + [_at(ch, j) - _at(ref, j) for j in range(1, top + 1)]
-    if any(c < 0 for c in clean):
-        raise _StructureError("cleaned chain went negative")
-    deltas = [clean[j] - clean[j - 1] for j in range(1, len(clean))]
-    out = {}
-    for n in range(1, len(deltas) + 1):
-        nxt = deltas[n] if n < len(deltas) else 0
-        cnt = deltas[n - 1] - nxt
-        if cnt < 0:
-            raise _StructureError("cleaned chain diffs increase")
-        if cnt:
-            out[n] = cnt
-    return out
+def _kernel_chains(N):
+    """_chains of the kernels of the powers of a graded map, by the vertex
+    where each Jordan chain ends; N[v] maps vertex v to vertex v + 1."""
+    g = len(N)
+    power = [Matrix.identity(n.spec, n.cols) for n in N]
+    flag = [[0] * g]
+    while True:
+        k = len(flag) - 1
+        power = [N[(u + k) % g] @ power[u] for u in range(g)]
+        dims = [p.cols - p.rank() for p in power]
+        if sum(dims) == sum(flag[-1]):
+            return _chains(flag, -1)
+        flag.append(dims)
 
 
-class _Pencil:
-    """The pencil P + lam Q, which is Q alone at lam = INF, and its Jordan
-    blocks at the parameters where it loses rank.
+def _kronecker(P, Q):
+    """Summand data of a Z/g-graded pencil, g = len(P).
 
-    The reference scan row-reduces the pencil at the first cap + 1
-    elements of scan order (0 left out when skip_zero) and keeps the
-    first of maximal rank as lam0.  The pencil loses rank at no more than
-    cap parameters, so one of these is generic, and lam0 has the generic
-    rank rgen.  P0, the pencil at lam0, keeps its reduction, which gives
-    ker P0, the minor of the eigenvalue candidates and the reference
-    kernel chain ref of P0 against Q, up to chain_cap.
+    P[v] and Q[v] act on the top space at vertex v; P[v] and Q[v + 1]
+    share a codomain.  Returns (right, left, inf, zero, finite).  The
+    first four map (length, vertex) to a count: the right strings and
+    the tubes at infinity by the vertex of their vector in W_1, the left
+    strings by the vertex of their vector that leaves V_1, the tubes at
+    0 by the vertex where their chain under N ends.  finite
+    maps each nonzero eigenvalue mu of N^g on vertex 0 to the {size:
+    count} of its Jordan blocks.  Raises ValueError when the eigenvalues
+    in the field leave part of N^g unexplained.
     """
+    spec = P[0].spec
+    g = len(P)
+    tops = [p.cols for p in P]
+    codims = []
+    for V in _wong(P, Q, 1, [Matrix.identity(spec, t) for t in tops]):
+        codims.append([t - x.cols for t, x in zip(tops, V)])
+    inW, both = [], []
+    for W in _wong(Q, P, -1, [Matrix.zeros(spec, t, 0) for t in tops]):
+        # the pivots among V's columns extend W to W + V*
+        ext = [[p - w.cols for p in hstack([w, x]).rref()[1] if p >= w.cols]
+               for w, x in zip(W, V)]
+        inW.append([w.cols for w in W])
+        both.append([x.cols - len(e) for x, e in zip(V, ext)])
+    right = _chains(both, 1)
+    inf = _chains([[w - b for w, b in zip(wr, br)]
+                   for wr, br in zip(inW, both)], 1)
+    left = _chains(codims, -1)
+    # a tube at infinity of length n from vertex a falls out of V_j too,
+    # as a chain from vertex a + n - 1
+    for (n, a), c in inf.items():
+        key = (n, (a + n - 1) % g)
+        left[key] = left.get(key, 0) - c
+        if left[key] < 0:
+            raise _StructureError("left strings and tubes at infinity "
+                                  "disagree")
+        if not left[key]:
+            del left[key]
 
-    def __init__(self, P, Q, cap, chain_cap, skip_zero, what):
-        self.spec = P.spec
-        self.P, self.Q = P, Q
-        self.chain_cap = chain_cap
-        self.skip_zero = skip_zero
-        first = list(itertools.islice(_scan_order(self.spec, skip_zero),
-                                      cap + 1))
-        if len(first) < cap + 1:
-            raise _StructureError(f"field too small for the {what} scan")
-        self._ranks = {}
-        self._drops = {}    # values that rank found below rgen
-        self._sizes = {}
-        self.P0 = None
-        for lam in first:
-            V = self.value(lam)
-            rank = len(V.rref()[1])
-            self._ranks[_tube_key(lam)] = rank
-            if self.P0 is None or rank > self.rgen:
-                self.lam0, self.P0, self.rgen = lam, V, rank
-            if rank == cap:
-                break
-        self.ref = _chain_dims(self.P0, Q, chain_cap)
-
-    def ref_transposed(self, cap):
-        """The reference kernel chain of the transposed pencil."""
-        return _chain_dims(self.P0.transpose(), self.Q.transpose(), cap)
-
-    def value(self, lam):
-        if lam is INF:
-            return _Reduced(self.Q)
-        if not lam:
-            return _Reduced(self.P)
-        return _Reduced(self.P + self.Q.scale(lam))
-
-    def candidates(self):
-        """The eigenvalue candidates of _drop_candidates in scan order, 0
-        left out when skip_zero; every finite rank drop is among them."""
-        cands = _drop_candidates(self.P0, self.P0.rref()[1], self.Q,
-                                 self.lam0)
-        return _in_scan_order(self.spec, [
-            lam for lam in cands if lam or not self.skip_zero])
-
-    def rank(self, lam):
-        key = _tube_key(lam)
-        if key not in self._ranks:
-            V = self.value(lam)
-            self._ranks[key] = V.rank()
-            if self._ranks[key] < self.rgen:
-                self._drops[key] = V
-        return self._ranks[key]
-
-    def sizes(self, lam):
-        """{n: number of Jordan blocks of size n} at lam, from the kernel
-        chain there with the reference chain removed; {} where the rank
-        does not drop."""
-        key = _tube_key(lam)
-        if key not in self._sizes:
-            drop = self.rgen - self.rank(lam)
-            if drop < 0:
-                raise _StructureError("rank above the generic value")
-            out = {}
-            if drop:
-                V = self._drops.pop(key, None) or self.value(lam)
-                Q = self.P if lam is INF else self.Q
-                out = _cleaned_sizes(_chain_dims(V, Q, self.chain_cap),
-                                     self.ref)
-                if sum(out.values()) != drop:
-                    raise _StructureError(
-                        "rank drop does not match block count")
-            self._sizes[key] = out
-        return self._sizes[key]
+    Y = [Matrix(spec, x.a[:, e]) for x, e in zip(V, ext)]
+    N = []
+    for v in range(g):
+        u = (v + 1) % g
+        X = coords_in_basis(hstack([Q[u] @ Y[u], Q[u] @ W[u]]), P[v] @ Y[v])
+        N.append(Matrix(spec, X.a[:Y[u].cols]))
+    zero = _kernel_chains(N)
+    cycle = Matrix.identity(spec, Y[0].cols)
+    for v in range(g):
+        cycle = N[v] @ cycle
+    # a chain of N ending at vertex e has one vector at each of
+    # e, e - 1, ..., e - n + 1
+    filled = sum(c for (n, e), c in zero.items()
+                 for t in range(n) if (e - t) % g == 0)
+    finite = {}
+    for mu in sorted(field_roots(_charpoly(cycle))):
+        if mu:
+            shifted = cycle + Matrix.scalar(spec, cycle.rows,
+                                            spec.element(mu))
+            sizes = {n: c for (n, _), c in _kernel_chains([shifted]).items()}
+            finite[spec.element(mu)] = sizes
+            filled += sum(n * c for n, c in sizes.items())
+    if filled != cycle.rows:
+        # an eigenvalue of N^g in a proper extension of the field
+        raise ValueError(_OUTSIDE)
+    return right, left, inf, zero, finite
 
 
 def _klein_counts(M):
@@ -542,276 +486,78 @@ def _klein_counts(M):
     if not (A @ B).is_zero():
         raise _StructureError("radical square acts nonzero", proven=True)
     rad = col_basis(hstack([A, B]))
-    r = rad.cols
-    t = d - r
-    triv = vstack([A, B]).right_nullspace().cols - r
-    counts = {}
-    if triv:
-        counts[KHLabel.triv()] = triv
-    if r == 0:
-        return counts
     top = _complement(rad, d)
     Abar = coords_in_basis(rad, A @ top)
     Bbar = coords_in_basis(rad, B @ top)
-
-    # there are at most min(t, r) tube parameters
-    pencil = _Pencil(Bbar, Abar, min(t, r), t, False, "tube")
-    ref = pencil.ref
-    refT = pencil.ref_transposed(r)
-    a = _string_counts_from(ref)
-    b = _string_counts_from(refT)
-    if _at(ref, 1) != triv + sum(a.values()):
-        raise _StructureError("string count does not match kernel")
-    if _at(refT, 1) != sum(b.values()):
-        raise _StructureError("cokernel side has unexplained vectors")
-    tube_top = (t - triv - sum((m + 1) * c for m, c in a.items())
-                - sum(m * c for m, c in b.items()))
-    tube_rad = (r - sum(m * c for m, c in a.items())
-                - sum((m + 1) * c for m, c in b.items()))
-    if tube_top < 0 or tube_top != tube_rad:
-        raise _StructureError("top/radical bookkeeping does not close")
-
-    # tube parameters: INF, then the eigenvalue candidates in scan order.
-    # Every finite rank drop is among the candidates; a spurious one is
-    # rejected by its rank.
-    found = 0
-    params = [INF] + pencil.candidates() if tube_top else []
-    for lam in params:
-        if found == tube_top:
-            break
-        for n, c in pencil.sizes(lam).items():
+    right, left, inf, zero, finite = _kronecker([Bbar], [Abar])
+    counts = {}
+    for (n, _), c in right.items():
+        counts[KHLabel.string(2 * n - 1, 1) if n > 1 else KHLabel.triv()] = c
+    for (n, _), c in left.items():
+        counts[KHLabel.string(2 * n + 1, 2)] = c
+    for (n, _), c in inf.items():
+        counts[KHLabel.even(2 * n, INF)] = c
+    for (n, _), c in zero.items():
+        counts[KHLabel.even(2 * n, spec.zero())] = c
+    for lam, sizes in finite.items():
+        for n, c in sizes.items():
             counts[KHLabel.even(2 * n, lam)] = c
-            found += n * c
-    if found != tube_top:
-        # every rational candidate was checked, yet tube dimension is
-        # left over: an even summand whose parameter lies in a proper
-        # extension of the working field
-        raise ValueError(
-            "unsupported configuration: band parameter outside "
-            "the working field scan")
-
-    for m, c in a.items():
-        counts[KHLabel.string(2 * m + 1, 1)] = c
-    for m, c in b.items():
-        counts[KHLabel.string(2 * m + 1, 2)] = c
+    shapes = [(_kh_shape(lab), c) for lab, c in counts.items()]
+    if (sum(s[0] * c for s, c in shapes) != top.cols
+            or sum(s[1] * c for s, c in shapes) != rad.cols):
+        raise _StructureError("top/radical bookkeeping does not close")
     return counts
 
 
-# --- the three-vertex side ------------------------------------------------
-#
-# The walk chains below track string modules letter by letter.  With
-# the conventions of the zoo, the basis of an i-indexed string visits
-# vertices in a fixed pattern, so each family is recognized by where
-# its kernel end sits and at which push depth its walk dies:
-#
-#   M_{2n+1,1,i}: ker C end at vertex i+1, walk never dies;
-#                 radical vectors enter the reach chain at vertex
-#                 i+j-1 on push j.
-#   N_{2n,inf,i}: ker C end at vertex i+1, dies on push n.
-#   N_{2n,0,i}:   ker D end at vertex i-1, dies on push n.
-#   M_{2n+1,2,i}: no kernel ends; its transpose walks like an x = 1
-#                 string, reaching vertex i+j+1 on push j.
-
-def _graded_run(spec, src_dims, dst_dims, pull, push, pullshift, pushshift):
-    """Alive and reach dimensions of the push/pull walk.
-
-    pull[v] and push[v] map source space v into destination spaces
-    v + pullshift and v + pushshift.  Starts are ker pull; a start
-    survives push depth j if its j-th push lands in the image of the
-    pull arrows of a continuing walk.  reach[v][j] is the dimension of
-    destination vectors hit by depth <= j.  Both tables stabilize.
-    """
-    kerp = {v: pull[v].right_nullspace() for v in range(3)}
-    T = {v: Matrix.identity(spec, src_dims[v]) for v in range(3)}
-    W = {v: zero_space(spec, dst_dims[v]) for v in range(3)}
-    alive = {v: [kerp[v].cols] for v in range(3)}
-    reach = {v: [0] for v in range(3)}
-    while True:
-        newT = {}
-        newW = {}
-        for v in range(3):
-            p = (v + pushshift - pullshift) % 3
-            newT[v] = preimage_space(push[v], image_space(pull[p], T[p]))
-            u = (v - pushshift) % 3
-            newW[v] = image_space(
-                push[u], preimage_space(pull[u], W[(u + pullshift) % 3]))
-        done = all(newT[v].cols == T[v].cols and newW[v].cols == W[v].cols
-                   for v in range(3))
-        for v in range(3):
-            alive[v].append(intersect_spaces(kerp[v], newT[v]).cols)
-            reach[v].append(newW[v].cols)
-        T, W = newT, newW
-        if done:
-            return alive, reach
-
-
-def _deaths(alive, i_of):
-    """Family counts from walk deaths: one death at depth n per module."""
-    out = {}
-    for u in range(3):
-        s = alive[u]
-        for n in range(1, len(s) + 1):
-            cnt = _ser(s, n - 1) - _ser(s, n)
-            if cnt < 0:
-                raise _StructureError("alive chain grew")
-            if cnt:
-                out[(n, i_of(u, n))] = cnt
-    return out
-
-
-def _reach_deltas(reach):
-    delta = {}
+def _a4_pencil(M):
+    """The graded pencil (D, C) of a G-representation: D[v] maps the top
+    at vertex v to the radical at v - 1, C[v] to the radical at v + 1."""
+    try:
+        qrep = a4_quiver_rep_from_group(M)
+    except ValueError as err:
+        raise _StructureError(str(err), proven=True)
+    gout = {}
+    dout = {}
+    for name, (s, t) in qrep.quiver.arrows.items():
+        (gout if name.startswith("g") else dout)[s] = qrep.arrow_mats[name]
+    rad = [col_basis(hstack([gout[(v + 2) % 3], dout[(v + 1) % 3]]))
+           for v in range(3)]
+    C, D = [], []
     for v in range(3):
-        s = reach[v]
-        for j in range(1, len(s) + 2):
-            delta[(v, j)] = _ser(s, j) - _ser(s, j - 1)
-    return delta
-
-
-def _family_from_reach(delta, entry_vertex, pollution, jmax):
-    """Length-and-index counts from reach deltas by double difference.
-
-    delta[(r, j)] sums, over n >= j, the modules whose depth-j entry
-    vertex is r; entry_vertex(i, j) names that vertex.  pollution is
-    subtracted before differencing.
-    """
-    out = {}
-    for i in range(3):
-        for n in range(1, jmax + 1):
-            hi = (delta.get((entry_vertex(i, n), n), 0)
-                  - pollution(entry_vertex(i, n), n))
-            lo = (delta.get((entry_vertex(i, n + 1), n + 1), 0)
-                  - pollution(entry_vertex(i, n + 1), n + 1))
-            cnt = hi - lo
-            if cnt < 0:
-                raise _StructureError("reach deltas inconsistent")
-            if cnt:
-                out[(n, i)] = cnt
-    return out
+        top = _complement(rad[v], qrep.vertex_dims[v])
+        C.append(coords_in_basis(rad[(v + 1) % 3], gout[v] @ top))
+        D.append(coords_in_basis(rad[(v + 2) % 3], dout[v] @ top))
+    return D, C
 
 
 def _a4_counts(M):
     """Summand multiset of a G-representation via its graded quiver."""
     spec = M.spec
-    try:
-        qrep = a4_quiver_rep_from_group(M)
-    except ValueError as err:
-        raise _StructureError(str(err), proven=True)
-    z = spec.zeta()
-    gout = {}
-    dout = {}
-    for name, (s, t) in qrep.quiver.arrows.items():
-        (gout if name.startswith("g") else dout)[s] = qrep.arrow_mats[name]
-    radb = {}
-    topb = {}
-    for v in range(3):
-        dv = qrep.vertex_dims[v]
-        radb[v] = col_basis(hstack([gout[(v + 2) % 3], dout[(v + 1) % 3]]))
-        topb[v] = _complement(radb[v], dv)
-    tdims = {v: topb[v].cols for v in range(3)}
-    rdims = {v: radb[v].cols for v in range(3)}
-    Cb = {v: coords_in_basis(radb[(v + 1) % 3], gout[v] @ topb[v])
-          for v in range(3)}
-    Db = {v: coords_in_basis(radb[(v + 2) % 3], dout[v] @ topb[v])
-          for v in range(3)}
-
+    D, C = _a4_pencil(M)
+    tdims = [d.cols for d in D]
+    rdims = [D[(v + 1) % 3].rows for v in range(3)]
+    # a label's index i is a fixed offset from the vertex _kronecker
+    # reports for it, read off the vertices of the label's top
+    right, left, inf, zero, finite = _kronecker(D, C)
     counts = {}
-    c = {}
-    for v in range(3):
-        c[v] = vstack([Cb[v], Db[v]]).right_nullspace().cols
-        if c[v]:
-            counts[KGLabel.simple(v)] = c[v]
-
-    alive1, reach1 = _graded_run(
-        spec, tdims, rdims, pull=Cb, push=Db, pullshift=1, pushshift=-1)
-    alive2, _ = _graded_run(
-        spec, tdims, rdims, pull=Db, push=Cb, pullshift=-1, pushshift=1)
-    Ct = {v: Cb[(v + 2) % 3].transpose() for v in range(3)}
-    Dt = {v: Db[(v + 1) % 3].transpose() for v in range(3)}
-    alive4, reach4 = _graded_run(
-        spec, rdims, tdims, pull=Dt, push=Ct, pullshift=1, pushshift=-1)
-
-    w = _deaths(alive1, lambda u, n: (u + 2) % 3)
-    zc = _deaths(alive2, lambda u, n: (u + 1) % 3)
-    dual = _deaths(alive4, lambda u, n: (u + n - 1) % 3)
-    if dual != zc:
-        raise _StructureError("transposed walk disagrees on * = 0 strings")
-
-    jmax = max(len(s) for tab in (reach1, reach4) for s in tab.values()) + 1
-    nmax = jmax + 1
-    delta1 = _reach_deltas(reach1)
-
-    def winf_pollution(rv, j):
-        return sum(cnt for (n, i), cnt in w.items()
-                   if n >= j and (i + j - 1) % 3 == rv)
-
-    a = _family_from_reach(delta1, lambda i, j: (i + j - 1) % 3,
-                           winf_pollution, jmax)
-
-    delta4 = _reach_deltas(reach4)
-
-    def zdual_pollution(rv, j):
-        return sum(cnt for (n, i), cnt in zc.items()
-                   if n >= j and (i - 1 - n + j) % 3 == rv)
-
-    b = _family_from_reach(delta4, lambda i, j: (i + j + 1) % 3,
-                           zdual_pollution, jmax)
-
-    for (n, i), cnt in a.items():
-        counts[KGLabel.odd(2 * n + 1, 1, i)] = cnt
-    for (n, i), cnt in b.items():
-        counts[KGLabel.odd(2 * n + 1, 2, i)] = cnt
-    for (n, i), cnt in w.items():
-        counts[KGLabel.even(2 * n, INF, i)] = cnt
-    for (n, i), cnt in zc.items():
-        counts[KGLabel.even(2 * n, 0, i)] = cnt
-
-    # bands: rank drops of the ungraded pencil D + phi C on top -> rad,
-    # for phi != 0 among the eigenvalue candidates, in scan order.
-    # Strings contribute parameter-independent background there, so the
-    # cleaned kernel chains at each rank drop are pure Jordan data.
-    tlist = [tdims[v] for v in range(3)]
-    rlist = [rdims[v] for v in range(3)]
-    Cbig = Matrix.assemble(spec, rlist, tlist,
-                           {((v + 1) % 3, v): Cb[v] for v in range(3)})
-    Dbig = Matrix.assemble(spec, rlist, tlist,
-                           {((v + 2) % 3, v): Db[v] for v in range(3)})
-    T = sum(tlist)
-    band_top = T - sum(c.values())
-    for (n, i), cnt in a.items():
-        band_top -= (n + 1) * cnt
-    for fam in (b, w, zc):
-        for (n, i), cnt in fam.items():
-            band_top -= n * cnt
-    if band_top < 0 or band_top % 3:
-        raise _StructureError("band budget does not close")
-
-    if band_top:
-        pencil = _Pencil(Dbig, Cbig, min(T, sum(rlist)), T, True, "band")
-        found = set()
-        located = 0
-        for phi in pencil.candidates():
-            if located == band_top:
-                break
-            if phi.mask in found or not pencil.sizes(phi):
-                continue
-            orbit = [phi, phi * z, phi * z * z]
-            datas = [pencil.sizes(ph) for ph in orbit]
-            found.update(ph.mask for ph in orbit)
-            if datas[0] != datas[1] or datas[0] != datas[2]:
-                raise _StructureError("band parameters not zeta-symmetric")
-            mu = phi ** 3
-            for n, cnt in datas[0].items():
-                counts[KGLabel.band(6 * n, mu, phi=phi)] = cnt
-                located += 3 * n * cnt
-        if located != band_top:
-            # every rank drop was explained, yet top dimension is left
-            # over: a band whose parameter has no cube root in the
-            # working field.  Its pencil never drops rationally, so no
-            # candidate in this field can see it.
-            raise ValueError(
-                "unsupported configuration: band parameter outside "
-                "the working field scan")
+    for (n, a), c in right.items():
+        lab = (KGLabel.odd(2 * n - 1, 1, (a - 1) % 3) if n > 1
+               else KGLabel.simple(a))
+        counts[lab] = c
+    for (n, b), c in left.items():
+        counts[KGLabel.odd(2 * n + 1, 2, (b - n - 1) % 3)] = c
+    for (n, a), c in inf.items():
+        counts[KGLabel.even(2 * n, INF, (a - 1) % 3)] = c
+    for (n, e), c in zero.items():
+        counts[KGLabel.even(2 * n, 0, (e + 1) % 3)] = c
+    for mu, sizes in finite.items():
+        # a band B_{6n,mu} is named by the smallest cube root of mu
+        roots = field_roots(Poly(spec, (mu.mask, 0, 0, 1)))
+        if not roots:
+            raise ValueError(_OUTSIDE)
+        phi = spec.element(min(roots))
+        for n, c in sizes.items():
+            counts[KGLabel.band(6 * n, mu, phi=phi)] = c
 
     _a4_profile_check(counts, tdims, rdims)
     return counts
@@ -920,11 +666,14 @@ def _spot_check(M, counts):
 def decompose_rep(M):
     """Indecomposable multiplicities of an explicit representation.
 
-    Checks the group relations, reads the summands off invariant
-    subspace chains and rejects the result unless the extraction's own
-    bookkeeping closes, the A4 vertex profile matches (over G), the
-    dimensions add up to dim M and two dense hom counts agree with the
-    multiset (see _spot_check).  The closed form is not consulted.
+    Checks the group relations, reads the summands off the Wong
+    sequences of the radical pencil (see _kronecker) and rejects the
+    result unless the Wong bookkeeping closes (no negative chain count,
+    the tubes at infinity among the chains leaving V_j, the top and the
+    radical filled: over H by their dimensions, over G by the A4 vertex
+    profile), the dimensions add up to dim M and two dense hom counts
+    agree with the multiset (see _spot_check).  The closed form is not
+    consulted.
 
     Raises ValueError("no nonnegative integer solution") with a
     .certificate attribute {reason, dim, side} when the input provably

@@ -394,8 +394,8 @@ def reference_trace_split(p, out):
 
 
 def reference_scan_order(spec, skip_zero=False):
-    """The whole field in the oracle's scan order, as a list: 0, 1, zeta,
-    zeta^2, then the other elements by mask; 0 left out when skip_zero."""
+    """The whole field as a list: 0, 1, zeta, zeta^2, then the other
+    elements by mask; 0 left out when skip_zero."""
     seen = set()
     out = []
     z = spec.zeta()
@@ -407,8 +407,9 @@ def reference_scan_order(spec, skip_zero=False):
 
 
 def reference_rank_drops(P, Q, skip_zero=False):
-    """Elements lam, in scan order, where rank(P + lam Q) is below its
-    largest value over the field; the pencil is ranked at every element."""
+    """Elements lam, in reference_scan_order, where rank(P + lam Q) is
+    below its largest value over the field; the pencil is ranked at every
+    element."""
     order = reference_scan_order(P.spec, skip_zero)
     ranks = [(P + Q.scale(lam)).rank() for lam in order]
     return [lam for lam, rk in zip(order, ranks) if rk < max(ranks)]

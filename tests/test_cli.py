@@ -142,6 +142,26 @@ def test_examples_family3_field_enlargement(capsys):
     assert "psi" in obj["job"]["options"]["example"]
 
 
+# (1, 2, 2, 4) is the genus-234 HKG datum
+SMALL_FIELD_EXAMPLES = [(which, n, x, m)
+                        for which, x in ((1, 1), (1, 2), (2, None), (3, None))
+                        for n in (1, 2) for m in (2, 4)]
+
+
+@pytest.mark.parametrize("which,n,x,m", SMALL_FIELD_EXAMPLES,
+                         ids=[f"{w}-{n}-{x}-{m}"
+                              for w, n, x, m in SMALL_FIELD_EXAMPLES])
+def test_examples_verify_over_small_fields(capsys, which, n, x, m):
+    # a field with fewer elements than tube or band parameters the pencil
+    # could have still decomposes: nothing is scanned over the field
+    args = ["examples", "--which", str(which), "--n", str(n), "--m", str(m)]
+    if x is not None:
+        args += ["--x", str(x)]
+    code, out, err = run(capsys, *args, "--verify", "--json")
+    assert code == 0, err
+    assert json.loads(out)["verification"]["status"] == "PASS"
+
+
 def test_examples_family3_bad_psi(capsys):
     code, _, err = run(capsys, "examples", "--which", "3", "--psi", "1")
     assert code == 2

@@ -1,6 +1,7 @@
 """Hom counting and decomposition certification."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,15 +15,14 @@ from a4diff.gf import FieldSpec, all_elements
 from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
                               kg_group_rep, kh_group_rep, labels_group_rep,
                               probe_hom, restrict_to_h, zoo_labels)
-from a4diff.oracle import (MultiplicitySolution, _charpoly, _Pencil,
+from a4diff.oracle import (MultiplicitySolution, _charpoly, _kronecker,
                            decompose_rep, hom_dim, hom_labels,
                            string_pair_homs)
 from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
-from helpers import (gf2_blowup_rank, reference_rank_drops,
-                     reference_scan_order)
+from helpers import gf2_blowup_rank, reference_rank_drops
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -369,34 +369,6 @@ class TestDecompose:
         except ValueError as err:
             assert err.certificate["reason"]
 
-    def test_a_rank_drop_pencil_is_reduced_once(self, monkeypatch):
-        # the rank taken at a rank-drop parameter and the kernel chain
-        # there share one row reduction
-        ranked, again = set(), []
-        rank, rref = Matrix.rank, Matrix.rref
-
-        def key(A):
-            return A.a.shape, A.a.tobytes()
-
-        def recording_rank(self):
-            out = rank(self)
-            ranked.add(key(self))
-            return out
-
-        def recording_rref(self):
-            if key(self) in ranked:
-                again.append(self.shape)
-            return rref(self)
-
-        monkeypatch.setattr(Matrix, "rank", recording_rank)
-        monkeypatch.setattr(Matrix, "rref", recording_rref)
-        phi = SPEC.element(9)
-        G = kg_group_rep(SPEC, KGLabel.band(6, phi ** 3, phi=phi))
-        for M in (G, restrict_to_h(G)):
-            ranked.clear()
-            decompose_rep(M)
-            assert ranked and not again
-
     def test_wrong_extraction_rejected_by_spot_check(self, monkeypatch):
         # right total dimension, but dense Hom(Triv, M) is 2, not 3
         M = kh_group_rep(SPEC, KHLabel.string(3, 2))
@@ -543,7 +515,7 @@ def planted_pencil(spec, rnd, kron, kron_t, finite, infinite):
 def random_planted_pencil(spec, rnd):
     """A planted pencil with one to three finite parameters, drawn from 0,
     1, zeta and two random elements, one of them carrying two blocks;
-    returns (P, Q, finite, infinite)."""
+    returns (P, Q, finite, infinite, kron, kron_t)."""
     z = spec.zeta().mask
     params = [0, 1, z, rnd.randrange(spec.order), rnd.randrange(spec.order)]
     finite = [(rnd.randint(1, 3), mu)
@@ -553,72 +525,123 @@ def random_planted_pencil(spec, rnd):
     kron_t = rnd.sample([0, 1, 2], rnd.randint(0, 2))
     infinite = [1, 2][:rnd.randint(0, 2)]
     P, Q = planted_pencil(spec, rnd, kron, kron_t, finite, infinite)
-    return P, Q, finite, infinite
+    return P, Q, finite, infinite, kron, kron_t
+
+
+def graded_wong_dims(F, G, shift, start):
+    """Total dimension of each step of a Wong sequence, run vertex by
+    vertex and run once more on the assembled, ungraded pencil."""
+    spec = F[0].spec
+    rows = [f.rows for f in F]
+    cols = [f.cols for f in F]
+    # F[v] and G[v + shift] land in the same block row v
+    Fbig = Matrix.assemble(spec, rows, cols,
+                           {(v, v): F[v] for v in range(3)})
+    Gbig = Matrix.assemble(spec, rows, cols,
+                           {((v - shift) % 3, v): G[v] for v in range(3)})
+    whole = Matrix.assemble(spec, cols, [s.cols for s in start],
+                            {(v, v): s for v, s in enumerate(start)})
+    graded = [sum(x.cols for x in S)
+              for S in oracle._wong(F, G, shift, start)]
+    ungraded = [S[0].cols
+                for S in oracle._wong([Fbig], [Gbig], shift, [whole])]
+    return graded, ungraded
 
 
 class TestDropCandidates:
-    @pytest.mark.parametrize("m", [4, 6, 8])
+    # the Kronecker data of a pencil from its Wong sequences: the finite
+    # parameters against ranking the pencil at every field element, the
+    # block sizes against the planted ones
+
+    @pytest.mark.parametrize("m", [2, 4, 6, 8])
     @pytest.mark.parametrize("skip_zero", [False, True])
     def test_no_rank_drop_is_missed(self, m, skip_zero):
+        # skip_zero: the nonzero parameters alone, as the band side
+        # reads them
         spec = FieldSpec(m=m)
         rnd = random.Random(m * 10 + skip_zero)
         for _ in range(4):
-            P, Q, finite, _ = random_planted_pencil(spec, rnd)
-            cap = min(P.shape)
-            pencil = _Pencil(P, Q, cap, P.cols, skip_zero, "test")
-            lam0 = pencil.lam0
-            P0 = P + Q.scale(lam0)
-            assert pencil.P0 == P0 and pencil.P0.rref() == P0.rref()
+            P, Q, finite, _, _, _ = random_planted_pencil(spec, rnd)
+            right, left, inf, zero, nonzero = _kronecker([P], [Q])
+            found = set(nonzero)
+            if zero and not skip_zero:
+                found.add(spec.zero())
             drops = reference_rank_drops(P, Q, skip_zero)
-            assert pencil.rgen == max(
-                (P + Q.scale(lam)).rank()
-                for lam in map(spec.element, range(skip_zero, spec.order)))
             want = {mu for _, mu in finite if mu or not skip_zero}
             assert {lam.mask for lam in drops} == want
-            cands = pencil.candidates()
-            assert len({c.mask for c in cands}) == len(cands)
-            assert lam0 not in cands
-            assert set(drops) <= set(cands)
-            order = reference_scan_order(spec, skip_zero)
-            assert cands == [lam for lam in order if lam in cands]
-            # a zero first row and column: the minor must take the pivot
-            # rows and columns, not the leading ones
+            assert found == set(drops)
+            # a zero first row and column add a Triv and a zero row: the
+            # data must not depend on where the blocks sit
             Pz, Qz = (Matrix(spec, np.pad(X.a, ((1, 0), (1, 0))))
                       for X in (P, Q))
-            padded = _Pencil(Pz, Qz, cap, Pz.cols, skip_zero, "test")
-            assert padded.lam0 == lam0
-            assert padded.candidates() == cands
+            padded = _kronecker([Pz], [Qz])
+            right[(1, 0)] = right.get((1, 0), 0) + 1
+            assert padded == (right, left, inf, zero, nonzero)
 
-    @pytest.mark.parametrize("m", [4, 8])
+    @pytest.mark.parametrize("m", [2, 4, 8])
     def test_sizes_are_the_planted_blocks(self, m):
-        # the cleaned chains give the Jordan block sizes at each finite
-        # parameter and at infinity, and nothing where the rank is generic
+        # L_k (k x (k+1)) is a right string of k + 1 top vectors, L_k^T
+        # for k >= 1 a left string of k; the zero row L_0^T is in no
+        # Wong subspace.  Jordan blocks at 0, at infinity and at the
+        # other parameters come back with their sizes.
         spec = FieldSpec(m=m)
         rnd = random.Random(70 + m)
-        spurious = 0
         for _ in range(6):
-            P, Q, finite, infinite = random_planted_pencil(spec, rnd)
-            # no more rank drops than finite blocks
-            pencil = _Pencil(P, Q, len(finite), P.cols, False, "test")
+            P, Q, finite, infinite, kron, kron_t = random_planted_pencil(
+                spec, rnd)
+            right, left, inf, zero, nonzero = _kronecker([P], [Q])
+            assert right == Counter((k + 1, 0) for k in kron)
+            assert left == Counter((k, 0) for k in kron_t if k)
+            assert inf == Counter((size, 0) for size in infinite)
+            assert zero == Counter((size, 0) for size, mu in finite if not mu)
             want = {}
             for size, mu in finite:
-                at = want.setdefault(mu, {})
-                at[size] = at.get(size, 0) + 1
-            for mu, sizes in want.items():
-                assert pencil.sizes(spec.element(mu)) == sizes
-            assert pencil.sizes(INF) == {
-                size: infinite.count(size) for size in set(infinite)}
-            assert pencil.sizes(pencil.lam0) == {}
-            for lam in pencil.candidates():
-                if lam.mask not in want:
-                    spurious += 1
-                    assert pencil.sizes(lam) == {}
-        assert spurious
+                if mu:
+                    at = want.setdefault(spec.element(mu), {})
+                    at[size] = at.get(size, 0) + 1
+            assert nonzero == want
+
+    def test_a_parameter_outside_the_field_is_refused(self):
+        # x^2 + x + zeta has no root in GF(4): its companion block is a
+        # tube whose parameter lies in GF(16)
+        spec = FieldSpec(m=2)
+        z = spec.zeta().mask
+        rnd = random.Random(5)
+        P, Q = planted_pencil(spec, rnd, [1], [], [(1, 1)], [1])
+        comp = Matrix.from_rows(spec, [[0, z], [1, 1]])
+        P = Matrix.assemble(spec, [P.rows, 2], [P.cols, 2],
+                            {(0, 0): P, (1, 1): comp})
+        Q = Matrix.assemble(spec, [Q.rows, 2], [Q.cols, 2],
+                            {(0, 0): Q, (1, 1): Matrix.identity(spec, 2)})
+        with pytest.raises(ValueError, match="unsupported configuration"):
+            _kronecker([P], [Q])
+
+    def test_wong_subspaces_are_graded(self):
+        # images and preimages under the homogeneous D and C keep graded
+        # subspaces graded, so each Wong subspace of the A4 pencil is the
+        # sum of its parts at the three vertices: on every zoo model of
+        # dimension <= 8, on random sums and on a family datum, the
+        # vertex dimensions add up to the ungraded ones, step by step
+        rnd = random.Random(303)
+        models = [kg_group_rep(SPEC, lab) for lab in zoo_labels(SPEC, 8, "kG")
+                  if lab.kind != "Band" or lab.param == ONE]
+        models += [conjugated(labels_group_rep(
+            SPEC, rand_kg_multiset(rnd, rnd.randrange(10, 41))), rnd)
+            for _ in range(4)]
+        data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 1, 2)))
+        models.append(build_global_rep(data).rep)
+        for M in models:
+            D, C = oracle._a4_pencil(M)
+            for F, G, shift, start in (
+                    (D, C, 1, [Matrix.identity(SPEC, d.cols) for d in D]),
+                    (C, D, -1, [Matrix.zeros(SPEC, d.cols, 0) for d in D])):
+                graded, ungraded = graded_wong_dims(F, G, shift, start)
+                assert graded == ungraded
 
     def test_band_orbit_is_named_by_its_first_element_in_scan_order(self):
-        # the orbit phi, zeta phi, zeta^2 phi of a band parameter is found
-        # at its first member in scan order: 1 for the unit orbit, else
-        # the smallest mask
+        # the orbit phi, zeta phi, zeta^2 phi of a band parameter is named
+        # by its smallest mask, which is 1 for the unit orbit: the first
+        # member in the order 0, 1, zeta, zeta^2, then by mask
         rnd = random.Random(11)
         for p in [ONE, Z * Z] + [SPEC.element(rnd.randrange(2, 256))
                                  for _ in range(6)]:
