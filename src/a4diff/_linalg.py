@@ -2,22 +2,31 @@
 
 A matrix holds its entries as bit masks in a numpy int64 array.
 
-A matrix product is gathered from one operand's nonzeros (Gustavson's
-row-wise sparse product).  List the nonzeros (i, l, a) of one operand;
-multiply each a by row l of the other with one entrywise table product,
-and XOR the rows of one i together with `bitwise_xor.reduceat`.  A @ B
-costs nnz(A) * cols(B) table products; when nnz(B) * rows(A) is smaller,
-the same is done on the transposes.  The models' group matrices are
-nearly monomial (about 1.4 nonzeros a row), so their products cost a few
-lookups per entry.  The nonzeros go in runs of at most _TERMS terms, so
-the temporaries stay in cache whatever the size.
+A product multiplies only what it must, in one of two ways.  The pair
+product takes the pairs of nonzeros a[i, l], b[l, c], multiplies each
+pair with one entrywise table product, and XORs the products of one
+(i, c) together by sorted key with `bitwise_xor.reduceat`: Gustavson's
+row-wise sparse product ("Two fast algorithms for sparse matrices", ACM
+TOMS 4, 1978) carried through to the second operand's nonzeros.  The
+gathered product multiplies each nonzero a[i, l] of one operand by the
+whole row l of the other and XORs the rows of one i together: A @ B
+costs nnz(A) * cols(B) table products, or nnz(B) * rows(A) on the
+transposes when that is smaller.  The exact pair count is one dot
+product, of A's column counts with B's row counts.  The models' group
+matrices are nearly monomial (about 1.4 nonzeros a row), so their
+products have about as many pairs as rows, and a 234 x 234 product
+takes some 400 pairs where gathering takes 70,000 terms; dense
+operands, and tiny ones where the pair product's set-up dominates, are
+gathered.  Either product goes in runs of at most _TERMS terms, so the
+temporaries stay in cache whatever the size.
 
-Entrywise products, quotients and inverses (the gathered product,
-scaling, Kronecker products, row reduction) go through _mul_arrays,
-_div_arrays and _inv_mask on the tables _field_tables caches per field:
-int64 exp/log arrays up to m = gf.TABLE_M = 16, copied from the scalar
-layer's tuples, and the quadratic tower over GF(2^(m/2)) of _tower for
-every even m above it up to 32.  So one product kernel serves every
+Entrywise products, quotients and inverses (both products, scaling, row
+reduction) go through _mul_arrays, _div_arrays and _inv_mask on the
+tables _field_tables caches per field: int64 exp/log arrays up to
+m = gf.TABLE_M = 16, copied from the scalar layer's tuples, and the
+quadratic tower over GF(2^(m/2)) of _tower for every even m above it up
+to 32.  The exp array ends in a zero tail that log[0] points into, so a
+zero operand reads 0 with no mask.  So one product kernel serves every
 field.  numpy enters here: the scalar layers below never import it.
 
 Rank is the number of pivots of the row reduction over the field, which
@@ -32,20 +41,34 @@ import numpy as np
 
 from .gf import TABLE_M, _exp_log
 
-_TERMS = 1 << 16      # gathered product terms per pass, 512 KB
+_TERMS = 1 << 16      # product terms per pass, 512 KB
 _TABLES = {}          # _field_tables' cache; perfbench's layer trace reads it
 
 
 def _table_arrays(tables):
-    """gf._exp_log's (exp, log) as int64 arrays."""
-    return tuple(np.array(t, dtype=np.int64) for t in tables)
+    """gf._exp_log's (exp, log) as int64 arrays with a zero tail.
+
+    exp keeps its 2(q - 1) entries and gains 2(q - 1) + 1 zeros, and
+    log[0] = 2(q - 1) points at the first of them: a sum of two logs
+    with a zero among the operands, and log a - log b + q - 1 with
+    a = 0, lands in the tail and reads 0, so no product or quotient
+    needs a mask for its zeros.  The tail is never written, and reading
+    pages that np.zeros mapped lazily does not make them resident, so
+    at m = 16 its 1 MB does not show in peak RSS.
+    """
+    exp, log = tables
+    n = len(exp)
+    out = np.zeros(2 * n + 1, dtype=np.int64)
+    out[:n] = exp
+    log = np.array(log, dtype=np.int64)
+    log[0] = n
+    return out, log
 
 
 def _table_mul(tables, a, b):
     """Entrywise product of two broadcastable mask arrays by (exp, log)."""
     exp, log = tables
-    out = exp[log[a] + log[b]]
-    return np.where((a == 0) | (b == 0), 0, out)
+    return exp[log[a] + log[b]]
 
 
 def _field_tables(spec):
@@ -78,10 +101,8 @@ def _div_arrays(spec, a, b):
     if spec.m > TABLE_M:
         return t.mul(a, t.inv(b))
     exp, log = t
-    # log a - log b + q - 1 lies in [0, 2(q - 1)) also for a = 0; the
-    # brackets keep a scalar b's part scalar
-    out = exp[log[a] + (spec.order - 1 - log[b])]
-    return np.where(a == 0, 0, out)
+    # the brackets keep a scalar b's part scalar
+    return exp[log[a] + (spec.order - 1 - log[b])]
 
 
 def _inv_mask(spec, mask):
@@ -98,6 +119,18 @@ def _inv_mask(spec, mask):
     return out if array else int(out)
 
 
+def _nonzeros(a):
+    """Row and column indices of a's nonzeros, in row-major order."""
+    # flatnonzero of a boolean array: np.nonzero of an int64 matrix
+    # takes several times as long
+    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
+
+
+def _run_starts(keys):
+    """Indices where a run of equal sorted keys starts."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
 def _gather_product(spec, a, b):
     """a @ b from the nonzeros of a: each a[i, l] times row l of b, the
     rows of one i XORed together.
@@ -107,14 +140,54 @@ def _gather_product(spec, a, b):
     both partial sums.
     """
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    i, l = np.nonzero(a)
+    i, l = _nonzeros(a)
     step = max(1, _TERMS // max(b.shape[1], 1))
     for lo in range(0, i.size, step):
         ii, ll = i[lo:lo + step], l[lo:lo + step]
         terms = _mul_arrays(spec, a[ii, ll, None], b[ll])
-        starts = np.flatnonzero(np.r_[True, ii[1:] != ii[:-1]])
+        starts = _run_starts(ii)
         out[ii[starts]] ^= np.bitwise_xor.reduceat(terms, starts, axis=0)
     return out
+
+
+def _pair_product(spec, a, b, anz, bnz):
+    """a @ b from the pairs of nonzeros a[i, l], b[l, c], given
+    anz = _nonzeros(a) and bnz = _nonzeros(b): each pair's product is
+    keyed by i * cols(b) + c, and the products of one key are XORed
+    together after sorting the keys.
+
+    The nonzeros of a go in order, each with the nonzeros of b's row l,
+    in runs of at most _TERMS pairs (a nonzero of a with more pairs
+    takes a run of its own), so the temporaries stay in cache whatever
+    the size.
+    """
+    rows, cols = a.shape[0], b.shape[1]
+    out = np.zeros(rows * cols, dtype=np.int64)
+    i, l = anz
+    bl, c = bnz
+    av, bv = a[i, l], b[bl, c]
+    per_row = np.bincount(bl, minlength=b.shape[0])
+    reps = per_row[l]                     # pairs of each nonzero of a
+    ends = np.cumsum(reps)
+    # the p-th pair, counting over all pairs, of the k-th nonzero of a
+    # takes the (first[k] + p)-th nonzero of b
+    first = (np.cumsum(per_row) - per_row)[l] - (ends - reps)
+    lo = 0
+    while lo < l.size:
+        done = ends[lo] - reps[lo]
+        hi = max(lo + 1, int(np.searchsorted(ends, done + _TERMS, "right")))
+        k = np.repeat(np.arange(lo, hi), reps[lo:hi])
+        lo = hi
+        if not k.size:
+            continue
+        j = np.arange(done, done + k.size) + first[k]
+        key = i[k] * cols + c[j]
+        order = np.argsort(key)
+        key = key[order]
+        terms = _mul_arrays(spec, av[k[order]], bv[j[order]])
+        starts = _run_starts(key)
+        out[key[starts]] ^= np.bitwise_xor.reduceat(terms, starts)
+    return out.reshape(rows, cols)
 
 
 class Matrix:
@@ -134,13 +207,6 @@ class Matrix:
     @classmethod
     def identity(cls, spec, n):
         return cls(spec, np.eye(n, dtype=np.int64))
-
-    @classmethod
-    def from_rows(cls, spec, rows):
-        arr = np.array(rows, dtype=np.int64)
-        if arr.ndim != 2:
-            arr = arr.reshape(len(rows), -1)
-        return cls(spec, arr)
 
     @classmethod
     def scalar(cls, spec, n, c):
@@ -179,11 +245,20 @@ class Matrix:
 
     def __matmul__(self, other):
         assert self.cols == other.rows
-        spec = self.spec
-        if (np.count_nonzero(self.a) * other.cols
-                <= np.count_nonzero(other.a) * self.rows):
-            return Matrix(spec, _gather_product(spec, self.a, other.a))
-        return Matrix(spec, _gather_product(spec, other.a.T, self.a.T).T)
+        spec, a, b = self.spec, self.a, other.a
+        anz, bnz = _nonzeros(a), _nonzeros(b)
+        # gathered from the side with fewer terms; one pair per a[i, l]
+        # and nonzero of b's row l.  A pair costs a few gathered terms,
+        # and the pair product's set-up a few hundred.
+        gather_a = anz[0].size * b.shape[1]
+        gather_b = bnz[0].size * a.shape[0]
+        pairs = (np.bincount(anz[1], minlength=a.shape[1])
+                 @ np.bincount(bnz[0], minlength=b.shape[0]))
+        if 16 * pairs + 512 < min(gather_a, gather_b):
+            return Matrix(spec, _pair_product(spec, a, b, anz, bnz))
+        if gather_a <= gather_b:
+            return Matrix(spec, _gather_product(spec, a, b))
+        return Matrix(spec, _gather_product(spec, b.T, a.T).T)
 
     def scale(self, c):
         return Matrix(self.spec,
@@ -263,12 +338,6 @@ def jordan_block(spec, n, mu):
     return Matrix(spec, arr)
 
 
-def kron(A, B):
-    """Kronecker product, row-major block layout."""
-    prod = _mul_arrays(A.spec, A.a[:, None, :, None], B.a[None, :, None, :])
-    return Matrix(A.spec, prod.reshape(A.rows * B.rows, A.cols * B.cols))
-
-
 # ---------------------------------------------------------------------------
 # subspaces, represented by matrices whose columns span them
 
@@ -285,9 +354,10 @@ def vstack(mats):
 
 
 def col_basis(M):
-    """Canonical basis of the column space (rref rows, transposed)."""
+    """(B, rows): the canonical basis B of the column space (rref rows,
+    transposed) and its pivot rows, where B is the identity."""
     R, piv = M.transpose().rref()
-    return Matrix(M.spec, R.a[:len(piv)].T.copy())
+    return Matrix(M.spec, R.a[:len(piv)].T.copy()), piv
 
 
 def equations_of(S):
@@ -301,6 +371,16 @@ def preimage_space(f, S):
     if E.rows == 0:
         return Matrix.identity(f.spec, f.cols)
     return (E @ f).right_nullspace()
+
+
+def coords_at_pivots(B, rows, vecs):
+    """Solve B @ X = vecs for a col_basis (B, rows): X is vecs at the
+    pivot rows, and one product checks it; raises if some column is
+    outside."""
+    X = Matrix(B.spec, vecs.a[rows])
+    if B @ X != vecs:
+        raise ValueError("vector outside the spanning set")
+    return X
 
 
 def coords_in_basis(B, vecs):

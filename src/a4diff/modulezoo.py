@@ -36,8 +36,7 @@ import re
 
 import numpy as np
 
-from ._linalg import (Matrix, col_basis, coords_in_basis, jordan_block,
-                      vstack)
+from ._linalg import Matrix, col_basis, coords_at_pivots, jordan_block
 from .gf import FieldElement, all_elements
 from .ramification import INF, phi_of_lambda
 from .decomp import (KHLabel, KGLabel, Decomposition, restrict_decomposition)
@@ -320,10 +319,12 @@ class GroupRep:
     """Matrices of the group generators, acting on column vectors.
 
     group is "H" (generators sigma, tau) or "G" (sigma, tau, rho).  The
-    matrices are never changed, so _valid records a passed validation.
+    matrices are never changed, so _valid records a passed validation,
+    and _fixed the fixed space ker [sigma + 1; tau + 1] once the oracle
+    has eliminated it.
     """
 
-    __slots__ = ("group", "spec", "sigma", "tau", "rho", "_valid")
+    __slots__ = ("group", "spec", "sigma", "tau", "rho", "_valid", "_fixed")
 
     def __init__(self, group, spec, sigma, tau, rho=None):
         assert group in ("H", "G")
@@ -334,6 +335,7 @@ class GroupRep:
         self.tau = tau
         self.rho = rho
         self._valid = False
+        self._fixed = None
 
     @property
     def dim(self):
@@ -379,27 +381,6 @@ def validate_group_rep(rep):
         sr = s @ r
         check(sr @ sr @ sr == I, "(sigma rho)^3 != 1")
     rep._valid = True
-
-
-def probe_hom(X, M):
-    """dim Hom(X, M) for a cyclic zoo module X (Triv, N_{2,lam}, S_i):
-    the kernel on M of the relations of X's generator.  With
-    A = sigma + 1 and B = tau + 1, Hom(k, M) = ker [A; B],
-    Hom(N_{2,lam}, M) = ker(B + lam A) (ker A at lam = inf) and
-    Hom(S_i, M) = ker [A; B; rho + zeta^i].
-    """
-    spec = M.spec
-    I = Matrix.identity(spec, M.dim)
-    A, B = M.sigma + I, M.tau + I
-    if X.kind == "EvenDim":
-        assert X.dim == 2
-        rel = A if X.param is INF else B + A.scale(X.param)
-    elif X.kind == "Triv":
-        rel = vstack([A, B])
-    else:
-        assert X.kind == "Simple"
-        rel = vstack([A, B, M.rho + I.scale(spec.zeta() ** X.i)])
-    return M.dim - rel.rank()
 
 
 def _ab_from_cd(spec, C, D):
@@ -455,50 +436,13 @@ def kG_group_matrices(rep):
 
 def restrict_to_h(grep):
     """Forget rho.  The relations of H are among those of G, so the
-    restriction of a validated representation counts as validated."""
+    restriction of a validated representation counts as validated; sigma
+    and tau are the same, so it keeps the fixed space too."""
     assert grep.group == "G"
     out = GroupRep("H", grep.spec, grep.sigma, grep.tau)
     out._valid = grep._valid
+    out._fixed = grep._fixed
     return out
-
-
-def induce_to_g(hrep):
-    """Induce an H-representation to G along the coset basis 1, rho, rho^2.
-
-    sigma permutes the cosets trivially but twists by the conjugate
-    generator on each block; rho cycles the blocks.  The result satisfies
-    the relations of G whenever hrep satisfies those of H.
-    """
-    assert hrep.group == "H"
-    spec = hrep.spec
-    d = hrep.dim
-    dims = [d, d, d]
-    s, t = hrep.sigma, hrep.tau
-    st = s @ t
-    sigma = Matrix.assemble(spec, dims, dims,
-                            {(0, 0): s, (1, 1): st, (2, 2): t})
-    tau = Matrix.assemble(spec, dims, dims,
-                          {(0, 0): t, (1, 1): s, (2, 2): st})
-    I = Matrix.identity(spec, d)
-    rho = Matrix.assemble(spec, dims, dims,
-                          {(1, 0): I, (2, 1): I, (0, 2): I})
-    return GroupRep("G", spec, sigma, tau, rho)
-
-
-def direct_sum_group_reps(reps):
-    """Block diagonal sum; all summands over one group and one field."""
-    assert reps
-    group, spec = reps[0].group, reps[0].spec
-    assert all(r.group == group and r.spec == spec for r in reps)
-    dims = [r.dim for r in reps]
-
-    def diag(pick):
-        return Matrix.assemble(spec, dims, dims,
-                               {(i, i): pick(r) for i, r in enumerate(reps)})
-
-    rho = diag(lambda r: r.rho) if group == "G" else None
-    return GroupRep(group, spec, diag(lambda r: r.sigma),
-                    diag(lambda r: r.tau), rho)
 
 
 def a4_quiver_rep_from_group(grep):
@@ -518,7 +462,7 @@ def a4_quiver_rep_from_group(grep):
     rr = r @ r
     bases = [col_basis(I + r.scale(z ** (-i)) + rr.scale(z ** (-2 * i)))
              for i in range(3)]
-    if sum(b.cols for b in bases) != grep.dim:
+    if sum(b.cols for b, _ in bases) != grep.dim:
         raise ValueError("rho eigenspaces do not fill the space")
     A = grep.sigma + I
     B = grep.tau + I
@@ -528,8 +472,8 @@ def a4_quiver_rep_from_group(grep):
     arrow_mats = {}
     for name, (s, t) in A4_QUIVER.arrows.items():
         mat = C if name.startswith("g") else D
-        arrow_mats[name] = coords_in_basis(bases[t], mat @ bases[s])
-    rep = QuiverRep(A4_QUIVER, spec, {i: bases[i].cols for i in range(3)},
+        arrow_mats[name] = coords_at_pivots(*bases[t], mat @ bases[s][0])
+    rep = QuiverRep(A4_QUIVER, spec, {i: bases[i][0].cols for i in range(3)},
                     arrow_mats)
     rep.validate()
     return rep
@@ -658,19 +602,6 @@ def kh_group_rep(spec, label, coords="AB"):
 
 def kg_group_rep(spec, label):
     return kG_group_matrices(kg_quiver_rep(spec, label))
-
-
-def labels_group_rep(spec, labels):
-    """Block diagonal model of a label multiset (all kH or all kG)."""
-    labels = list(labels)
-    assert labels
-    reps = []
-    for lab in labels:
-        if isinstance(lab, KHLabel):
-            reps.append(kh_group_rep(spec, lab))
-        else:
-            reps.append(kg_group_rep(spec, lab))
-    return direct_sum_group_reps(reps)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,9 @@
 """Independent verification engine for module decompositions.
 
-Three ways to count homomorphisms, one way to take a representation
-apart:
+Hom counting on labels, and one way to take a representation apart
+(the dense hom dimension that tests check both against solves the
+intertwiner equations, and lives with the tests):
 
-* ``hom_dim`` solves the intertwiner equations of two explicit
-  representations by dense elimination.  Nothing about the answer is
-  assumed, which makes it the anchor everything else is tested against;
-  the price is a system with dim(X)*dim(Y) unknowns.
 * ``hom_labels`` evaluates hom dimensions on labels.  Klein four pairs
   reduce to a Kronecker pencil table, string pairs over either algebra
   to counting admissible word pairs, and bands to the induction
@@ -16,9 +13,14 @@ apart:
   the Wong sequences of its radical pencil.  What it checks against the
   matrices: the group relations, the extraction's own bookkeeping (the
   Wong counts are nonnegative and fill the top and the radical), the A4
-  vertex profile, the total dimension, and two hom counts Hom(X, M),
-  each the kernel of the cyclic probe X's relations on M, against the
-  counts ``hom_labels`` predicts from the extracted multiset.
+  vertex profile, the total dimension, and two hom counts Hom(X, M) from
+  the fixed space ker [sigma + 1; tau + 1] (or, for N_{2,0}, from
+  ker(tau + 1)), against the counts ``hom_labels`` predicts from the
+  extracted multiset.
+
+The radical is a col_basis, the identity at its pivot rows: the unit
+vectors at the other rows span a top, and the coordinates of a vector in
+the radical are its entries at the pivot rows, checked by one product.
 
 The summands of a module with rad^2 = 0 are the Kronecker blocks of the
 pencil its radical maps form from the top to the radical, graded over A4
@@ -39,48 +41,22 @@ All arithmetic is exact; nothing is randomized.
 import numpy as np
 
 from ._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
-                      coords_in_basis, hstack, kron, preimage_space, vstack)
+                      coords_at_pivots, coords_in_basis, hstack,
+                      preimage_space, vstack)
 from .ramification import INF
 from .ratlaurent import Poly, field_roots
 from .decomp import KHLabel, KGLabel
 from .modulezoo import (StringWord, a4_quiver_rep_from_group,
-                        induce_restrict_label, kg_label_word, probe_hom,
+                        induce_restrict_label, kg_label_word,
                         validate_group_rep)
 
 __all__ = [
     "Matrix",
     "MultiplicitySolution",
     "decompose_rep",
-    "hom_dim",
     "hom_labels",
     "string_pair_homs",
 ]
-
-
-def _same_field(s1, s2):
-    return s1 is s2 or (s1.m == s2.m and s1.modulus == s2.modulus)
-
-
-# ---------------------------------------------------------------------------
-# hom dimensions between explicit representations
-
-def hom_dim(X, Y):
-    """dim Hom(X, Y) for two representations of one group.
-
-    Sets up T g_X = g_Y T as a linear system in the entries of T and
-    returns its nullity.  Exact and assumption-free, but dense: the
-    system has dim(X) dim(Y) unknowns, so keep the inputs modest.
-    """
-    if X.group != Y.group or not _same_field(X.spec, Y.spec):
-        raise ValueError("hom_dim needs representations of one group "
-                         "over one field")
-    gx = X.generators()
-    gy = Y.generators()
-    IX = Matrix.identity(X.spec, X.dim)
-    IY = Matrix.identity(Y.spec, Y.dim)
-    rows = [kron(IY, gx[name].transpose()) + kron(gy[name], IX)
-            for name in sorted(gx)]
-    return X.dim * Y.dim - vstack(rows).rank()
 
 
 # ---------------------------------------------------------------------------
@@ -296,16 +272,14 @@ class _StructureError(Exception):
         self.proven = proven
 
 
-def _complement(S, d):
-    """Coordinate vectors extending colspace(S) to the whole space."""
-    spec = S.spec
-    aug = hstack([S, Matrix.identity(spec, d)])
-    _, piv = aug.rref()
-    extra = [p - S.cols for p in piv if p >= S.cols]
-    out = np.zeros((d, len(extra)), dtype=np.int64)
-    for t, c in enumerate(extra):
-        out[c, t] = 1
-    return Matrix(spec, out)
+def _complement(rows, d):
+    """The coordinate vectors at the rows of a d-space other than the
+    pivot rows of a col_basis: they extend it to the whole space, since
+    the basis is the identity at its pivot rows.  Returned as indices,
+    so a map on them is a column selection."""
+    free = np.ones(d, dtype=bool)
+    free[rows] = False
+    return np.flatnonzero(free)
 
 
 def _charpoly(N):
@@ -485,10 +459,10 @@ def _klein_counts(M):
     B = M.tau + I
     if not (A @ B).is_zero():
         raise _StructureError("radical square acts nonzero", proven=True)
-    rad = col_basis(hstack([A, B]))
-    top = _complement(rad, d)
-    Abar = coords_in_basis(rad, A @ top)
-    Bbar = coords_in_basis(rad, B @ top)
+    rad, rows = col_basis(hstack([A, B]))
+    top = _complement(rows, d)
+    Abar = coords_at_pivots(rad, rows, Matrix(spec, A.a[:, top]))
+    Bbar = coords_at_pivots(rad, rows, Matrix(spec, B.a[:, top]))
     right, left, inf, zero, finite = _kronecker([Bbar], [Abar])
     counts = {}
     for (n, _), c in right.items():
@@ -503,7 +477,7 @@ def _klein_counts(M):
         for n, c in sizes.items():
             counts[KHLabel.even(2 * n, lam)] = c
     shapes = [(_kh_shape(lab), c) for lab, c in counts.items()]
-    if (sum(s[0] * c for s, c in shapes) != top.cols
+    if (sum(s[0] * c for s, c in shapes) != top.size
             or sum(s[1] * c for s, c in shapes) != rad.cols):
         raise _StructureError("top/radical bookkeeping does not close")
     return counts
@@ -516,6 +490,7 @@ def _a4_pencil(M):
         qrep = a4_quiver_rep_from_group(M)
     except ValueError as err:
         raise _StructureError(str(err), proven=True)
+    spec = M.spec
     gout = {}
     dout = {}
     for name, (s, t) in qrep.quiver.arrows.items():
@@ -524,9 +499,11 @@ def _a4_pencil(M):
            for v in range(3)]
     C, D = [], []
     for v in range(3):
-        top = _complement(rad[v], qrep.vertex_dims[v])
-        C.append(coords_in_basis(rad[(v + 1) % 3], gout[v] @ top))
-        D.append(coords_in_basis(rad[(v + 2) % 3], dout[v] @ top))
+        top = _complement(rad[v][1], qrep.vertex_dims[v])
+        C.append(coords_at_pivots(*rad[(v + 1) % 3],
+                                  Matrix(spec, gout[v].a[:, top])))
+        D.append(coords_at_pivots(*rad[(v + 2) % 3],
+                                  Matrix(spec, dout[v].a[:, top])))
     return D, C
 
 
@@ -641,25 +618,33 @@ def _spot_check(M, counts):
 
     The probes are the two smallest labels of the side (the trivial
     module and the tube at 0 over H, the simples S_0 and S_1 over G),
-    those larger than M left out, counted by probe_hom.  Returns the
+    those larger than M left out.  Hom(k, M) is the fixed space
+    K = ker [A; B], A = sigma + 1 and B = tau + 1, eliminated once per
+    model: an H restriction takes its model's K.  Hom(S_i, M) is
+    ker((rho + zeta^i) K) and Hom(N_{2,0}, M) is ker B.  Returns the
     counts by label string.
     """
     spec = M.spec
+    I = Matrix.identity(spec, M.dim)
+    if M._fixed is None:
+        M._fixed = vstack([M.sigma + I, M.tau + I]).right_nullspace()
+    K = M._fixed
     if M.group == "H":
-        probes = [KHLabel.triv(), KHLabel.even(2, spec.zero())]
+        got = {KHLabel.triv(): K.cols}
+        if M.dim >= 2:
+            got[KHLabel.even(2, spec.zero())] = M.dim - (M.tau + I).rank()
     else:
-        probes = [KGLabel.simple(0), KGLabel.simple(1)]
+        got = {KGLabel.simple(i):
+               K.cols - ((M.rho + I.scale(spec.zeta() ** i)) @ K).rank()
+               for i in (0, 1)}
     out = {}
-    for X in probes:
-        if X.dim > M.dim:
-            continue
-        got = probe_hom(X, M)
+    for X, n in got.items():
         want = sum(c * hom_labels(spec, X, Y) for Y, c in counts.items())
-        if got != want:
+        if n != want:
             raise RuntimeError(
                 "internal extraction inconsistency: dense hom count "
                 f"disagrees at {X}")
-        out[str(X)] = got
+        out[str(X)] = n
     return out
 
 

@@ -2,19 +2,24 @@
 expectations for the parametric families, and slow reference versions of
 the field's exp/log tables, its bit-loop scalar arithmetic and its zeta
 solver, of the coefficient loops of polynomial products and division, of
-the matrix kernel's row reduction, kernel bases and rank, of root
-multiplicities and adic expansions, of rational-function sums, of trace
-splitting, of the oracle's field-wide parameter scan and of the
-three-reduction A4 precheck."""
+the matrix kernel's products, row reduction, kernel bases and rank, of
+root multiplicities and adic expansions, of rational-function sums, of
+trace splitting, of the oracle's field-wide parameter scan and of the
+three-reduction A4 precheck.  Also the explicit constructions that only
+tests use: matrices from rows, Kronecker products, the dense hom
+dimension, the stacked-rank probe counts, induction to A4 and direct
+sums of label models."""
 
 import math
 
 import numpy as np
 
-from a4diff._linalg import Matrix, _inv_mask, _mul_arrays
+from a4diff._linalg import Matrix, _inv_mask, _mul_arrays, vstack
 from a4diff.artin_schreier import A4Report, is_as_trivial, symmetrize_h
+from a4diff.decomp import KHLabel
 from a4diff.gf import FieldElement, _pmulmod, _ppowmod, all_elements
-from a4diff.ramification import analyze_branch_data
+from a4diff.modulezoo import GroupRep, kg_group_rep, kh_group_rep
+from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly, RatFunc, rho_pullback, trace_K_over_J
 
 
@@ -413,3 +418,114 @@ def reference_rank_drops(P, Q, skip_zero=False):
     order = reference_scan_order(P.spec, skip_zero)
     ranks = [(P + Q.scale(lam)).rank() for lam in order]
     return [lam for lam, rk in zip(order, ranks) if rk < max(ranks)]
+
+
+def reference_product(A, B):
+    """The masks of A @ B, one bit-loop multiply per term."""
+    f = A.spec.modulus
+    out = [[0] * B.cols for _ in range(A.rows)]
+    for i in range(A.rows):
+        for j in range(B.cols):
+            for k in range(A.cols):
+                out[i][j] ^= _pmulmod(int(A.a[i, k]), int(B.a[k, j]), f)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# explicit constructions that only tests use
+
+def matrix_from_rows(spec, rows):
+    """A Matrix from nested lists of masks."""
+    arr = np.array(rows, dtype=np.int64)
+    if arr.ndim != 2:
+        arr = arr.reshape(len(rows), -1)
+    return Matrix(spec, arr)
+
+
+def kron(A, B):
+    """Kronecker product, row-major block layout."""
+    prod = _mul_arrays(A.spec, A.a[:, None, :, None], B.a[None, :, None, :])
+    return Matrix(A.spec, prod.reshape(A.rows * B.rows, A.cols * B.cols))
+
+
+def hom_dim(X, Y):
+    """dim Hom(X, Y) for two representations of one group.
+
+    Sets up T g_X = g_Y T as a linear system in the entries of T and
+    returns its nullity.  Exact and assumption-free, but dense: the
+    system has dim(X) dim(Y) unknowns, so keep the inputs modest.
+    """
+    if X.group != Y.group or not (
+            X.spec is Y.spec or (X.spec.m == Y.spec.m
+                                 and X.spec.modulus == Y.spec.modulus)):
+        raise ValueError("hom_dim needs representations of one group "
+                         "over one field")
+    gx = X.generators()
+    gy = Y.generators()
+    IX = Matrix.identity(X.spec, X.dim)
+    IY = Matrix.identity(Y.spec, Y.dim)
+    rows = [kron(IY, gx[name].transpose()) + kron(gy[name], IX)
+            for name in sorted(gx)]
+    return X.dim * Y.dim - vstack(rows).rank()
+
+
+def probe_hom(X, M):
+    """dim Hom(X, M) for a cyclic zoo module X (Triv, N_{2,lam}, S_i):
+    the kernel on M of the relations of X's generator, one rank of the
+    stacked relations.  With A = sigma + 1 and B = tau + 1,
+    Hom(k, M) = ker [A; B], Hom(N_{2,lam}, M) = ker(B + lam A) (ker A at
+    lam = inf) and Hom(S_i, M) = ker [A; B; rho + zeta^i].
+    """
+    spec = M.spec
+    I = Matrix.identity(spec, M.dim)
+    A, B = M.sigma + I, M.tau + I
+    if X.kind == "EvenDim":
+        assert X.dim == 2
+        rel = A if X.param is INF else B + A.scale(X.param)
+    elif X.kind == "Triv":
+        rel = vstack([A, B])
+    else:
+        assert X.kind == "Simple"
+        rel = vstack([A, B, M.rho + I.scale(spec.zeta() ** X.i)])
+    return M.dim - rel.rank()
+
+
+def induce_to_g(hrep):
+    """Induce an H-representation to G along the coset basis 1, rho, rho^2.
+
+    sigma permutes the cosets trivially but twists by the conjugate
+    generator on each block; rho cycles the blocks.  The result satisfies
+    the relations of G whenever hrep satisfies those of H.
+    """
+    assert hrep.group == "H"
+    spec = hrep.spec
+    d = hrep.dim
+    dims = [d, d, d]
+    s, t = hrep.sigma, hrep.tau
+    st = s @ t
+    sigma = Matrix.assemble(spec, dims, dims,
+                            {(0, 0): s, (1, 1): st, (2, 2): t})
+    tau = Matrix.assemble(spec, dims, dims,
+                          {(0, 0): t, (1, 1): s, (2, 2): st})
+    I = Matrix.identity(spec, d)
+    rho = Matrix.assemble(spec, dims, dims,
+                          {(1, 0): I, (2, 1): I, (0, 2): I})
+    return GroupRep("G", spec, sigma, tau, rho)
+
+
+def labels_group_rep(spec, labels):
+    """Block diagonal model of a label multiset (all kH or all kG)."""
+    reps = [kh_group_rep(spec, lab) if isinstance(lab, KHLabel)
+            else kg_group_rep(spec, lab) for lab in labels]
+    assert reps
+    group = reps[0].group
+    assert all(r.group == group for r in reps)
+    dims = [r.dim for r in reps]
+
+    def diag(pick):
+        return Matrix.assemble(spec, dims, dims,
+                               {(i, i): pick(r) for i, r in enumerate(reps)})
+
+    rho = diag(lambda r: r.rho) if group == "G" else None
+    return GroupRep(group, spec, diag(lambda r: r.sigma),
+                    diag(lambda r: r.tau), rho)

@@ -13,8 +13,8 @@ from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import (KGLabel, KHLabel, _string_block, kG_decomposition,
                            kH_decomposition, mu_nu, restrict_decomposition)
 from a4diff.gf import FieldSpec
-from a4diff.modulezoo import (kg_group_rep, kh_group_rep, labels_group_rep,
-                              restrict_to_h, validate_group_rep, zoo_labels)
+from a4diff.modulezoo import (kg_group_rep, kh_group_rep, restrict_to_h,
+                              validate_group_rep, zoo_labels)
 from a4diff.oracle import decompose_rep
 from a4diff.ramification import (INF, analyze_branch_data, lambda_of_phi,
                                  phi_of_lambda)
@@ -23,7 +23,8 @@ from a4diff.repbuilder import build_global_rep
 from a4diff._families import (degenerate_orbit_alpha, generic_orbit_alpha,
                               hkg_alpha)
 
-from helpers import analyzed_random_datum
+from helpers import (analyzed_random_datum, hom_dim, induce_to_g,
+                     labels_group_rep)
 from test_oracle import (conjugated, kg_zoo, kh_zoo, multiset,
                          rand_kg_multiset, rand_kh_multiset)
 
@@ -180,8 +181,8 @@ def test_criterion_6_zoo_soundness():
 
     # Frobenius reciprocity on every pair from the sliced families,
     # counted through the closed-form hom tables on both sides
-    from a4diff.modulezoo import induce_restrict_label, induce_to_g
-    from a4diff.oracle import hom_dim, hom_labels
+    from a4diff.modulezoo import induce_restrict_label
+    from a4diff.oracle import hom_labels
     params = [SPEC.zero(), ONE, Z, Z * Z, SPEC.element(9), INF]
     phis = [Z, SPEC.element(9), SPEC.element(5)]
     kg_side = kg_zoo(24, phis)

@@ -15,6 +15,8 @@ from a4diff._linalg import Matrix
 from a4diff.cli import JobSpec, run_cli
 from a4diff.gf import FieldSpec
 
+from helpers import matrix_from_rows
+
 S5 = '{"num":[0,0,0,0,0,1],"den":[1]}'
 S3 = '{"num":[0,0,0,1],"den":[1]}'
 S2S = '{"num":[0,1,1],"den":[1]}'
@@ -328,7 +330,7 @@ def test_zoo_flags_a_model_that_breaks_the_relations(capsys, monkeypatch):
     from a4diff.modulezoo import GroupRep
 
     def broken(spec, label):
-        J = Matrix.from_rows(spec, [[0, 1], [1, 1]])
+        J = matrix_from_rows(spec, [[0, 1], [1, 1]])
         return GroupRep("H", spec, J, Matrix.identity(spec, 2))
 
     monkeypatch.setattr("a4diff.modulezoo.kh_group_rep", broken)

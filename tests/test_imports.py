@@ -54,3 +54,13 @@ def test_verify_loads_numpy_but_not_numpy_ma(m):
         ["verify", "--m", m, "--alpha", S5, "--json"]))
     assert "numpy" in mods and "a4diff.oracle" in mods
     assert "numpy.ma" not in mods
+
+
+def test_the_genus_234_verify_loads_no_numpy_ma():
+    # the large-matrix run: every product, elimination and coordinate
+    # read of the oracle runs, none of which may sort through np.unique
+    mods = loaded_after(run_cli_code(
+        ["examples", "--which", "1", "--n", "2", "--x", "2", "--m", "8",
+         "--verify", "--json"]))
+    assert "a4diff.oracle" in mods
+    assert "numpy.ma" not in mods

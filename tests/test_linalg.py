@@ -7,11 +7,14 @@ import pytest
 
 from a4diff import _linalg
 from a4diff._linalg import (Matrix, _div_arrays, _field_tables,
-                            _gather_product, _inv_mask, _mul_arrays)
+                            _gather_product, _inv_mask, _mul_arrays,
+                            _nonzeros, _pair_product, col_basis,
+                            coords_at_pivots, coords_in_basis, hstack)
 from a4diff.gf import (FieldSpec, _ppowmod, _pmulmod, default_modulus,
                        is_irreducible_gf2)
 
-from helpers import (gf2_blowup_rank, reference_field_tables,
+from helpers import (gf2_blowup_rank, matrix_from_rows,
+                     reference_field_tables, reference_product,
                      reference_right_nullspace, reference_rref)
 
 SHAPES = [(0, 3, 4), (3, 0, 4), (3, 4, 0), (1, 1, 1), (2, 1, 3), (5, 7, 4),
@@ -26,22 +29,19 @@ def random_matrix(rnd, spec, rows, cols, density=1.0):
     return Matrix(spec, np.array(masks, dtype=np.int64).reshape(rows, cols))
 
 
-def scalar_product(A, B):
-    """A @ B entry by entry with FieldElement arithmetic."""
-    spec = A.spec
-    out = [[spec.zero() for _ in range(B.cols)] for _ in range(A.rows)]
-    for i in range(A.rows):
-        for j in range(B.cols):
-            for k in range(A.cols):
-                out[i][j] = out[i][j] + A.element(i, k) * B.element(k, j)
-    return [[e.mask for e in row] for row in out]
+def monomial_matrix(rnd, spec, n):
+    """A permutation matrix with random nonzero masks for its ones."""
+    out = np.zeros((n, n), dtype=np.int64)
+    out[np.arange(n), rnd.sample(range(n), n)] = [
+        rnd.randrange(1, spec.order) for _ in range(n)]
+    return Matrix(spec, out)
 
 
 @pytest.mark.parametrize("m", [2, 8, 12, 18, 20, 26, 28, 30, 32])
 def test_product_matches_scalar_reference(m, monkeypatch):
-    # the gathered product both ways round and the product that picks
-    # between them, on dense, sparse and zero operands, on direct tables
-    # up to m = 16 and on the tower above
+    # the gathered product both ways round, the pair product and the
+    # product that picks among them, on dense, sparse and zero operands,
+    # on direct tables up to m = 16 and on the tower above
     spec = FieldSpec(m)
     rnd = random.Random(m)
     cases = [(n, k, p, 1.0) for n, k, p in SHAPES]
@@ -51,14 +51,15 @@ def test_product_matches_scalar_reference(m, monkeypatch):
                  random_matrix(rnd, spec, k, p, density))
                 for n, k, p, density in cases]
     # all-ones masks carry into every reduction step
-    full = Matrix.from_rows(spec, [[spec.order - 1] * 3] * 3)
+    full = matrix_from_rows(spec, [[spec.order - 1] * 3] * 3)
     operands.append((full, full))
     for A, B in operands:
-        want = scalar_product(A, B)
+        want = reference_product(A, B)
+        pairs = _pair_product(spec, A.a, B.a, _nonzeros(A.a), _nonzeros(B.a))
         # __matmul__ runs the gathered product transposed when B is the
         # cheaper side to gather
         got = [(A @ B).a, _gather_product(spec, A.a, B.a),
-               _gather_product(spec, B.a.T, A.a.T).T]
+               _gather_product(spec, B.a.T, A.a.T).T, pairs]
         with monkeypatch.context() as mp:
             # runs of a few terms split rows between passes
             mp.setattr(_linalg, "_TERMS", 5)
@@ -66,6 +67,52 @@ def test_product_matches_scalar_reference(m, monkeypatch):
         for C in got:
             assert C.shape == (A.rows, B.cols)
             assert C.tolist() == want, (m, A.shape, B.shape)
+
+
+@pytest.mark.parametrize("m", [2, 8, 12, 20, 32])
+def test_pair_product_matches_the_gathered_product(m, monkeypatch):
+    # monomial, sparse, dense, all-zero and empty operands, contiguous
+    # and as transposed views, against the gathered product and the
+    # bit-loop reference, in one run of pairs and in runs of a few
+    spec = FieldSpec(m)
+    rnd = random.Random(400 + m)
+    mats = [monomial_matrix(rnd, spec, 9)]
+    mats += [random_matrix(rnd, spec, 9, 9, d) for d in (0.1, 0.3, 1.0)]
+    mats.append(Matrix.zeros(spec, 9, 9))
+    operands = [(A, B) for A in mats for B in mats]
+    # column 4 of A against a full row 4 of B: each nonzero of A has
+    # more pairs than a run of 5 holds
+    col = Matrix.zeros(spec, 9, 9)
+    col.a[:, 4] = 1 + np.arange(9) % (spec.order - 1)
+    operands.append((col, mats[3]))
+    operands += [(random_matrix(rnd, spec, n, k, 0.5),
+                  random_matrix(rnd, spec, k, p, 0.5))
+                 for n, k, p in [(0, 4, 3), (4, 0, 3), (4, 3, 0), (0, 0, 0)]]
+    for terms in (_linalg._TERMS, 5):
+        monkeypatch.setattr(_linalg, "_TERMS", terms)
+        for A, B in operands:
+            want = reference_product(A, B)
+            for a, b in ((A.a, B.a), (B.a.T, A.a.T)):
+                got = _pair_product(spec, a, b, _nonzeros(a), _nonzeros(b))
+                assert got.shape == (a.shape[0], b.shape[1])
+                assert (got == _gather_product(spec, a, b)).all()
+                if a is A.a:
+                    assert got.tolist() == want
+            assert (A @ B).a.tolist() == want
+            assert (B.transpose() @ A.transpose()).a.T.tolist() == want
+    # at this size __matmul__ multiplies pairs for monomial and sparse
+    # operands, and gathers for dense ones
+    calls = []
+    pair_product = _linalg._pair_product
+    monkeypatch.setattr(_linalg, "_pair_product",
+                        lambda *args: calls.append(1) or pair_product(*args))
+    big = [monomial_matrix(rnd, spec, 64),
+           random_matrix(rnd, spec, 64, 64, 0.02),
+           random_matrix(rnd, spec, 64, 64, 1.0)]
+    for A in big:
+        for B in big:
+            assert ((A @ B).a == _gather_product(spec, A.a, B.a)).all()
+    assert len(calls) == 4
 
 
 def _next_irreducible(f):
@@ -122,11 +169,38 @@ def test_division_matches_product_by_the_inverse(m):
 
 @pytest.mark.parametrize("m", range(2, 17, 2))
 def test_field_tables_match_the_plain_build(m):
+    # the plain tables, then a zero tail that log[0] points at: a log
+    # sum or difference with a zero operand reads 0 there
     spec = FieldSpec(m)
     exp, log = _field_tables(spec)
     ref_exp, ref_log = reference_field_tables(spec)
+    n = ref_exp.size
+    assert n == 2 * (spec.order - 1)
     assert exp.dtype == ref_exp.dtype and log.dtype == ref_log.dtype
-    assert (exp == ref_exp).all() and (log == ref_log).all()
+    assert exp.shape == (2 * n + 1,) and log.shape == ref_log.shape
+    assert (exp[:n] == ref_exp).all() and not exp[n:].any()
+    assert (log[1:] == ref_log[1:]).all() and log[0] == n
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+def test_a_zero_factor_gives_zero_everywhere(m):
+    # every pair of masks, zeros included: products against the bit
+    # loop, and quotients by every nonzero mask
+    spec = FieldSpec(m)
+    q = spec.order
+    a = np.repeat(np.arange(q), q)
+    b = np.tile(np.arange(q), q)
+    want = [_pmulmod(int(x), int(y), spec.modulus) for x, y in zip(a, b)]
+    assert _mul_arrays(spec, a, b).tolist() == want
+    assert not _mul_arrays(spec, np.int64(0), np.arange(q)).any()
+    nonzero = b != 0
+    quot = _div_arrays(spec, a[nonzero], b[nonzero])
+    assert not quot[a[nonzero] == 0].any()
+    assert _mul_arrays(spec, quot, b[nonzero]).tolist() == \
+        a[nonzero].tolist()
+    for y in range(1, q):
+        assert not _div_arrays(spec, np.zeros(3, dtype=np.int64),
+                               np.int64(y)).any()
 
 
 @pytest.mark.parametrize("m", [8, 12, 18, 26, 28, 30, 32])
@@ -157,3 +231,31 @@ def test_rref_and_kernel_match_the_normalising_reference(m):
             assert piv == piv_ref
             assert R == R_ref
             assert A.right_nullspace() == reference_right_nullspace(A)
+
+
+@pytest.mark.parametrize("m", [2, 8, 20])
+def test_coordinates_at_pivot_rows_match_the_row_reduced_solve(m):
+    # a col_basis is the identity at its pivot rows, so the coordinates
+    # of a vector in its span are the vector's entries there; a unit
+    # vector at another row, plus anything in the span, is outside
+    spec = FieldSpec(m)
+    rnd = random.Random(500 + m)
+    for density in (0.1, 0.5, 1.0):
+        for _ in range(8):
+            d, r = rnd.randint(1, 12), rnd.randint(0, 6)
+            S = (random_matrix(rnd, spec, d, r, density)
+                 @ random_matrix(rnd, spec, r, rnd.randint(0, 8), density))
+            B, rows = col_basis(S)
+            assert B.a[rows].tolist() == np.eye(B.cols, dtype=int).tolist()
+            vecs = B @ random_matrix(rnd, spec, B.cols, 4, density)
+            X = coords_at_pivots(B, rows, vecs)
+            assert X == coords_in_basis(B, vecs)
+            free = sorted(set(range(d)) - set(rows))
+            if free:
+                out = vecs.copy()
+                out.a[rnd.choice(free), 2] ^= rnd.randrange(1, spec.order)
+                for solve in (coords_in_basis,
+                              lambda B, v: coords_at_pivots(B, rows, v)):
+                    with pytest.raises(ValueError,
+                                       match="vector outside the spanning"):
+                        solve(B, hstack([vecs, out]))

@@ -19,7 +19,6 @@ from a4diff.modulezoo import (
     StringWord,
     band_module_matrices,
     induce_restrict_label,
-    induce_to_g,
     kG_group_matrices,
     kg_group_rep,
     kg_quiver_rep,
@@ -32,6 +31,8 @@ from a4diff.modulezoo import (
     zoo_labels,
 )
 
+from helpers import induce_to_g, matrix_from_rows
+
 F = FieldSpec(m=8)
 Z = F.zeta()
 Z2 = Z * Z
@@ -39,7 +40,7 @@ ONE = F.one()
 
 
 def mat(rows):
-    return Matrix.from_rows(F, rows)
+    return matrix_from_rows(F, rows)
 
 
 # ------------------------------------------------------------- matrices

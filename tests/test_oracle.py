@@ -12,17 +12,16 @@ from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.gf import FieldSpec, all_elements
-from a4diff.modulezoo import (GroupRep, induce_restrict_label, induce_to_g,
-                              kg_group_rep, kh_group_rep, labels_group_rep,
-                              probe_hom, restrict_to_h, zoo_labels)
+from a4diff.modulezoo import (GroupRep, induce_restrict_label, kg_group_rep,
+                              kh_group_rep, restrict_to_h, zoo_labels)
 from a4diff.oracle import (MultiplicitySolution, _charpoly, _kronecker,
-                           decompose_rep, hom_dim, hom_labels,
-                           string_pair_homs)
+                           decompose_rep, hom_labels, string_pair_homs)
 from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
-from helpers import gf2_blowup_rank, reference_rank_drops
+from helpers import (gf2_blowup_rank, hom_dim, induce_to_g, labels_group_rep,
+                     matrix_from_rows, probe_hom, reference_rank_drops)
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -68,7 +67,7 @@ def model(label):
 def conjugated(M, rnd):
     d = M.dim
     while True:
-        S = Matrix.from_rows(M.spec,
+        S = matrix_from_rows(M.spec,
                              [[rnd.randrange(256) for _ in range(d)]
                               for _ in range(d)])
         if S.rank() == d:
@@ -142,16 +141,16 @@ class TestRankInvariants:
     def test_product_rank_bounded(self):
         rnd = random.Random(11)
         for _ in range(10):
-            A = Matrix.from_rows(SPEC, [[rnd.randrange(256) for _ in range(7)]
+            A = matrix_from_rows(SPEC, [[rnd.randrange(256) for _ in range(7)]
                                         for _ in range(5)])
-            B = Matrix.from_rows(SPEC, [[rnd.randrange(4) for _ in range(6)]
+            B = matrix_from_rows(SPEC, [[rnd.randrange(4) for _ in range(6)]
                                         for _ in range(7)])
             assert (A @ B).rank() <= min(A.rank(), B.rank())
 
     def test_rank_stable_under_transposed_elimination(self):
         rnd = random.Random(12)
         for _ in range(10):
-            A = Matrix.from_rows(SPEC, [[rnd.randrange(256) for _ in range(8)]
+            A = matrix_from_rows(SPEC, [[rnd.randrange(256) for _ in range(8)]
                                         for _ in range(6)])
             assert A.rank() == A.transpose().rank()
             assert A.rank() == gf2_blowup_rank(A)
@@ -354,11 +353,40 @@ class TestDecompose:
             str(X): hom_dim(kg_group_rep(SPEC, X), M)
             for X in (KGLabel.simple(0), KGLabel.simple(1))}
 
+    @pytest.mark.parametrize("which", ["zoo", "genus234"])
+    def test_spot_check_counts_match_the_stacked_ranks(self, which):
+        # S_0 and S_1 from the fixed space K = ker [A; B] of the G
+        # model, Triv from the same K inherited by the H restriction and
+        # N_{2,0} from ker B, against one rank of the stacked relations
+        # each (probe_hom)
+        if which == "zoo":
+            # the bands whose parameter is a cube, as the oracle needs
+            F16 = FieldSpec(4)
+            cubes = {p ** 3 for p in all_elements(F16)}
+            models = [kg_group_rep(F16, lab)
+                      for lab in zoo_labels(F16, 8, "kG")
+                      if lab.kind != "Band" or lab.param in cubes]
+        else:
+            data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 2, 2)))
+            models = [build_global_rep(data).rep]
+            assert models[0].dim == 234
+        for M in models:
+            spec = M.spec
+            assert M._fixed is None
+            simples = (KGLabel.simple(0), KGLabel.simple(1))
+            assert decompose_rep(M).spot_hom == {
+                str(X): probe_hom(X, M) for X in simples}
+            H = restrict_to_h(M)
+            assert H._fixed is M._fixed is not None
+            probes = [KHLabel.triv(), KHLabel.even(2, spec.zero())]
+            assert decompose_rep(H).spot_hom == {
+                str(X): probe_hom(X, H) for X in probes if X.dim <= M.dim}
+
     def test_projective_summand_rejected(self):
         # the regular module of the Klein four group is projective and
         # outside the inventory; the radical square acts nonzero on it.
         def perm(cols):
-            return Matrix.from_rows(
+            return matrix_from_rows(
                 SPEC, [[1 if cols[j] == i else 0 for j in range(4)]
                        for i in range(4)])
         M = GroupRep("H", SPEC, perm([1, 0, 3, 2]), perm([2, 3, 0, 1]))
@@ -403,10 +431,10 @@ class TestDecompose:
 
     def test_relation_violation_propagates(self):
         I = Matrix.identity(SPEC, 2)
-        J = Matrix.from_rows(SPEC, [[1, 1], [0, 1]])
+        J = matrix_from_rows(SPEC, [[1, 1], [0, 1]])
         sol = decompose_rep(GroupRep("H", SPEC, J, J))
         assert sol.multiplicities == {KHLabel.even(2, ONE): 1}
-        bad = GroupRep("H", SPEC, Matrix.from_rows(SPEC, [[0, 1], [1, 1]]), I)
+        bad = GroupRep("H", SPEC, matrix_from_rows(SPEC, [[0, 1], [1, 1]]), I)
         with pytest.raises(ValueError, match="relation violation"):
             decompose_rep(bad)
 
@@ -608,7 +636,7 @@ class TestDropCandidates:
         z = spec.zeta().mask
         rnd = random.Random(5)
         P, Q = planted_pencil(spec, rnd, [1], [], [(1, 1)], [1])
-        comp = Matrix.from_rows(spec, [[0, z], [1, 1]])
+        comp = matrix_from_rows(spec, [[0, z], [1, 1]])
         P = Matrix.assemble(spec, [P.rows, 2], [P.cols, 2],
                             {(0, 0): P, (1, 1): comp})
         Q = Matrix.assemble(spec, [Q.rows, 2], [Q.cols, 2],
