@@ -30,11 +30,19 @@ zero operand reads 0 with no mask.  So one product kernel serves every
 field.  numpy enters here: the scalar layers below never import it.
 
 Rank is the number of pivots of the row reduction over the field, which
-is vectorized one pivot at a time.  A pivot row is not normalised when
-it is found: each other row with an entry in the pivot column takes the
-pivot row times M[o, j] / M[r, j], and rows without an entry there are
-skipped.  The pivot rows are scaled to a leading 1 once, at the end,
-which gives the same reduced matrix.
+runs in two stages.  The peel finds every row with a single nonzero at
+once: e_j is then in the row space, so j is a pivot column and e_j its
+reduced row.  Such columns leave every row, which may leave new rows
+with a single nonzero, and the peel repeats until none is left.  The
+rows still nonzero make the core, reduced one pivot column at a time
+over the columns still nonzero; only rows with an entry in the pivot
+column change, each by M[o, j] / M[r, j] times the pivot row, and a
+pivot row is scaled to a leading 1 once, at the end.  The reduced
+matrix is unique, so the rows of both stages, merged by pivot column,
+are the whole reduction.  This is structured Gaussian elimination
+(LaMacchia and Odlyzko, "Solving large sparse linear systems over
+finite fields", CRYPTO '90): the models' matrices are nearly monomial,
+and their reductions are mostly peeled.
 """
 
 import numpy as np
@@ -121,9 +129,9 @@ def _inv_mask(spec, mask):
 
 def _nonzeros(a):
     """Row and column indices of a's nonzeros, in row-major order."""
-    # flatnonzero of a boolean array: np.nonzero of an int64 matrix
-    # takes several times as long
-    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
+    # the flat nonzeros of a boolean array: np.nonzero of an int64
+    # matrix takes several times as long
+    return np.divmod((a != 0).ravel().nonzero()[0], a.shape[1])
 
 
 def _run_starts(keys):
@@ -188,6 +196,57 @@ def _pair_product(spec, a, b, anz, bnz):
         starts = _run_starts(key)
         out[key[starts]] ^= np.bitwise_xor.reduceat(terms, starts)
     return out.reshape(rows, cols)
+
+
+def _eliminate(spec, a):
+    """The row reduction of a, unscaled: (pivot column mask, the core's
+    pivot rows and their pivot columns, or None, None if it has none).
+
+    The peel takes the pivot columns of the rows with a single nonzero
+    and drops them from the nonzeros of every row, until no such row
+    is left; the core is a's other nonzero rows with those columns
+    zeroed, reduced in place over the columns still nonzero.  Its pivot
+    rows come out in pivot order, zero at every other pivot column.
+    """
+    ii, jj = _nonzeros(a)
+    count = np.bincount(ii, minlength=a.shape[0])
+    single = count[ii] == 1         # the nonzeros of one-entry rows
+    pivot = np.zeros(a.shape[1], dtype=bool)
+    while np.count_nonzero(single):
+        pivot[jj[single]] = True
+        keep = ~pivot[jj]
+        ii, jj = ii[keep], jj[keep]
+        count = np.bincount(ii, minlength=a.shape[0])
+        single = count[ii] == 1
+    M = a[count.nonzero()[0]]
+    M[:, pivot] = 0
+    live = np.zeros(a.shape[1], dtype=bool)
+    live[jj] = True
+    # pivot rows stay where they are: a column's pivot is its first row
+    # with an entry that is not yet a pivot row
+    free = [True] * M.shape[0]
+    piv, top = [], []
+    for j in live.nonzero()[0].tolist():
+        if len(top) == M.shape[0]:
+            break
+        hit = M[:, j].nonzero()[0]
+        for r in hit.tolist():
+            if free[r]:
+                break
+        else:
+            continue
+        free[r] = False
+        if hit.size > 1:
+            others = hit[hit != r]
+            f = _div_arrays(spec, M[others, j], M[r, j])
+            M[others, j:] ^= _mul_arrays(spec, f[:, None], M[r, j:])
+        piv.append(j)
+        top.append(r)
+    if not top:
+        return pivot, None, None
+    piv = np.array(piv)
+    pivot[piv] = True
+    return pivot, M[top], piv
 
 
 class Matrix:
@@ -286,36 +345,22 @@ class Matrix:
     # -- elimination ------------------------------------------------
 
     def rank(self):
-        return len(self.rref()[1])
+        return int(np.count_nonzero(_eliminate(self.spec, self.a)[0]))
 
     def rref(self):
         """(reduced matrix, pivot column list), over the field."""
-        M = self.a.copy()
         spec = self.spec
-        piv = []
-        r = 0
-        for j in range(self.cols):
-            if r == self.rows:
-                break
-            hit = M[r:, j].nonzero()[0]
-            if hit.size == 0:
-                continue
-            i = r + int(hit[0])
-            if i != r:
-                M[[r, i]] = M[[i, r]]
-            # Row r is zero left of j; only rows with an entry in column j
-            # change, each by M[o, j] / M[r, j] times row r.
-            others = M[:, j].nonzero()[0]
-            others = others[others != r]
-            if others.size:
-                f = _div_arrays(spec, M[others, j], M[r, j])
-                M[others, j:] ^= _mul_arrays(spec, f[:, None], M[r, j:])
-            piv.append(j)
-            r += 1
-        # the pivot rows are scaled to a leading 1 once, at the end
-        lead = M[np.arange(r), np.array(piv, dtype=np.intp)]
-        M[:r] = _mul_arrays(spec, _inv_mask(spec, lead)[:, None], M[:r])
-        return Matrix(spec, M), piv
+        pivot, top, core_piv = _eliminate(spec, self.a)
+        piv = pivot.nonzero()[0]
+        R = np.zeros(self.shape, dtype=np.int64)
+        R[np.arange(piv.size), piv] = 1
+        if top is not None:
+            # the core's pivot rows, scaled to a leading 1, in their
+            # places among the peeled unit rows
+            lead = top[np.arange(core_piv.size), core_piv]
+            R[piv.searchsorted(core_piv)] = _div_arrays(spec, top,
+                                                        lead[:, None])
+        return Matrix(spec, R), piv.tolist()
 
     def right_nullspace(self):
         """Matrix whose columns form a basis of the kernel."""

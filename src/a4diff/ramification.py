@@ -337,22 +337,12 @@ class RamData:
     def r(self):
         return len(self.special)
 
-    @property
-    def ell(self):
-        return len(self.orbits)
-
     def branch_points(self):
         """All branch points: special first, then orbits in order."""
         for bp in self.special:
             yield bp
         for orb in self.orbits:
             yield from orb.points
-
-    def point_at(self, place):
-        for bp in self.branch_points():
-            if bp.place == place:
-                return bp
-        raise KeyError(place.key())
 
     def to_json(self):
         return {
@@ -385,11 +375,6 @@ def _numerology(points):
     return genus, differents, jumps
 
 
-def genus_and_differents(data):
-    """Recompute (genus, differents, jumps) from the per-point records."""
-    return _numerology(list(data.branch_points()))
-
-
 def _analyze_point(spec, alpha, rho_alpha, rho2_alpha, place, epsilon):
     p_values = []
     for f in (alpha, rho_alpha, rho2_alpha):
@@ -416,11 +401,12 @@ def _analyze_point(spec, alpha, rho_alpha, rho2_alpha, place, epsilon):
 def analyze_branch_data(form):
     """Full branch-point analysis of a reduced trace-zero datum.
 
-    form is the output of symmetrize_h (or any object exposing a
-    reduced alpha via .alpha_reduced).  Raises ValueError on an empty
-    branch locus, a nonzero trace, a finite pole whose orbit is not
-    contained in the branch locus (the subcover is then not totally
-    ramified above it), or degenerate leading data.
+    form is an ASForm, the output of symmetrize_h or as_reduce; its
+    pole table is read as the poles of its alpha_reduced, which are not
+    factored again.  Raises ValueError on an empty branch locus, a
+    nonzero trace, a finite pole whose orbit is not contained in the
+    branch locus (the subcover is then not totally ramified above it),
+    or degenerate leading data.
     """
     alpha = form.alpha_reduced
     spec = alpha.spec
@@ -431,12 +417,12 @@ def analyze_branch_data(form):
 
     inf_pl = Place.infinity()
     zero_pl = Place.zero(spec)
-    pole_table = alpha.poles()
+    pole_table = form.pole_table
     inverted = False
     if zero_pl in pole_table and inf_pl not in pole_table:
         # normalize so that any special branch point includes infinity
-        alpha = as_reduce(alpha.substitute_inverse()).alpha_reduced
-        pole_table = alpha.poles()
+        form = as_reduce(alpha.substitute_inverse())
+        alpha, pole_table = form.alpha_reduced, form.pole_table
         inverted = True
         assert inf_pl in pole_table and zero_pl not in pole_table
 

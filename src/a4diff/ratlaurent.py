@@ -203,11 +203,6 @@ class Poly:
             acc = _mask_mul(spec, acc, mask) ^ c
         return acc
 
-    def div_linear(self, c: int):
-        """Quotient and remainder for division by (s + c); O(deg)."""
-        q, r = _divmod_binomial(self.coeffs, 1, _multiplier(self.spec, c))
-        return Poly(self.spec, q), (r[0] if r else 0)
-
     def adic_coeffs(self, c: int, count: int) -> list[int]:
         """First `count` coefficients of the (s + c)-adic expansion.
 
@@ -338,12 +333,6 @@ class Place:
     def key(self) -> str:
         """Serialization key: 'inf' or the decimal mask."""
         return "inf" if self.kind == "inf" else str(self.value.mask)
-
-    @classmethod
-    def from_key(cls, spec: FieldSpec, key: str) -> "Place":
-        if key == "inf":
-            return cls.infinity()
-        return cls.finite(spec.element(int(key)))
 
     def __eq__(self, other):
         if not isinstance(other, Place):
@@ -494,9 +483,6 @@ class RatFunc:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_constant(self) -> bool:
-        return self.num.degree <= 0 and self.den.degree == 0
-
     def __eq__(self, other):
         if not isinstance(other, RatFunc):
             return NotImplemented
@@ -505,13 +491,6 @@ class RatFunc:
 
     def __hash__(self):
         return hash((self.num, self.den))
-
-    def eval_at(self, value: FieldElement) -> FieldElement:
-        d = self.den.eval(value.mask)
-        if d == 0:
-            raise ZeroDivisionError("evaluation at a pole")
-        n = self.num.eval(value.mask)
-        return self.spec.element(_mask_mul(self.spec, n, _mask_inv(self.spec, d)))
 
     # -- local data --------------------------------------------------------
 

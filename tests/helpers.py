@@ -8,7 +8,10 @@ trace splitting, of the oracle's field-wide parameter scan and of the
 three-reduction A4 precheck.  Also the explicit constructions that only
 tests use: matrices from rows, Kronecker products, the dense hom
 dimension, the stacked-rank probe counts, induction to A4 and direct
-sums of label models."""
+sums of label models; and the accessors only tests read: division by
+one linear factor, places from keys, constancy and evaluation of
+rational functions, the orbit count, the branch point at a place and
+the recomputed numerology of branch data."""
 
 import math
 
@@ -17,10 +20,12 @@ import numpy as np
 from a4diff._linalg import Matrix, _inv_mask, _mul_arrays, vstack
 from a4diff.artin_schreier import A4Report, is_as_trivial, symmetrize_h
 from a4diff.decomp import KHLabel
-from a4diff.gf import FieldElement, _pmulmod, _ppowmod, all_elements
+from a4diff.gf import (FieldElement, _mask_inv, _mask_mul, _pmulmod,
+                       _ppowmod, all_elements)
 from a4diff.modulezoo import GroupRep, kg_group_rep, kh_group_rep
-from a4diff.ramification import INF, analyze_branch_data
-from a4diff.ratlaurent import Poly, RatFunc, rho_pullback, trace_K_over_J
+from a4diff.ramification import INF, _numerology, analyze_branch_data
+from a4diff.ratlaurent import (Place, Poly, RatFunc, _divmod_binomial,
+                               _multiplier, rho_pullback, trace_K_over_J)
 
 
 def cube_roots_of_unity(spec):
@@ -34,6 +39,50 @@ def linear_power(spec, mask, e):
     for _ in range(e):
         out = out * Poly(spec, (mask, 1))
     return out
+
+
+def div_linear(p, c):
+    """Quotient and remainder of p by (s + c); O(deg)."""
+    q, r = _divmod_binomial(p.coeffs, 1, _multiplier(p.spec, c))
+    return Poly(p.spec, q), (r[0] if r else 0)
+
+
+def place_from_key(spec, key):
+    """The place of a serialization key: 'inf' or a decimal mask."""
+    if key == "inf":
+        return Place.infinity()
+    return Place.finite(spec.element(int(key)))
+
+
+def is_constant(f):
+    return f.num.degree <= 0 and f.den.degree == 0
+
+
+def eval_at(f, value):
+    """f at a field element; raises ZeroDivisionError at a pole."""
+    d = f.den.eval(value.mask)
+    if d == 0:
+        raise ZeroDivisionError("evaluation at a pole")
+    n = f.num.eval(value.mask)
+    return f.spec.element(_mask_mul(f.spec, n, _mask_inv(f.spec, d)))
+
+
+def ell(data):
+    """The number of finite branch orbits of branch data."""
+    return len(data.orbits)
+
+
+def point_at(data, place):
+    """The branch point of branch data at a place."""
+    for bp in data.branch_points():
+        if bp.place == place:
+            return bp
+    raise KeyError(place.key())
+
+
+def genus_and_differents(data):
+    """Recompute (genus, differents, jumps) from the per-point records."""
+    return _numerology(list(data.branch_points()))
 
 
 def random_trace_zero_alpha(rnd, spec, max_orbits=2, allow_inf=True,
@@ -349,7 +398,7 @@ def reference_root_split(p, c):
         return math.inf, None
     v = 0
     while True:
-        q, r = p.div_linear(c)
+        q, r = div_linear(p, c)
         if r != 0:
             return v, p
         v += 1
@@ -361,7 +410,7 @@ def reference_adic_coeffs(p, c, count):
     whole quotient by s + c per coefficient: O(count deg)."""
     out = []
     for _ in range(count):
-        p, r = p.div_linear(c)
+        p, r = div_linear(p, c)
         out.append(r)
     return out
 

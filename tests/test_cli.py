@@ -217,12 +217,17 @@ def test_golden_example_reports(capsys, args, digest):
 
 
 # sha256 of the --verify --json stdout of two family-3 examples whose
-# H-side tube parameters and A4-side band parameters the oracle has to find
+# H-side tube parameters and A4-side band parameters the oracle has to
+# find, of the genus-234 hkg model and of family 2 over the tower (m = 18)
 GOLDEN_VERIFY_REPORTS = [
     (("--which", "3", "--n", "1", "--m", "12", "--psi", "19"),
      "70194bcbd212363c6eb9a90d27d65138f44d0fc22977e1c373d6754ab9797ee9"),
     (("--which", "3", "--n", "2", "--m", "16"),
      "ec55214ddfa8e067850020eb9a1df8a0681da02e61d3a76113395d4e7ae46d34"),
+    (("--which", "1", "--n", "2", "--x", "2", "--m", "8"),
+     "9ea674ae301f2b6affa14be552a955fca402a9614fb899851d6bc80fae792141"),
+    (("--which", "2", "--n", "4", "--m", "18"),
+     "371bea00c124230facedf7df777c26b6813ddb1e6dec5e0b27b631544afab28b"),
 ]
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from a4diff import _linalg
-from a4diff._linalg import (Matrix, _div_arrays, _field_tables,
+from a4diff._linalg import (Matrix, _div_arrays, _eliminate, _field_tables,
                             _gather_product, _inv_mask, _mul_arrays,
                             _nonzeros, _pair_product, col_basis,
                             coords_at_pivots, coords_in_basis, hstack)
@@ -231,6 +231,67 @@ def test_rref_and_kernel_match_the_normalising_reference(m):
             assert piv == piv_ref
             assert R == R_ref
             assert A.right_nullspace() == reference_right_nullspace(A)
+
+
+def peel_cases(rnd, spec):
+    """(name, matrix) pairs of the shapes the peel must handle."""
+    def nonzero():
+        return rnd.randrange(1, spec.order)
+
+    def unit_rows(cols, picks):
+        out = np.zeros((len(picks), cols), dtype=np.int64)
+        out[np.arange(len(picks)), picks] = [nonzero() for _ in picks]
+        return out
+
+    cases = [("monomial", monomial_matrix(rnd, spec, n).a)
+             for n in (1, 5, 12)]
+    # two singleton rows in each column, and singletons over a dense core
+    cases.append(("shared", np.concatenate(
+        [monomial_matrix(rnd, spec, 7).a, monomial_matrix(rnd, spec, 7).a])))
+    cases.append(("shared over dense", np.concatenate(
+        [unit_rows(9, [4, 1, 4, 7]), random_matrix(rnd, spec, 5, 9).a])))
+    # singleton columns that denser rows also use, rows in random order
+    dense = random_matrix(rnd, spec, 8, 10, 0.4).a
+    dense[:, [2, 5]] = [[nonzero(), nonzero()] for _ in range(8)]
+    mixed = np.concatenate([dense, unit_rows(10, [5, 2, 9])])
+    cases.append(("singleton under dense", mixed[rnd.sample(range(11), 11)]))
+    # a bidiagonal chain: each peel leaves one new singleton row, until
+    # the last peel; then the same chain under a dense block
+    n = 9
+    chain = np.zeros((n, n), dtype=np.int64)
+    chain[np.arange(n), np.arange(n)] = [nonzero() for _ in range(n)]
+    chain[np.arange(n - 1), np.arange(1, n)] = [nonzero() for _ in range(n - 1)]
+    cases.append(("chain", chain[rnd.sample(range(n), n)]))
+    cases.append(("chain under dense", np.concatenate(
+        [np.concatenate([chain, np.zeros((n, 4), dtype=np.int64)], axis=1),
+         random_matrix(rnd, spec, 3, n + 4).a])))
+    # zero rows and columns around a sparse block, and empty shapes
+    block = np.zeros((10, 11), dtype=np.int64)
+    block[2:8, 3:10] = random_matrix(rnd, spec, 6, 7, 0.3).a
+    block[[2, 5]] = 0
+    cases.append(("zero rows and columns", block))
+    cases.append(("zero", np.zeros((4, 6), dtype=np.int64)))
+    cases += [("empty", np.zeros(shape, dtype=np.int64))
+              for shape in ((0, 5), (5, 0), (0, 0))]
+    return [(name, Matrix(spec, a)) for name, a in cases]
+
+
+@pytest.mark.parametrize("m", [2, 8, 16, 18, 32])
+def test_rref_peels_to_the_normalising_reference(m):
+    # the peel takes singleton rows, those left by earlier peels and
+    # shared columns; the pivot loop reduces the rest; the merged rows
+    # are the reference's, and rank counts its pivots
+    spec = FieldSpec(m)
+    rnd = random.Random(700 + m)
+    for name, A in peel_cases(rnd, spec):
+        R, piv = A.rref()
+        R_ref, piv_ref = reference_rref(A)
+        assert piv == piv_ref, name
+        assert R == R_ref, name
+        assert A.rank() == len(piv_ref), name
+        if name in ("monomial", "shared", "chain"):
+            # nothing is left for the pivot loop
+            assert _eliminate(spec, A.a)[1] is None, name
 
 
 @pytest.mark.parametrize("m", [2, 8, 20])
