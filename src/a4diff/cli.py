@@ -70,6 +70,9 @@ class JobSpec:
         self.alpha = alpha
         self.mode = mode
         self.options = dict(options or {})
+        trunc = self.options.get("trunc")
+        if trunc is not None and _json_int(trunc, "trunc") < 0:
+            raise UsageError(f"trunc must be >= 0, got {trunc}")
 
     def to_json(self):
         options = {k: v for k, v in sorted(self.options.items())
@@ -88,12 +91,14 @@ class JobSpec:
             fobj = obj["field"]
             if not isinstance(fobj, dict) or "m" not in fobj:
                 raise UsageError("job field must be an object with an m key")
-            if "modulus" in fobj:
-                field = FieldSpec.from_json(fobj)
-            else:
-                field = FieldSpec(int(fobj["m"]))
+            _json_int(fobj["m"], "field m")
+            field = (FieldSpec.from_json(fobj) if "modulus" in fobj
+                     else FieldSpec(fobj["m"]))
         else:
-            field = FieldSpec(int(obj.get("m", 8)), obj.get("modulus"))
+            modulus = obj.get("modulus")
+            field = FieldSpec(_json_int(obj.get("m", 8), "m"),
+                              None if modulus is None
+                              else _json_int(modulus, "modulus"))
         alpha = None
         if "alpha" in obj:
             alpha = _parse_alpha_obj(field, obj["alpha"])
@@ -133,6 +138,13 @@ class Report:
         if self.hkg is not None:
             out["hkg"] = self.hkg
         return out
+
+
+def _json_int(value, what):
+    """value if it is a JSON integer; anything else is a usage error."""
+    if type(value) is not int:
+        raise UsageError(f"job {what} must be an integer, got {value!r}")
+    return value
 
 
 def _truncated_ram(obj, trunc):
@@ -299,11 +311,11 @@ def _synthesize_example(job):
     if not isinstance(ex, dict) or "which" not in ex:
         raise UsageError("examples mode needs options.example.which")
     which = ex["which"]
-    n = int(ex.get("n", 1))
+    n = _json_int(ex.get("n", 1), "example n")
     if n < 1:
         raise UsageError("example index n must be >= 1")
     if which == 1:
-        x = int(ex.get("x", 1))
+        x = _json_int(ex.get("x", 1), "example x")
         if x < 1:
             raise UsageError("example twist x must be >= 1")
         return hkg_alpha(job.field, n, x)
@@ -323,7 +335,7 @@ def _synthesize_example(job):
             ex["psi"] = psi.mask
         else:
             field = job.field
-            if not 0 <= psi_mask < field.order:
+            if not 0 <= _json_int(psi_mask, "example psi") < field.order:
                 raise ValueError(
                     f"unsupported field: psi mask {psi_mask} is outside "
                     f"GF(2^{field.m})")

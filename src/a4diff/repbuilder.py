@@ -4,23 +4,21 @@ Builds, from analyzed branch data, the sigma/tau/rho matrices acting on the
 labelled differential basis.  sigma and tau act blockwise through the local
 two-generator tables at each branch point; rho acts by zeta-power diagonals
 at the fixed points, by a banded theta block across each middle range, and
-by scalar permutation around each finite orbit.  The matrices are emitted
-in the basis as labelled, before any change of basis; identifying the
+by scalar permutation around each finite orbit.  On a datum without fixed
+branch points, rho on the index-one sextet of the leading orbit comes from
+one linear solve of the conjugation relations.  Every block is written
+down directly, with no search and no repair.  The matrices are emitted in
+the basis as labelled, before any change of basis; identifying the
 isomorphism classes of the summands is the hom-space oracle's job.
 """
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from ._linalg import Matrix, _mul_arrays, coords_in_basis
-from .gf import _mask_mul
 from .modulezoo import GroupRep
 from .ramification import INF, RamData
-
-log = logging.getLogger(__name__)
 
 __all__ = ["BasisLabel", "GlobalRep", "build_global_rep"]
 
@@ -142,31 +140,18 @@ def _fill_special(spec, pt, offset, labels, Sg, Tg, Rg, plan):
     zp = [spec.one().mask, z.mask, (z * z).mask]
     ranges = _family_ranges(m, m, k, a)
     point_labels = _point_labels(place, m, m, k, a)
-    pos = {}
-    for t, lab in enumerate(point_labels):
-        pos[(lab.family, lab.index)] = offset + t
+    slot = [(lab.family, lab.index) for lab in point_labels]
+    pos = {fi: offset + t for t, fi in enumerate(slot)}
     labels.extend(point_labels)
 
     def jexp(idx):
         return (1 - eps * idx) % 3
 
-    one = spec.one().mask
-    theta = pt.theta
-    # sigma - 1: family 3 drops to family 1 at the same index
-    for i in range(ranges[3][0], ranges[3][1] + 1):
-        Sg[pos[(1, i)], pos[(3, i)]] = one
-    # tau - 1: family 2 drops to family 1; the corrected tail spreads theta
-    for i in range(ranges[2][0], ranges[2][1] + 1):
-        Tg[pos[(1, i)], pos[(2, i)]] = one
-    w_lo, w_hi = mu1 + k + 1, mu2 + k
-    for i3 in range(max(w_lo, ranges[3][0]), w_hi + 1):
-        for t in range(i3 - mu1 - k):
-            tgt = i3 - t
-            if (1, tgt) not in pos:
-                log.info("theta correction outside family 1 at %s: "
-                         "index %d dropped", place.key(), tgt)
-                continue
-            Tg[pos[(1, tgt)], pos[(3, i3)]] = theta[t].mask
+    # sigma and tau: the local table, theta tail included
+    block = slice(offset, offset + len(slot))
+    Sp, Tp = _table_patterns(spec, slot, ranges, mu1, mu2, k, 0, pt.theta)
+    Sg[block, block] = Sp.a
+    Tg[block, block] = Tp.a
     # rho: zeta-power diagonal on family 1
     for i in range(ranges[1][0], ranges[1][1] + 1):
         Rg[pos[(1, i)], pos[(1, i)]] = zp[jexp(i)]
@@ -181,35 +166,26 @@ def _fill_special(spec, pt, offset, labels, Sg, Tg, Rg, plan):
     entry = {"place": place.key(), "kind": "special", "a": a, "k": k,
              "epsilon": eps, "mu": [mu1, mu2, mu3], "n": n}
     if n >= 1:
-        T = _band_matrix(spec, theta, n)
+        w_lo = mu1 + k + 1
+        T = _band_matrix(spec, pt.theta, n)
         P = np.zeros((n, n), dtype=np.int64)
         for p in range(n):
             P[p, p] = zp[jexp(w_lo + p)]
-        Q = coords_in_basis(T, Matrix(spec, P))
-        for p in range(n):
-            for q in range(n):
-                if Q.a[p, q]:
-                    Rg[pos[(3, w_lo + p)], pos[(3, w_lo + q)]] = Q.a[p, q]
+        tail = [pos[(3, w_lo + p)] for p in range(n)]
+        Rg[np.ix_(tail, tail)] = coords_in_basis(T, Matrix(spec, P)).a
         Theta = T.a.copy()
         np.fill_diagonal(Theta, 0)
-        eye = np.zeros((n, n), dtype=np.int64)
-        np.fill_diagonal(eye, one)
-        if pt.lam == z:
-            th1, th2 = Theta ^ eye, Theta
-        else:
-            th1, th2 = Theta, Theta ^ eye
         entry["Theta"] = [[int(x) for x in row] for row in Theta]
-        entry["Theta1"] = [[int(x) for x in row] for row in th1]
-        entry["Theta2"] = [[int(x) for x in row] for row in th2]
     plan.append(entry)
     return len(point_labels)
 
 
 def _table_patterns(spec, pos_list, ranges, mu1, mu2, k, nu, theta):
-    """(sigma_y, tau_y) table matrices on one orbit-member slot.
+    """(sigma_y, tau_y) table matrices on one point's slot.
 
     pos_list maps (family, index) to a slot-local position; returns the
-    two generator matrices in that ordering.
+    two generator matrices in that ordering.  nu is zero at a fixed
+    point and (M - m) / 2 on an orbit member.
     """
     du = len(pos_list)
     order = {fi: t for t, fi in enumerate(pos_list)}
@@ -222,15 +198,13 @@ def _table_patterns(spec, pos_list, ranges, mu1, mu2, k, nu, theta):
         Sp[order[(1, i)], order[(3, i)]] ^= one
     for i in range(ranges[2][0], ranges[2][1] + 1):
         Tp[order[(1, i)], order[(2, i)]] ^= one
+    # the corrected tail spreads theta from family 3 into family 1.  Its
+    # targets run over [mu1 + k + 1 + nu, i3 + nu], inside family 1's
+    # range [lo, mu3 + nu + k] since mu1 >= 1 and i3 <= mu2 + k <= mu3 + k
     w_lo, w_hi = mu1 + k + 1, mu2 + k
     for i3 in range(max(w_lo, ranges[3][0]), w_hi + 1):
         for t in range(i3 - mu1 - k):
-            tgt = i3 + nu - t
-            if (1, tgt) not in order:
-                log.info("theta correction outside family 1: index %d "
-                         "dropped", tgt)
-                continue
-            Tp[order[(1, tgt)], order[(3, i3)]] ^= theta[t].mask
+            Tp[order[(1, i3 + nu - t)], order[(3, i3)]] ^= theta[t].mask
     return Matrix(spec, Sp), Matrix(spec, Tp)
 
 
@@ -266,89 +240,53 @@ def _conj_diag(spec, M, exps, t):
 def _solve_udagger_rho(spec, sig6, tau6):
     """rho on the six-dimensional index-one block of the leading orbit.
 
-    The two family-1 vectors span the socle; rho is pinned there and the
-    remaining columns are solved from the conjugation relations.  Any
-    solution conjugates correctly, so a cube defect is unipotent with
-    square-zero difference and rho^4 repairs it.
+    The two family-1 vectors span the socle; rho is pinned there (columns
+    0 and 3) and columns 1, 2, 4, 5 are solved from R sigma = tau R and
+    R tau = (sigma tau) R.  On column-stacked R each relation R A = B R
+    is the system kron(A^T, I) + kron(I, B); the entries of A and B are 0
+    and 1, so numpy's integer Kronecker product is the field's.  The
+    pinned columns move to the right-hand side, and coords_in_basis
+    returns the solution whose free unknowns are zero.  Over every local
+    case pair and field that solution cubes to the identity.
     """
     z = spec.zeta()
-    pinned = {0: [(0, spec.one().mask), (3, z.mask)],        # f'1 column
-              3: [(0, (z * z).mask)]}                        # f''1 column
-    free_cols = [j for j in range(6) if j not in pinned]
-    var_index = {(i, j): t for t, (i, j) in enumerate(
-        (i, j) for j in free_cols for i in range(6))}
-    nvars = len(var_index)
-    st6 = sig6 @ tau6
-    rows, rhs = [], []
-    for A, B in ((sig6, tau6), (tau6, st6)):
-        for i in range(6):
-            for j in range(6):
-                row = np.zeros(nvars, dtype=np.int64)
-                acc = 0
-                for p in range(6):
-                    ca = A.a[p, j]
-                    if ca:
-                        if p in pinned:
-                            for (pi, pm) in pinned[p]:
-                                if pi == i:
-                                    acc ^= _mask_mul(spec, pm, int(ca))
-                        else:
-                            row[var_index[(i, p)]] ^= ca
-                    cb = B.a[i, p]
-                    if cb:
-                        if j in pinned:
-                            for (pi, pm) in pinned[j]:
-                                if pi == p:
-                                    acc ^= _mask_mul(spec, int(cb), pm)
-                        else:
-                            row[var_index[(p, j)]] ^= cb
-                rows.append(row)
-                rhs.append(acc)
-    Msys = Matrix(spec, np.array(rows, dtype=np.int64))
-    b = Matrix(spec, np.array(rhs, dtype=np.int64)[:, None])
-    try:
-        x0 = coords_in_basis(Msys, b)
-    except ValueError as exc:
-        raise RuntimeError(
-            "internal: index-one block relations are unsolvable") from exc
-    kernel = Msys.right_nullspace()
-
-    def assemble(xcol):
-        R = np.zeros((6, 6), dtype=np.int64)
-        for j, ents in pinned.items():
-            for (i, mk) in ents:
-                R[i, j] = mk
-        for (i, j), t in var_index.items():
-            R[i, j] = int(xcol[t])
-        return Matrix(spec, R)
-
-    def candidates():
-        yield x0.a[:, 0]
-        for t in range(kernel.cols):
-            yield x0.a[:, 0] ^ kernel.a[:, t]
-        if kernel.cols:
-            rng = np.random.default_rng(7)
-            for _ in range(64):
-                co = rng.integers(0, spec.order, size=(kernel.cols, 1))
-                shift = kernel @ Matrix(spec, co.astype(np.int64))
-                yield x0.a[:, 0] ^ shift.a[:, 0]
-
-    rho = None
-    for xc in candidates():
-        R = assemble(xc)
-        if R.rank() == 6:
-            rho = R
-            break
-    if rho is None:
-        raise RuntimeError("internal: no invertible index-one block action")
-    I6 = Matrix.identity(spec, 6)
-    cube = rho @ rho @ rho
-    if cube != I6:
-        rho = rho @ cube
-        if rho @ rho @ rho != I6:
-            raise RuntimeError("internal: index-one block cube defect "
-                               "did not split")
+    I6 = np.eye(6, dtype=np.int64)
+    K = np.vstack([np.kron(A.a.T, I6) ^ np.kron(I6, B.a)
+                   for A, B in ((sig6, tau6), (tau6, sig6 @ tau6))])
+    R = np.zeros((6, 6), dtype=np.int64)
+    R[0, 0], R[3, 0], R[0, 3] = spec.one().mask, z.mask, (z * z).mask
+    pinned, free = [0, 3], [1, 2, 4, 5]
+    pin_vars = [6 * j + i for j in pinned for i in range(6)]
+    free_vars = [6 * j + i for j in free for i in range(6)]
+    rhs = Matrix(spec, K[:, pin_vars]) @ \
+        Matrix(spec, R[:, pinned].reshape(-1, 1, order="F"))
+    x = coords_in_basis(Matrix(spec, K[:, free_vars]), rhs)
+    R[:, free] = x.a.reshape(6, 4, order="F")
+    rho = Matrix(spec, R)
+    if rho @ rho @ rho != Matrix.identity(spec, 6):
+        raise RuntimeError("internal: index-one block action does not "
+                           "cube to the identity")
     return rho
+
+
+def _index_one_block(spec, cases):
+    """(sigma, tau, rho) on the index-one sextet f'1..f'3, f''1..f''3.
+
+    cases are the local cases of the two primed members; each contributes
+    the three-dimensional table at index one, resolved to actual generators.
+    """
+    one = spec.one().mask
+    S3 = np.eye(3, dtype=np.int64) * one
+    T3 = S3.copy()
+    S3[0, 2] = T3[0, 1] = one
+    sig6 = np.zeros((6, 6), dtype=np.int64)
+    tau6 = np.zeros((6, 6), dtype=np.int64)
+    for b, case in zip((slice(0, 3), slice(3, 6)), cases):
+        Av, Bv = _actual_generators(case, Matrix(spec, S3), Matrix(spec, T3))
+        sig6[b, b] = Av.a
+        tau6[b, b] = Bv.a
+    sig6, tau6 = Matrix(spec, sig6), Matrix(spec, tau6)
+    return sig6, tau6, _solve_udagger_rho(spec, sig6, tau6)
 
 
 def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
@@ -433,32 +371,13 @@ def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
         # index-one sextet on the primed members, socle action pinned
         sex = [(1, 1, 1), (1, 2, 1), (1, 3, 1),
                (2, 1, 1), (2, 2, 1), (2, 3, 1)]
-        gidx = [gpos[mem][(fam, i)] for mem, fam, i in sex]
-        blocks = []
-        one = spec.one().mask
-        for mem in (1, 2):
-            pt = orbit.points[mem]
-            S3 = np.zeros((3, 3), dtype=np.int64)
-            T3 = np.zeros((3, 3), dtype=np.int64)
-            np.fill_diagonal(S3, one)
-            np.fill_diagonal(T3, one)
-            S3[0, 2] ^= one
-            T3[0, 1] ^= one
-            c = _resolve_case(spec, pt)
-            Av, Bv = _actual_generators(c, Matrix(spec, S3),
-                                        Matrix(spec, T3))
-            blocks.append((Av, Bv))
-        sig6 = np.zeros((6, 6), dtype=np.int64)
-        tau6 = np.zeros((6, 6), dtype=np.int64)
-        sig6[:3, :3] = blocks[0][0].a
-        sig6[3:, 3:] = blocks[1][0].a
-        tau6[:3, :3] = blocks[0][1].a
-        tau6[3:, 3:] = blocks[1][1].a
-        rho6 = _solve_udagger_rho(spec, Matrix(spec, sig6),
-                                  Matrix(spec, tau6))
-        Sg[np.ix_(gidx, gidx)] = sig6
-        Tg[np.ix_(gidx, gidx)] = tau6
-        Rg[np.ix_(gidx, gidx)] = rho6.a
+        idx = [gpos[mem][(fam, i)] for mem, fam, i in sex]
+        gidx = np.ix_(idx, idx)
+        cases = [_resolve_case(spec, pt) for pt in orbit.points[1:]]
+        sig6, tau6, rho6 = _index_one_block(spec, cases)
+        Sg[gidx] = sig6.a
+        Tg[gidx] = tau6.a
+        Rg[gidx] = rho6.a
     return cursor - offset
 
 

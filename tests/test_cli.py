@@ -103,6 +103,24 @@ def test_alpha_from_file_and_trunc(tmp_path, capsys):
     assert all(len(bp["theta"]) <= 1 for bp in obj["ram"]["special"])
 
 
+def test_negative_trunc_is_a_usage_error(tmp_path, capsys):
+    # a negative slice bound would silently drop the last coefficients
+    code, _, err = run(capsys, "analyze", "--alpha", S5, "--trunc", "-1",
+                       "--json")
+    assert code == 1 and "trunc" in err
+    code, out, _ = run(capsys, "analyze", "--alpha", S5, "--trunc", "0",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["ram"]["special"][0]["theta"] == []
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"m": 8, "alpha": json.loads(S5),
+                                "options": {"trunc": -1}}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--batch", str(path))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("usage: trunc")
+
+
 # ---------------------------------------------------------------- hkg
 
 def test_hkg_invariants_block(capsys):
@@ -315,6 +333,27 @@ def test_batch_survives_malformed_jobs(tmp_path, capsys):
     assert lines[1]["verification"]["status"] == "PASS"
     assert "cube root" in lines[2]["error"]
     assert "alpha" in lines[3]["error"]
+
+
+@pytest.mark.parametrize("job", [
+    {"m": "x"},
+    {"m": 8, "modulus": "q"},
+    {"field": {"m": "x"}},
+    {"field": {"m": "x", "modulus": [1, 1, 1]}},
+    {"m": 8, "options": {"trunc": "1"}},
+    {"mode": "examples", "options": {"example": {"which": 1, "n": "x"}}},
+    {"mode": "examples", "options": {"example": {"which": 1, "x": "x"}}},
+    {"mode": "examples", "options": {"example": {"which": 3, "psi": "q"}}},
+])
+def test_batch_job_with_a_malformed_number_is_a_usage_error(tmp_path, capsys,
+                                                            job):
+    if job.get("mode") != "examples":
+        job["alpha"] = json.loads(S5)
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps(job), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--batch", str(path))
+    assert code == 1
+    assert json.loads(out)["error"].startswith("usage: job ")
 
 
 # ---------------------------------------------------------------- zoo

@@ -54,6 +54,7 @@ def test_verify_loads_numpy_but_not_numpy_ma(m):
         ["verify", "--m", m, "--alpha", S5, "--json"]))
     assert "numpy" in mods and "a4diff.oracle" in mods
     assert "numpy.ma" not in mods
+    assert "logging" not in mods
 
 
 def test_the_genus_234_verify_loads_no_numpy_ma():

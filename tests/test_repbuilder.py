@@ -1,17 +1,20 @@
 """Explicit global matrices versus the closed-form decompositions."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
 
-from a4diff.gf import FieldSpec
+from a4diff._linalg import Matrix
+from a4diff.gf import FieldSpec, default_modulus, is_irreducible_gf2
 from a4diff.ratlaurent import RatFunc
 from a4diff.artin_schreier import symmetrize_h
 from a4diff.ramification import analyze_branch_data
 from a4diff.decomp import KGLabel, kG_decomposition, kH_decomposition
 from a4diff.modulezoo import restrict_to_h, validate_group_rep
 from a4diff.oracle import decompose_rep
-from a4diff.repbuilder import BasisLabel, build_global_rep
+from a4diff.repbuilder import BasisLabel, _index_one_block, build_global_rep
 from a4diff._families import (
     hkg_alpha,
     degenerate_orbit_alpha,
@@ -91,11 +94,6 @@ def test_block_plan_records_theta_blocks():
     assert entry["kind"] == "special"
     assert entry["n"] == 12
     assert len(entry["Theta"]) == 12
-    # Theta1 + Theta2 = I entrywise
-    for p in range(12):
-        for q in range(12):
-            want = ONE.mask if p == q else 0
-            assert entry["Theta1"][p][q] ^ entry["Theta2"][p][q] == want
 
 
 def test_json_export_shape():
@@ -168,6 +166,72 @@ def test_degenerate_biased_random_data():
         _, data = analyzed_random_datum(rnd, F, degenerate_bias=0.6)
         gr = build_global_rep(data)
         assert_matches_closed_forms(data, gr)
+
+
+# ------------------------------------------------------- pinned matrices
+
+def _pin_fields():
+    """Every even m <= 32 under its default modulus and the next
+    irreducible one of the same degree (degree 2 has only one)."""
+    for m in range(2, 33, 2):
+        first = default_modulus(m)
+        yield FieldSpec(m, first)
+        for f in range(first + 2, 1 << (m + 1), 2):
+            if is_irreducible_gf2(f):
+                yield FieldSpec(m, f)
+                break
+
+
+def test_index_one_block_on_every_case_pair_and_field():
+    # the block depends only on the local cases of the two primed members
+    # and on the field, so these 279 inputs are all it can be asked for
+    digest = hashlib.sha256()
+    count = 0
+    for spec in _pin_fields():
+        for cases in itertools.product(("id", "swap", "mix"), repeat=2):
+            sig, tau, rho = _index_one_block(spec, cases)
+            assert rho @ rho @ rho == Matrix.identity(spec, 6)
+            assert rho @ sig == tau @ rho
+            assert rho @ tau == sig @ tau @ rho
+            for M in (sig, tau, rho):
+                digest.update(M.a.tobytes())
+            count += 1
+    assert count == 279
+    assert digest.hexdigest() == (
+        "602e3a0940acd33a0a3c27efdc01fb29586836c5b5597bfb805ebe09df2368bb")
+
+
+# a fixed-point-free datum over GF(2^8), reduced: its leading orbit
+# carries the index-one sextet, which no command-line pin reaches
+FPF_ALPHA = {
+    "num": [0, 57, 0, 0, 67, 241, 0, 137, 102, 0, 117, 53, 0, 232, 1, 0,
+            0, 19],
+    "den": [29, 0, 0, 179, 0, 0, 8, 0, 0, 211, 0, 0, 171, 0, 0, 102, 0, 0,
+            53, 0, 0, 1],
+}
+
+
+# sha256 of the int64 bytes of sigma, tau and rho, in that order
+@pytest.mark.parametrize("which,genus,digest", [
+    ("fixed_point_free", 33,
+     "84a2e57e0fb00375e531d6a261ce7bcc958b4dbd98a314ea693980b658b50299"),
+    ("hkg", 234,
+     "314357fed2207ab5886c793df84d229af79fb5a950e049251ce257a1855ea727"),
+    ("degenerate_orbit", 42,
+     "4384f31907763c094bad03ddc09d8e19c2567e77439a22eb8d940d8cf0c677f2"),
+])
+def test_built_matrices_are_pinned(which, genus, digest):
+    alpha = {"fixed_point_free": lambda: RatFunc.from_json(F, FPF_ALPHA),
+             "hkg": lambda: hkg_alpha(F, 2, 2),
+             "degenerate_orbit": lambda: degenerate_orbit_alpha(F, 2)}[which]
+    data, gr = built(alpha())
+    assert gr.dim == data.genus == genus
+    sextet = any(e.get("index_one_sextet") for e in gr.block_plan)
+    assert sextet == (which == "fixed_point_free")
+    h = hashlib.sha256()
+    for M in (gr.rep.sigma, gr.rep.tau, gr.rep.rho):
+        h.update(M.a.tobytes())
+    assert h.hexdigest() == digest
 
 
 # ------------------------------------------------------- label behavior
