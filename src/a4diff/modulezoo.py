@@ -6,12 +6,8 @@ length-two path equal to zero, and the nonprojective indecomposables
 are exactly the string and band modules of those quivers.  This module
 realizes them as honest matrices.
 
-The Klein four algebra lives on a one-vertex quiver with two loops.
-Two letter systems matter: the plain generators (A, B), related to the
-group by sigma = 1 + A and tau = 1 + B, and the eigenvector letters
-(C, D) singled out by conjugation with rho.  The same abstract module
-has a presentation in each system; the band parameters are matched by
-the Moebius correspondence phi_of_lambda.
+The Klein four algebra lives on a one-vertex quiver with two loops A
+and B, related to the group by sigma = 1 + A and tau = 1 + B.
 
 The A4 algebra lives on a three-vertex quiver, one vertex per
 eigenvalue of rho.  The gamma arrows raise the vertex index by one and
@@ -22,21 +18,25 @@ the deltas, and inverting
     B = zeta^2 C + D + zeta^2 CD
 
 recovers the group generators from any quiver representation.  rho
-itself acts as zeta^i on the vertex-i summand.
+itself acts as zeta^i on the vertex-i summand.  The models go one way
+only, from words to group matrices: the oracle reads the graded pencil
+back off the group matrices directly, with no quiver representation in
+between.
 
 String modules follow the usual recipe: basis b_1 .. b_{l+1} along the
 word, a direct letter w_j acting by alpha . b_{j+1} = b_j and an
 inverse letter by alpha . b_j = b_{j+1}.  Band modules replace basis
 vectors by blocks of size n and put a Jordan block J_n(mu) on the
 first letter.  `induce_restrict_label` exposes the label-level
-dictionary between the two zoos.
+dictionary between the two zoos; it matches the A4 band parameters with
+the Klein four ones by the Moebius correspondence phi_of_lambda.
 """
 
 import re
 
 import numpy as np
 
-from ._linalg import Matrix, col_basis, coords_at_pivots, jordan_block
+from ._linalg import Matrix, jordan_block
 from .gf import FieldElement, all_elements
 from .ramification import INF, phi_of_lambda
 from .decomp import (KHLabel, KGLabel, Decomposition, restrict_decomposition)
@@ -100,7 +100,6 @@ class Quiver:
 
 
 KLEIN_AB = Quiver("klein_ab", (0,), {"A": (0, 0), "B": (0, 0)})
-KLEIN_CD = Quiver("klein_cd", (0,), {"C": (0, 0), "D": (0, 0)})
 
 # gamma arrows raise the vertex index mod 3, delta arrows lower it.
 A4_QUIVER = Quiver("a4", (0, 1, 2), {
@@ -393,18 +392,13 @@ def _ab_from_cd(spec, C, D):
 
 
 def klein_group_matrices(rep):
-    """GroupRep of H from a representation of either Klein quiver; the
-    group relations follow from the quiver relations rep.validate checks."""
+    """GroupRep of H from a Klein four quiver representation; the group
+    relations follow from the quiver relations rep.validate checks."""
     rep.validate()
     spec = rep.spec
-    if rep.quiver is KLEIN_AB:
-        A, B = rep.arrow_mats["A"], rep.arrow_mats["B"]
-    elif rep.quiver is KLEIN_CD:
-        A, B = _ab_from_cd(spec, rep.arrow_mats["C"], rep.arrow_mats["D"])
-    else:
-        raise ValueError("expected a Klein four quiver representation")
     I = Matrix.identity(spec, rep.total_dim)
-    return GroupRep("H", spec, I + A, I + B)
+    return GroupRep("H", spec, I + rep.arrow_mats["A"],
+                    I + rep.arrow_mats["B"])
 
 
 def kG_group_matrices(rep):
@@ -443,40 +437,6 @@ def restrict_to_h(grep):
     out._valid = grep._valid
     out._fixed = grep._fixed
     return out
-
-
-def a4_quiver_rep_from_group(grep):
-    """Recover the graded quiver picture from a G-representation.
-
-    Splits the space by rho eigenvalue, rewrites sigma and tau through
-    the C, D letters and reads off the arrow blocks.  Conjugation by
-    rho scales C by zeta, so for a representation satisfying the group
-    relations the blocks land where the quiver says they should; a
-    failure of that, or of the length-two products vanishing, raises.
-    """
-    assert grep.group == "G"
-    spec = grep.spec
-    z = spec.zeta()
-    I = Matrix.identity(spec, grep.dim)
-    r = grep.rho
-    rr = r @ r
-    bases = [col_basis(I + r.scale(z ** (-i)) + rr.scale(z ** (-2 * i)))
-             for i in range(3)]
-    if sum(b.cols for b, _ in bases) != grep.dim:
-        raise ValueError("rho eigenspaces do not fill the space")
-    A = grep.sigma + I
-    B = grep.tau + I
-    AB = A @ B
-    C = A.scale(z) + B.scale(z * z) + AB
-    D = A + B.scale(z * z) + AB.scale(z)
-    arrow_mats = {}
-    for name, (s, t) in A4_QUIVER.arrows.items():
-        mat = C if name.startswith("g") else D
-        arrow_mats[name] = coords_at_pivots(*bases[t], mat @ bases[s][0])
-    rep = QuiverRep(A4_QUIVER, spec, {i: bases[i][0].cols for i in range(3)},
-                    arrow_mats)
-    rep.validate()
-    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -524,40 +484,25 @@ def _a4_descending(i, count):
 
 A4_BAND = BandWord(A4_QUIVER, "d01 ~g21 d20 ~g10 d12 ~g02")
 KLEIN_BAND_AB = BandWord(KLEIN_AB, "B ~A")
-KLEIN_BAND_CD = BandWord(KLEIN_CD, "D ~C")
 
 
-def kh_label_word(spec, label, coords="AB"):
-    """The walk of a Klein four label; None when it is a band.
-
-    In the (C, D) letters the parameter of an even-dimensional label is
-    phi_of_lambda of its (A, B) parameter, so the string cases move from
-    {0, inf} to {zeta, zeta^2} accordingly.
-    """
-    if coords == "AB":
-        quiver, first, second = KLEIN_AB, "A", "B"
-        param = getattr(label, "param", None)
-    elif coords == "CD":
-        quiver, first, second = KLEIN_CD, "C", "D"
-        param = (phi_of_lambda(spec, label.param)
-                 if label.kind == "EvenDim" else None)
-    else:
-        raise ValueError("coords must be 'AB' or 'CD'")
+def kh_label_word(label):
+    """The walk of a Klein four label; None when it is a band."""
     if label.kind == "Triv":
-        return StringWord(quiver, (), base_vertex=0)
+        return StringWord(KLEIN_AB, (), base_vertex=0)
     if label.kind == "String":
         n = (label.dim - 1) // 2
-        letters = ((rev(second), fwd(first)) * n if label.x == 1
-                   else (fwd(first), rev(second)) * n)
-        return StringWord(quiver, letters)
+        letters = ((rev("B"), fwd("A")) * n if label.x == 1
+                   else (fwd("A"), rev("B")) * n)
+        return StringWord(KLEIN_AB, letters)
     n = label.dim // 2
-    if param is INF:
-        letters = (rev(second), fwd(first)) * (n - 1) + (rev(second),)
-    elif not param:
-        letters = (rev(first), fwd(second)) * (n - 1) + (rev(first),)
+    if label.param is INF:
+        letters = (rev("B"), fwd("A")) * (n - 1) + (rev("B"),)
+    elif not label.param:
+        letters = (rev("A"), fwd("B")) * (n - 1) + (rev("A"),)
     else:
         return None
-    return StringWord(quiver, letters)
+    return StringWord(KLEIN_AB, letters)
 
 
 def kg_label_word(label):
@@ -576,16 +521,13 @@ def kg_label_word(label):
     return StringWord(A4_QUIVER, letters)
 
 
-def kh_quiver_rep(spec, label, coords="AB"):
-    """Matrices of a Klein four label, in either letter system."""
-    w = kh_label_word(spec, label, coords)
+def kh_quiver_rep(spec, label):
+    """Matrices of a Klein four label over the two-loop quiver."""
+    w = kh_label_word(label)
     if w is not None:
         return string_module_matrices(spec, w)
-    if coords == "AB":
-        band, param = KLEIN_BAND_AB, label.param
-    else:
-        band, param = KLEIN_BAND_CD, phi_of_lambda(spec, label.param)
-    return band_module_matrices(spec, band, label.dim // 2, param)
+    return band_module_matrices(spec, KLEIN_BAND_AB, label.dim // 2,
+                                label.param)
 
 
 def kg_quiver_rep(spec, label):
@@ -596,8 +538,8 @@ def kg_quiver_rep(spec, label):
     return band_module_matrices(spec, A4_BAND, label.dim // 6, label.param)
 
 
-def kh_group_rep(spec, label, coords="AB"):
-    return klein_group_matrices(kh_quiver_rep(spec, label, coords))
+def kh_group_rep(spec, label):
+    return klein_group_matrices(kh_quiver_rep(spec, label))
 
 
 def kg_group_rep(spec, label):
@@ -649,14 +591,41 @@ def induce_restrict_label(spec, label, direction):
 # ---------------------------------------------------------------------------
 # enumeration, parsing, dumps
 
+# a listing has 2^m + 1 tube labels per even dimension over H and
+# 2^m - 1 band labels per multiple of 6 over G, and zoo builds and checks
+# a model for each: a side with more labels than this is refused
+ZOO_LABEL_CAP = 1 << 14
+
+
+def zoo_label_count(spec, max_dim, side):
+    """The number of labels zoo_labels lists, without listing them."""
+    one = 1 if max_dim >= 1 else 0        # dim 1
+    odd = max(0, (max_dim - 1) // 2)      # dims 3, 5, .., max_dim
+    even = max(0, max_dim // 2)           # dims 2, 4, .., max_dim
+    if side == "kH":
+        return one + 2 * odd + even * (spec.order + 1)
+    if side == "kG":
+        return (3 * one + 6 * odd + 6 * even
+                + max(0, max_dim // 6) * (spec.order - 1))
+    raise ValueError("side must be 'kH' or 'kG'")
+
+
 def zoo_labels(spec, max_dim, side):
     """Every label of the given side with dim <= max_dim.
 
     Parameter families run over the whole working field, so the count
-    grows with the field order; callers slice as needed.
+    grows with the field order; a listing of more than ZOO_LABEL_CAP
+    labels is refused before the first label.
     """
+    count = zoo_label_count(spec, max_dim, side)
+    if count > ZOO_LABEL_CAP:
+        raise ValueError(
+            f"unsupported configuration: {count} {side} labels with "
+            f"dim <= {max_dim} over GF(2^{spec.m}), more than "
+            f"{ZOO_LABEL_CAP}")
     if side == "kH":
-        yield KHLabel.triv()
+        if max_dim >= 1:
+            yield KHLabel.triv()
         for dim in range(3, max_dim + 1, 2):
             yield KHLabel.string(dim, 1)
             yield KHLabel.string(dim, 2)
@@ -664,9 +633,10 @@ def zoo_labels(spec, max_dim, side):
             yield KHLabel.even(dim, INF)
             for lam in all_elements(spec):
                 yield KHLabel.even(dim, lam)
-    elif side == "kG":
-        for i in range(3):
-            yield KGLabel.simple(i)
+    else:
+        if max_dim >= 1:
+            for i in range(3):
+                yield KGLabel.simple(i)
         for dim in range(3, max_dim + 1, 2):
             for x in (1, 2):
                 for i in range(3):
@@ -679,44 +649,65 @@ def zoo_labels(spec, max_dim, side):
             for mu in all_elements(spec):
                 if mu:
                     yield KGLabel.band(dim, mu)
-    else:
-        raise ValueError("side must be 'kH' or 'kG'")
+
+
+def _label_dim(text, least, step):
+    """A label's dimension, one of least, least + step, ..."""
+    dim = int(text)
+    if dim < least or (dim - least) % step:
+        raise ValueError(f"dimension {dim} is not one of {least}, "
+                         f"{least + step}, {least + 2 * step}, ...")
+    return dim
+
+
+def _band_param(spec, text):
+    mu = spec.element(int(text))
+    if not mu:
+        raise ValueError("band parameter must be nonzero")
+    return mu
 
 
 _LABEL_RES = (
     (re.compile(r"^Triv$"),
      lambda spec, m: KHLabel.triv()),
     (re.compile(r"^M\[2n\+1=(\d+),x=([12])\]$"),
-     lambda spec, m: KHLabel.string(int(m[1]), int(m[2]))),
+     lambda spec, m: KHLabel.string(_label_dim(m[1], 3, 2), int(m[2]))),
     (re.compile(r"^N\[2n=(\d+),lambda=(inf|\d+)\]$"),
      lambda spec, m: KHLabel.even(
-         int(m[1]), INF if m[2] == "inf" else spec.element(int(m[2])))),
+         _label_dim(m[1], 2, 2),
+         INF if m[2] == "inf" else spec.element(int(m[2])))),
     (re.compile(r"^S\[i=([012])\]$"),
      lambda spec, m: KGLabel.simple(int(m[1]))),
     (re.compile(r"^M\[2n\+1=(\d+),x=([12]),i=([012])\]$"),
-     lambda spec, m: KGLabel.odd(int(m[1]), int(m[2]), int(m[3]))),
+     lambda spec, m: KGLabel.odd(_label_dim(m[1], 3, 2), int(m[2]),
+                                 int(m[3]))),
     (re.compile(r"^N\[2n=(\d+),\*=(inf|0),i=([012])\]$"),
      lambda spec, m: KGLabel.even(
-         int(m[1]), INF if m[2] == "inf" else 0, int(m[3]))),
+         _label_dim(m[1], 2, 2), INF if m[2] == "inf" else 0, int(m[3]))),
     (re.compile(r"^B\[6n=(\d+),mu=(\d+)\]$"),
-     lambda spec, m: KGLabel.band(int(m[1]), spec.element(int(m[2])))),
+     lambda spec, m: KGLabel.band(_label_dim(m[1], 6, 6),
+                                  _band_param(spec, m[2]))),
 )
 
 
 def parse_label(spec, text):
-    """Inverse of label_str, for the command line."""
+    """Inverse of label_str, for the command line; raises ValueError on
+    text that names no label."""
     text = text.strip()
     for pat, make in _LABEL_RES:
         m = pat.match(text)
         if m:
-            return make(spec, m)
+            try:
+                return make(spec, m)
+            except ValueError as err:
+                raise ValueError(f"invalid label {text!r}: {err}") from None
     raise ValueError(f"unrecognized label {text!r}")
 
 
-def zoo_dump(spec, label, coords="AB"):
+def zoo_dump(spec, label):
     """JSON description of one label: dims plus all the matrices."""
     if isinstance(label, KHLabel):
-        qrep = kh_quiver_rep(spec, label, coords)
+        qrep = kh_quiver_rep(spec, label)
         grep = klein_group_matrices(qrep)
         side = "kH"
     else:

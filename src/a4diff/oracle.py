@@ -11,12 +11,12 @@ intertwiner equations, and lives with the tests):
   agree here, so the reduction works on either argument).
 * ``decompose_rep`` reads the summand multiset of a representation off
   the Wong sequences of its radical pencil.  What it checks against the
-  matrices: the group relations, the extraction's own bookkeeping (the
-  Wong counts are nonnegative and fill the top and the radical), the A4
-  vertex profile, the total dimension, and two hom counts Hom(X, M) from
-  the fixed space ker [sigma + 1; tau + 1] (or, for N_{2,0}, from
-  ker(tau + 1)), against the counts ``hom_labels`` predicts from the
-  extracted multiset.
+  matrices: the group relations, rad^2 = 0 (one product AB), the
+  extraction's own bookkeeping (the Wong counts are nonnegative and fill
+  the top and the radical), the A4 vertex profile, the total dimension,
+  and two hom counts Hom(X, M) from the fixed space
+  ker [sigma + 1; tau + 1] (or, for N_{2,0}, from ker(tau + 1)), against
+  the counts ``hom_labels`` predicts from the extracted multiset.
 
 The radical is a col_basis, the identity at its pivot rows: the unit
 vectors at the other rows span a top, and the coordinates of a vector in
@@ -24,7 +24,9 @@ the radical are its entries at the pivot rows, checked by one product.
 
 The summands of a module with rad^2 = 0 are the Kronecker blocks of the
 pencil its radical maps form from the top to the radical, graded over A4
-by the rho eigenvalue.  One routine, ``_kronecker``, serves both sides.
+by the rho eigenvalue.  One front end, ``_radical_pencil``, builds that
+pencil from the group matrices on both sides, and one routine,
+``_kronecker``, takes it apart.
 It reads the strings and the tubes at infinity off the dimensions of the
 pencil's Wong sequences, vertex by vertex.  The finite regular part is
 one small matrix N: its kernel chain gives the tubes at 0, and its
@@ -46,8 +48,7 @@ from ._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
 from .ramification import INF
 from .ratlaurent import Poly, field_roots
 from .decomp import KHLabel, KGLabel
-from .modulezoo import (StringWord, a4_quiver_rep_from_group,
-                        induce_restrict_label, kg_label_word,
+from .modulezoo import (StringWord, induce_restrict_label, kg_label_word,
                         validate_group_rep)
 
 __all__ = [
@@ -234,9 +235,10 @@ def hom_labels(spec, a, b):
 #
 # A representation with vanishing rad^2 is the Kronecker pencil of its
 # two radical maps from the top (a complement of the radical) to the
-# radical.  Over H that is P = Bbar, Q = Abar on one vertex.  Over G the
-# rho eigenvalue grades it by Z/3: P = D_v maps T_v to R_{v-1} and
-# Q = C_v maps T_v to R_{v+1}.  Either way P[v] and Q[v + 1] share a
+# radical, built for both groups by _radical_pencil.  Over H that is
+# P = B, Q = A on one vertex.  Over G the rho eigenvalue grades it by
+# Z/3: P = D = A + zeta^2 B maps T_v to R_{v-1} and Q = C = zeta A +
+# zeta^2 B maps T_v to R_{v+1}.  Either way P[v] and Q[v + 1] share a
 # codomain, vertices taken mod g, and _kronecker reads the summands off
 # the Wong sequences of the pencil (Wong 1974; Berger, Ilchmann and
 # Trenn 2012), vertex by vertex:
@@ -450,20 +452,49 @@ def _kronecker(P, Q):
     return right, left, inf, zero, finite
 
 
-def _klein_counts(M):
-    """Summand multiset of an H-representation with vanishing rad^2."""
+def _radical_pencil(M):
+    """The graded radical pencil (P, Q) of a representation, from the
+    vertex spaces: the whole space over H, the rho eigenspaces over G,
+    vertex i the image of 1 + zeta^-i rho + zeta^-2i rho^2.
+
+    The group relations give A^2 = B^2 = 0 and AB = BA, hence
+    C^2 = D^2 = 0 and CD = DC = zeta AB: rad^2 = 0 exactly when AB = 0,
+    which is checked here and nowhere else.
+    """
     spec = M.spec
-    d = M.dim
-    I = Matrix.identity(spec, d)
+    I = Matrix.identity(spec, M.dim)
     A = M.sigma + I
     B = M.tau + I
     if not (A @ B).is_zero():
         raise _StructureError("radical square acts nonzero", proven=True)
-    rad, rows = col_basis(hstack([A, B]))
-    top = _complement(rows, d)
-    Abar = coords_at_pivots(rad, rows, Matrix(spec, A.a[:, top]))
-    Bbar = coords_at_pivots(rad, rows, Matrix(spec, B.a[:, top]))
-    right, left, inf, zero, finite = _kronecker([Bbar], [Abar])
+    if M.group == "H":
+        P, Q = [B], [A]
+    else:
+        z = spec.zeta()
+        rr = M.rho @ M.rho
+        E = [col_basis(I + M.rho.scale(z ** (-i)) + rr.scale(z ** (-2 * i)))
+             for i in range(3)]
+        D = A + B.scale(z * z)
+        C = A.scale(z) + B.scale(z * z)
+        P = [coords_at_pivots(*E[(v - 1) % 3], D @ E[v][0]) for v in range(3)]
+        Q = [coords_at_pivots(*E[(v + 1) % 3], C @ E[v][0]) for v in range(3)]
+    g = len(P)
+    rad = [col_basis(hstack([Q[(v - 1) % g], P[(v + 1) % g]]))
+           for v in range(g)]
+    top = [_complement(rows, basis.rows) for basis, rows in rad]
+    return ([coords_at_pivots(*rad[(v - 1) % g],
+                              Matrix(spec, P[v].a[:, top[v]]))
+             for v in range(g)],
+            [coords_at_pivots(*rad[(v + 1) % g],
+                              Matrix(spec, Q[v].a[:, top[v]]))
+             for v in range(g)])
+
+
+def _klein_counts(M):
+    """Summand multiset of an H-representation with vanishing rad^2."""
+    spec = M.spec
+    P, Q = _radical_pencil(M)
+    right, left, inf, zero, finite = _kronecker(P, Q)
     counts = {}
     for (n, _), c in right.items():
         counts[KHLabel.string(2 * n - 1, 1) if n > 1 else KHLabel.triv()] = c
@@ -477,40 +508,16 @@ def _klein_counts(M):
         for n, c in sizes.items():
             counts[KHLabel.even(2 * n, lam)] = c
     shapes = [(_kh_shape(lab), c) for lab, c in counts.items()]
-    if (sum(s[0] * c for s, c in shapes) != top.size
-            or sum(s[1] * c for s, c in shapes) != rad.cols):
+    if (sum(s[0] * c for s, c in shapes) != P[0].cols
+            or sum(s[1] * c for s, c in shapes) != P[0].rows):
         raise _StructureError("top/radical bookkeeping does not close")
     return counts
 
 
-def _a4_pencil(M):
-    """The graded pencil (D, C) of a G-representation: D[v] maps the top
-    at vertex v to the radical at v - 1, C[v] to the radical at v + 1."""
-    try:
-        qrep = a4_quiver_rep_from_group(M)
-    except ValueError as err:
-        raise _StructureError(str(err), proven=True)
-    spec = M.spec
-    gout = {}
-    dout = {}
-    for name, (s, t) in qrep.quiver.arrows.items():
-        (gout if name.startswith("g") else dout)[s] = qrep.arrow_mats[name]
-    rad = [col_basis(hstack([gout[(v + 2) % 3], dout[(v + 1) % 3]]))
-           for v in range(3)]
-    C, D = [], []
-    for v in range(3):
-        top = _complement(rad[v][1], qrep.vertex_dims[v])
-        C.append(coords_at_pivots(*rad[(v + 1) % 3],
-                                  Matrix(spec, gout[v].a[:, top])))
-        D.append(coords_at_pivots(*rad[(v + 2) % 3],
-                                  Matrix(spec, dout[v].a[:, top])))
-    return D, C
-
-
 def _a4_counts(M):
-    """Summand multiset of a G-representation via its graded quiver."""
+    """Summand multiset of a G-representation via its graded pencil."""
     spec = M.spec
-    D, C = _a4_pencil(M)
+    D, C = _radical_pencil(M)
     tdims = [d.cols for d in D]
     rdims = [D[(v + 1) % 3].rows for v in range(3)]
     # a label's index i is a fixed offset from the vertex _kronecker

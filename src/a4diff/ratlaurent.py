@@ -20,8 +20,9 @@ At infinity the substitution s -> 1/s reverses the coefficient lists,
 which are already the expansions: no multiplies at all.
 
 The roots of p in the field are those of its split part gcd(p, s^(2^m) + s),
-which trace splitting takes apart.  The Frobenius powers s^(2^i) mod p are
-computed once per polynomial and reduced into each factor.
+which is squarefree and which trace splitting takes apart.  The Frobenius
+powers s^(2^i) mod p are computed once per polynomial and reduced into each
+factor.  root_split then takes each root's multiplicity off p.
 
 The degree-3 twist rho acts on functions by (rho f)(s) = f(zeta s); the
 trace to the fixed field k(s^3) is f + rho f + rho^2 f.
@@ -268,20 +269,6 @@ class Poly:
         for c in self.coeffs:
             out.append(_mask_mul(spec, c, power))
             power = _mask_mul(spec, power, mask)
-        return Poly(spec, out)
-
-    def derivative_is_zero(self) -> bool:
-        """True iff all odd-degree coefficients vanish (p = q(s^2))."""
-        return all(c == 0 for c in self.coeffs[1::2])
-
-    def sqrt_of_even(self) -> "Poly":
-        """For p = q(s)^2 (equivalently p = r(s^2)), return q."""
-        if not self.derivative_is_zero():
-            raise ValueError("polynomial is not a square")
-        spec = self.spec
-        out = []
-        for c in self.coeffs[0::2]:
-            out.append(spec.element(c).sqrt().mask if c else 0)
         return Poly(spec, out)
 
     def elements(self):
@@ -578,48 +565,21 @@ class RatFunc:
 def poly_roots(p: Poly, context: str = "pole") -> dict[int, int]:
     """All roots of p in its field, with multiplicities.
 
-    Raises ValueError ("<context> not split over working field") if p has
-    an irreducible factor of degree > 1.
+    The distinct roots are field_roots(p), and root_split takes each one's
+    power off p.  Raises ValueError ("<context> not split over working
+    field") when a cofactor of positive degree is left.
     """
     if p.is_zero():
         raise ValueError("root-finding on the zero polynomial")
-    p = p.monic()
-    return {mask: p.valuation(mask) for mask in _distinct_roots(p, context)}
-
-
-def _formal_derivative(p: Poly) -> Poly:
-    # char 2: only odd-degree terms survive, shifted down.
-    out = [0] * max(0, p.degree)
-    for i in range(1, len(p.coeffs)):
-        if i % 2 == 1:
-            out[i - 1] = p.coeffs[i]
-    return Poly(p.spec, out)
-
-
-def _distinct_roots(p: Poly, context: str) -> set[int]:
-    if p.degree <= 0:
-        return set()
-    if p.derivative_is_zero():
-        # p = q(s)^2; same root set as q.
-        return _distinct_roots(p.sqrt_of_even().monic(), context)
-    g = p.gcd(_formal_derivative(p))
-    sf = p.divmod(g)[0].monic()
-    return _roots_squarefree(sf, context) | _distinct_roots(g.monic(), context)
-
-
-def _roots_squarefree(p: Poly, context: str) -> set[int]:
-    """Roots of a squarefree monic p; raises if p does not split."""
-    roots = field_roots(p)
-    if len(roots) < p.degree:
-        linear_part = Poly(p.spec, (1,))
-        for r in roots:
-            linear_part = linear_part * Poly(p.spec, (r, 1))
-        nonsplit = p.divmod(linear_part)[0]
+    rest = p.monic()
+    out = {}
+    for mask in field_roots(rest):
+        out[mask], rest = rest.root_split(mask)
+    if rest.degree > 0:
         raise ValueError(
             f"{context} not split over working field: irreducible factor of "
-            f"degree {nonsplit.degree} with coeff masks "
-            f"{list(nonsplit.monic().coeffs)}")
-    return roots
+            f"degree {rest.degree} with coeff masks {list(rest.coeffs)}")
+    return out
 
 
 def field_roots(p: Poly) -> set[int]:

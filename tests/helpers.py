@@ -7,8 +7,10 @@ root multiplicities and adic expansions, of rational-function sums, of
 trace splitting, of the oracle's field-wide parameter scan and of the
 three-reduction A4 precheck.  Also the explicit constructions that only
 tests use: matrices from rows, Kronecker products, the dense hom
-dimension, the stacked-rank probe counts, induction to A4 and direct
-sums of label models; and the accessors only tests read: division by
+dimension, the stacked-rank probe counts, induction to A4, direct sums
+of label models and the Klein four models in the (C, D) letters; the A4
+quiver representation read back off group matrices, the reference for
+the oracle's radical pencil; and the accessors only tests read: division by
 one linear factor, places from keys, constancy and evaluation of
 rational functions, the orbit count, the branch point at a place and
 the recomputed numerology of branch data."""
@@ -17,13 +19,19 @@ import math
 
 import numpy as np
 
-from a4diff._linalg import Matrix, _inv_mask, _mul_arrays, vstack
+from a4diff._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
+                            coords_at_pivots, hstack, vstack)
 from a4diff.artin_schreier import A4Report, is_as_trivial, symmetrize_h
 from a4diff.decomp import KHLabel
 from a4diff.gf import (FieldElement, _mask_inv, _mask_mul, _pmulmod,
                        _ppowmod, all_elements)
-from a4diff.modulezoo import GroupRep, kg_group_rep, kh_group_rep
-from a4diff.ramification import INF, _numerology, analyze_branch_data
+from a4diff.modulezoo import (A4_QUIVER, BandWord, GroupRep, Quiver,
+                              QuiverRep, StringWord, _ab_from_cd,
+                              band_module_matrices, fwd, kg_group_rep,
+                              kh_group_rep, rev, string_module_matrices)
+from a4diff.oracle import _complement
+from a4diff.ramification import (INF, _numerology, analyze_branch_data,
+                                  phi_of_lambda)
 from a4diff.ratlaurent import (Place, Poly, RatFunc, _divmod_binomial,
                                _multiplier, rho_pullback, trace_K_over_J)
 
@@ -578,3 +586,86 @@ def labels_group_rep(spec, labels):
     rho = diag(lambda r: r.rho) if group == "G" else None
     return GroupRep(group, spec, diag(lambda r: r.sigma),
                     diag(lambda r: r.tau), rho)
+
+
+# the eigenvector letters of the Klein four algebra: C and D are scaled
+# by zeta and zeta^2 under conjugation with rho
+KLEIN_CD = Quiver("klein_cd", (0,), {"C": (0, 0), "D": (0, 0)})
+
+
+def kh_cd_group_rep(spec, label):
+    """The model of an even-dimensional Klein four label built in the
+    (C, D) letters, A = zeta C + zeta D + zeta^2 CD and B = zeta^2 C + D +
+    zeta^2 CD.  Its (C, D) parameter is phi_of_lambda of the (A, B)
+    parameter, so the string cases sit at phi in {0, inf}, that is at
+    lambda in {zeta, zeta^2}."""
+    phi = phi_of_lambda(spec, label.param)
+    n = label.dim // 2
+    if phi is INF:
+        word = StringWord(KLEIN_CD, (rev("D"), fwd("C")) * (n - 1)
+                          + (rev("D"),))
+        rep = string_module_matrices(spec, word)
+    elif not phi:
+        word = StringWord(KLEIN_CD, (rev("C"), fwd("D")) * (n - 1)
+                          + (rev("C"),))
+        rep = string_module_matrices(spec, word)
+    else:
+        rep = band_module_matrices(spec, BandWord(KLEIN_CD, "D ~C"), n, phi)
+    rep.validate()
+    A, B = _ab_from_cd(spec, rep.arrow_mats["C"], rep.arrow_mats["D"])
+    I = Matrix.identity(spec, rep.total_dim)
+    return GroupRep("H", spec, I + A, I + B)
+
+
+def a4_quiver_rep_from_group(grep):
+    """The graded quiver picture of a G-representation, the reference
+    for the oracle's radical pencil.
+
+    Splits the space by rho eigenvalue, rewrites sigma and tau through
+    the C, D letters and reads off the arrow blocks; raises when the
+    length-two products do not vanish.
+    """
+    assert grep.group == "G"
+    spec = grep.spec
+    z = spec.zeta()
+    I = Matrix.identity(spec, grep.dim)
+    r = grep.rho
+    rr = r @ r
+    bases = [col_basis(I + r.scale(z ** (-i)) + rr.scale(z ** (-2 * i)))
+             for i in range(3)]
+    assert sum(b.cols for b, _ in bases) == grep.dim
+    A = grep.sigma + I
+    B = grep.tau + I
+    AB = A @ B
+    C = A.scale(z) + B.scale(z * z) + AB
+    D = A + B.scale(z * z) + AB.scale(z)
+    arrow_mats = {}
+    for name, (s, t) in A4_QUIVER.arrows.items():
+        mat = C if name.startswith("g") else D
+        arrow_mats[name] = coords_at_pivots(*bases[t], mat @ bases[s][0])
+    rep = QuiverRep(A4_QUIVER, spec, {i: bases[i][0].cols for i in range(3)},
+                    arrow_mats)
+    rep.validate()
+    return rep
+
+
+def reference_a4_pencil(M):
+    """The graded pencil (D, C) of a G-representation through its quiver
+    representation: D[v] maps the top at vertex v to the radical at
+    v - 1, C[v] to the radical at v + 1."""
+    qrep = a4_quiver_rep_from_group(M)
+    spec = M.spec
+    gout = {}
+    dout = {}
+    for name, (s, t) in qrep.quiver.arrows.items():
+        (gout if name.startswith("g") else dout)[s] = qrep.arrow_mats[name]
+    rad = [col_basis(hstack([gout[(v + 2) % 3], dout[(v + 1) % 3]]))
+           for v in range(3)]
+    C, D = [], []
+    for v in range(3):
+        top = _complement(rad[v][1], qrep.vertex_dims[v])
+        C.append(coords_at_pivots(*rad[(v + 1) % 3],
+                                  Matrix(spec, gout[v].a[:, top])))
+        D.append(coords_at_pivots(*rad[(v + 2) % 3],
+                                  Matrix(spec, dout[v].a[:, top])))
+    return D, C

@@ -24,7 +24,7 @@ from a4diff._families import (degenerate_orbit_alpha, generic_orbit_alpha,
                               hkg_alpha)
 
 from helpers import (analyzed_random_datum, hom_dim, induce_to_g,
-                     labels_group_rep)
+                     kh_cd_group_rep, labels_group_rep)
 from test_oracle import (conjugated, kg_zoo, kh_zoo, multiset,
                          rand_kg_multiset, rand_kh_multiset)
 
@@ -260,7 +260,7 @@ def test_criterion_9_moebius_dictionary():
         assert phi_of_lambda(SPEC, lam_ab) == phi_cd
         for dim in (2, 4):
             lab = KHLabel.even(dim, lam_ab)
-            sol = decompose_rep(kh_group_rep(SPEC, lab, coords="CD"))
+            sol = decompose_rep(kh_cd_group_rep(SPEC, lab))
             assert sol.multiplicities == {lab: 1}
             assert sol.total_dim() == dim
     print("ACCEPTANCE 9: Moebius band dictionary -- PASS")

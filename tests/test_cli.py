@@ -392,6 +392,38 @@ def test_zoo_single_label_dump(capsys):
     assert len(obj["generators"]["rho"]) == 6
 
 
+MALFORMED_LABELS = ("B[6n=7,mu=3]", "B[6n=6,mu=0]", "M[2n+1=4,x=1]",
+                    "M[2n+1=1,x=1]", "N[2n=3,lambda=5]", "N[2n=0,*=inf,i=0]")
+
+
+def test_zoo_malformed_label_exits_2_under_optimisation():
+    # the refusal must not come from the label classes' asserts, which
+    # python -O strips
+    script = (
+        "import sys\n"
+        "from a4diff.cli import run_cli\n"
+        f"for text in {MALFORMED_LABELS!r}:\n"
+        "    print(run_cli(['zoo', '--label', text]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.stdout.split() == ["2"] * len(MALFORMED_LABELS)
+    lines = proc.stderr.splitlines()
+    assert len(lines) == len(MALFORMED_LABELS)
+    for text, line in zip(MALFORMED_LABELS, lines):
+        assert line.startswith(f"error: invalid label {text!r}: ")
+
+
+def test_zoo_listing_keeps_to_max_dim_and_refuses_large_ones(capsys):
+    code, out, _ = run(capsys, "zoo", "--max-dim", "0", "--json")
+    assert code == 0 and json.loads(out)["entries"] == []
+    t0 = time.perf_counter()
+    code, out, err = run(capsys, "zoo", "--m", "32", "--json")
+    assert code == 2 and not out
+    assert err.startswith("error: unsupported configuration: ")
+    assert time.perf_counter() - t0 < 5
+
+
 # ---------------------------------------------------------------- jobspec
 
 def test_jobspec_json_roundtrip():

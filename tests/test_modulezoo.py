@@ -2,6 +2,7 @@
 and the induction/restriction dictionary, plus the matrix plumbing."""
 
 import random
+import re
 
 import pytest
 
@@ -15,7 +16,6 @@ from a4diff.modulezoo import (
     BandWord,
     GroupRep,
     KLEIN_AB,
-    KLEIN_CD,
     StringWord,
     band_module_matrices,
     induce_restrict_label,
@@ -28,10 +28,13 @@ from a4diff.modulezoo import (
     string_module_matrices,
     validate_group_rep,
     zoo_dump,
+    ZOO_LABEL_CAP,
+    zoo_label_count,
     zoo_labels,
 )
 
-from helpers import induce_to_g, matrix_from_rows
+from helpers import (KLEIN_CD, induce_to_g, kh_cd_group_rep,
+                     matrix_from_rows)
 
 F = FieldSpec(m=8)
 Z = F.zeta()
@@ -256,8 +259,8 @@ def test_every_small_label_validates():
     lam_sample = [F.zero(), ONE, Z, Z2, INF, F.element(9)]
     for dim in (2, 4, 6):
         for lam in lam_sample:
-            for coords in ("AB", "CD"):
-                built(kh_group_rep(F, KHLabel.even(dim, lam), coords), dim)
+            built(kh_group_rep(F, KHLabel.even(dim, lam)), dim)
+            built(kh_cd_group_rep(F, KHLabel.even(dim, lam)), dim)
     for dim in (3, 5):
         for x in (1, 2):
             built(kh_group_rep(F, KHLabel.string(dim, x)), dim)
@@ -303,8 +306,8 @@ def test_band_connection_pencil():
             continue
         lam = lambda_of_phi(F, phi)
         n = rnd.choice((1, 2, 3))
-        ab = kh_group_rep(F, KHLabel.even(2 * n, lam), "AB")
-        cd = kh_group_rep(F, KHLabel.even(2 * n, lam), "CD")
+        ab = kh_group_rep(F, KHLabel.even(2 * n, lam))
+        cd = kh_cd_group_rep(F, KHLabel.even(2 * n, lam))
         for grep in (ab, cd):
             I = Matrix.identity(F, grep.dim)
             A = grep.sigma + I
@@ -428,6 +431,46 @@ def test_parse_label_round_trip():
         parse_label(F, "Q[dim=3]")
 
 
+@pytest.mark.parametrize("text,reason", [
+    ("B[6n=7,mu=3]", "dimension 7 is not one of 6, 12, 18"),
+    ("B[6n=6,mu=0]", "band parameter must be nonzero"),
+    ("M[2n+1=4,x=1]", "dimension 4 is not one of 3, 5, 7"),
+    ("M[2n+1=1,x=1]", "dimension 1 is not one of 3, 5, 7"),
+    ("N[2n=3,lambda=5]", "dimension 3 is not one of 2, 4, 6"),
+    ("N[2n=0,*=inf,i=0]", "dimension 0 is not one of 2, 4, 6"),
+    ("M[2n+1=6,x=2,i=1]", "dimension 6 is not one of 3, 5, 7"),
+    ("N[2n=2,lambda=256]", "mask 256 out of range"),
+])
+def test_parse_label_refuses_malformed_labels(text, reason):
+    with pytest.raises(ValueError, match=re.escape(
+            f"invalid label {text!r}: {reason}")):
+        parse_label(F, text)
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_zoo_label_count_is_the_listing_length(m):
+    spec = FieldSpec(m=m)
+    for side in ("kH", "kG"):
+        for max_dim in range(-1, 14):
+            labels = list(zoo_labels(spec, max_dim, side))
+            assert len(labels) == zoo_label_count(spec, max_dim, side)
+            assert all(lab.dim <= max_dim for lab in labels)
+
+
+def test_zoo_labels_refuses_listings_past_the_cap():
+    # the largest listing the tests use fits; one more even dimension of
+    # tubes over GF(2^14), or the default listing over GF(2^32), does not
+    assert zoo_label_count(F, 30, "kH") <= ZOO_LABEL_CAP
+    assert zoo_label_count(F, 30, "kG") <= ZOO_LABEL_CAP
+    for spec, max_dim, side in ((FieldSpec(m=14), 2, "kH"),
+                                (FieldSpec(m=32), 8, "kH"),
+                                (FieldSpec(m=32), 8, "kG")):
+        assert zoo_label_count(spec, max_dim, side) > ZOO_LABEL_CAP
+        with pytest.raises(ValueError, match="unsupported configuration"):
+            next(zoo_labels(spec, max_dim, side))
+    assert zoo_label_count(FieldSpec(m=12), 2, "kH") == 1 + (1 << 12) + 1
+
+
 def test_zoo_labels_enumeration():
     kh = list(zoo_labels(F, 4, "kH"))
     # Triv, two strings of dim 3, and 257 parameters in dims 2 and 4
@@ -446,6 +489,6 @@ def test_zoo_dump_layout():
     assert out["dim"] == 6
     assert out["quiver"]["vertex_dims"] == {"0": 2, "1": 2, "2": 2}
     assert len(out["generators"]["rho"]) == 6
-    out = zoo_dump(F, KHLabel.even(2, Z), coords="CD")
-    assert set(out["quiver"]["arrows"]) == {"C", "D"}
+    out = zoo_dump(F, KHLabel.even(2, Z))
+    assert set(out["quiver"]["arrows"]) == {"A", "B"}
     assert "rho" not in out["generators"]

@@ -21,7 +21,8 @@ from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
 from helpers import (gf2_blowup_rank, hom_dim, induce_to_g, labels_group_rep,
-                     matrix_from_rows, probe_hom, reference_rank_drops)
+                     matrix_from_rows, probe_hom, reference_a4_pencil,
+                     reference_rank_drops)
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -196,8 +197,8 @@ class TestHomLabels:
         labels = [lab for lab in kh_zoo(8, params)]
         for X in labels:
             for Y in labels:
-                wx = kh_label_word(SPEC, X)
-                wy = kh_label_word(SPEC, Y)
+                wx = kh_label_word(X)
+                wy = kh_label_word(Y)
                 assert string_pair_homs(wx, wy) == hom_labels(SPEC, X, Y), \
                     (str(X), str(Y))
 
@@ -397,6 +398,28 @@ class TestDecompose:
         except ValueError as err:
             assert err.certificate["reason"]
 
+    def test_regular_a4_module_rejected(self):
+        # kA4 is projective too: AB, the sum over H, acts nonzero.  A4 as
+        # even permutations of 0..3, acting on itself from the left
+        sigma, tau, rho = (1, 0, 3, 2), (2, 3, 0, 1), (0, 2, 3, 1)
+        group = [tuple(range(4))]
+        for g in group:
+            for h in (sigma, tau, rho):
+                hg = tuple(h[g[x]] for x in range(4))
+                if hg not in group:
+                    group.append(hg)
+        assert len(group) == 12
+
+        def regular(h):
+            return matrix_from_rows(SPEC, [
+                [1 if tuple(h[g[x]] for x in range(4)) == f else 0
+                 for g in group] for f in group])
+        M = GroupRep("G", SPEC, regular(sigma), regular(tau), regular(rho))
+        with pytest.raises(ValueError, match="no nonnegative integer") as err:
+            decompose_rep(M)
+        assert err.value.certificate == {
+            "reason": "radical square acts nonzero", "dim": 12, "side": "kG"}
+
     def test_wrong_extraction_rejected_by_spot_check(self, monkeypatch):
         # right total dimension, but dense Hom(Triv, M) is 2, not 3
         M = kh_group_rep(SPEC, KHLabel.string(3, 2))
@@ -556,6 +579,20 @@ def random_planted_pencil(spec, rnd):
     return P, Q, finite, infinite, kron, kron_t
 
 
+def graded_models(keep_band):
+    """The kG zoo models of dimension <= 8 (the bands B_{6,mu} with
+    keep_band(mu)), four conjugated random sums and the genus-234 model."""
+    rnd = random.Random(303)
+    models = [kg_group_rep(SPEC, lab) for lab in zoo_labels(SPEC, 8, "kG")
+              if lab.kind != "Band" or keep_band(lab.param)]
+    models += [conjugated(labels_group_rep(
+        SPEC, rand_kg_multiset(rnd, rnd.randrange(10, 41))), rnd)
+        for _ in range(4)]
+    data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 1, 2)))
+    models.append(build_global_rep(data).rep)
+    return models
+
+
 def graded_wong_dims(F, G, shift, start):
     """Total dimension of each step of a Wong sequence, run vertex by
     vertex and run once more on the assembled, ungraded pencil."""
@@ -650,21 +687,19 @@ class TestDropCandidates:
         # sum of its parts at the three vertices: on every zoo model of
         # dimension <= 8, on random sums and on a family datum, the
         # vertex dimensions add up to the ungraded ones, step by step
-        rnd = random.Random(303)
-        models = [kg_group_rep(SPEC, lab) for lab in zoo_labels(SPEC, 8, "kG")
-                  if lab.kind != "Band" or lab.param == ONE]
-        models += [conjugated(labels_group_rep(
-            SPEC, rand_kg_multiset(rnd, rnd.randrange(10, 41))), rnd)
-            for _ in range(4)]
-        data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 1, 2)))
-        models.append(build_global_rep(data).rep)
-        for M in models:
-            D, C = oracle._a4_pencil(M)
+        for M in graded_models(lambda mu: mu == ONE):
+            D, C = oracle._radical_pencil(M)
             for F, G, shift, start in (
                     (D, C, 1, [Matrix.identity(SPEC, d.cols) for d in D]),
                     (C, D, -1, [Matrix.zeros(SPEC, d.cols, 0) for d in D])):
                 graded, ungraded = graded_wong_dims(F, G, shift, start)
                 assert graded == ungraded
+
+    def test_radical_pencil_matches_the_quiver_reference(self):
+        # the pencil read off the rho eigenspaces directly is the one the
+        # graded quiver representation gives, matrix for matrix
+        for M in graded_models(lambda mu: True):
+            assert oracle._radical_pencil(M) == reference_a4_pencil(M)
 
     def test_band_orbit_is_named_by_its_first_element_in_scan_order(self):
         # the orbit phi, zeta phi, zeta^2 phi of a band parameter is named
