@@ -17,16 +17,8 @@ mode and throughout the test-suite.
 from .ratlaurent import Poly, RatFunc
 
 
-def _linear_power(spec, mask, e):
-    # (s + c)^e by repeated multiplication; degrees stay tiny
-    out = Poly(spec, (1,))
-    lin = Poly(spec, (mask, 1))
-    for _ in range(e):
-        out = out * lin
-    return out
-
-
 def _poly_power(base, e):
+    # base^e by repeated multiplication; degrees stay tiny
     out = Poly(base.spec, (1,))
     for _ in range(e):
         out = out * base
@@ -51,9 +43,9 @@ def degenerate_orbit_alpha(spec, n):
         raise ValueError("family parameters out of range")
     z = spec.zeta()
     num = Poly(spec, [0] * (12 * n + 2) + [z.mask])
-    den = _linear_power(spec, 1, 4 * n - 1)
-    den = den * _linear_power(spec, z.mask, 4 * n - 3)
-    den = den * _linear_power(spec, (z * z).mask, 4 * n - 1)
+    den = _poly_power(Poly(spec, (1, 1)), 4 * n - 1)
+    den = den * _poly_power(Poly(spec, (z.mask, 1)), 4 * n - 3)
+    den = den * _poly_power(Poly(spec, ((z * z).mask, 1)), 4 * n - 1)
     return RatFunc(num, den)
 
 

@@ -29,7 +29,7 @@ import time
 from .gf import FieldSpec
 from .ratlaurent import RatFunc
 from .artin_schreier import check_a4_conditions, symmetrize_h
-from .ramification import INF, analyze_branch_data
+from .ramification import INF, analyze_branch_data, param_to_json
 from .decomp import (
     hkg_decomposition,
     kG_decomposition,
@@ -232,17 +232,13 @@ def _hkg_block(data):
         "m": bp.m,
         "M": bp.M,
         "delta": bp.delta,
-        "lambda": _param_json(bp.lam),
+        "lambda": param_to_json(bp.lam),
         "l": l,
         "a1": a1,
         "a2": a2,
         "mu": [mn.mu1, mn.mu2, mn.mu3],
         "genus": data.genus,
     }
-
-
-def _param_json(value):
-    return "inf" if value is INF else value.mask
 
 
 def _verification_block(data, kG, kH, timings):
@@ -447,9 +443,13 @@ def _run_zoo(args, out):
         print(_dump(obj, args.pretty), file=out)
         return 0
     sides = ("kH", "kG") if args.side == "both" else (args.side,)
+    # list every side first: an over-long listing is refused before any
+    # model is built
+    listings = [(side, list(zoo_labels(field, args.max_dim, side)))
+                for side in sides]
     entries = []
-    for side in sides:
-        for label in zoo_labels(field, args.max_dim, side):
+    for side, labels in listings:
+        for label in labels:
             rep = (kh_group_rep(field, label) if side == "kH"
                    else kg_group_rep(field, label))
             try:

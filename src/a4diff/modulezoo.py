@@ -441,6 +441,10 @@ def restrict_to_h(grep):
 
 # ---------------------------------------------------------------------------
 # canonical words for the labels
+#
+# The words are the one record of which vertices hold a label's top and
+# radical: the models are built from them, and the oracle's vertex
+# profile reads them back.
 
 _DELTA = ("d01", "d12", "d20")   # _DELTA[p] lowers p+1 -> p
 _GAMMA = ("g02", "g10", "g21")   # _GAMMA[p] raises p-1 -> p

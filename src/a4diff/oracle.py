@@ -12,11 +12,13 @@ intertwiner equations, and lives with the tests):
 * ``decompose_rep`` reads the summand multiset of a representation off
   the Wong sequences of its radical pencil.  What it checks against the
   matrices: the group relations, rad^2 = 0 (one product AB), the
-  extraction's own bookkeeping (the Wong counts are nonnegative and fill
-  the top and the radical), the A4 vertex profile, the total dimension,
-  and two hom counts Hom(X, M) from the fixed space
-  ker [sigma + 1; tau + 1] (or, for N_{2,0}, from ker(tau + 1)), against
-  the counts ``hom_labels`` predicts from the extracted multiset.
+  extraction's own bookkeeping (the Wong counts are nonnegative), one
+  vertex profile on both sides (the tops and radicals of the named
+  summands, read off their zoo words, fill the pencil's top and radical
+  at every vertex), the total dimension, and two hom counts Hom(X, M)
+  from the fixed space ker [sigma + 1; tau + 1] (or, for N_{2,0}, from
+  ker(tau + 1)), against the counts ``hom_labels`` predicts from the
+  extracted multiset.
 
 The radical is a col_basis, the identity at its pivot rows: the unit
 vectors at the other rows span a top, and the coordinates of a vector in
@@ -49,7 +51,7 @@ from .ramification import INF
 from .ratlaurent import Poly, field_roots
 from .decomp import KHLabel, KGLabel
 from .modulezoo import (StringWord, induce_restrict_label, kg_label_word,
-                        validate_group_rep)
+                        kh_label_word, validate_group_rep)
 
 __all__ = [
     "Matrix",
@@ -490,97 +492,84 @@ def _radical_pencil(M):
              for v in range(g)])
 
 
-def _klein_counts(M):
-    """Summand multiset of an H-representation with vanishing rad^2."""
-    spec = M.spec
+def _summands(M, name, word):
+    """Summand multiset of a representation with vanishing rad^2.
+
+    name(kind, n, at) labels a block of _kronecker: kind is right, left,
+    inf or zero, with at the vertex _kronecker reports, or finite, with
+    at the eigenvalue.  word(label) is the label's zoo word, None for a
+    band or a tube at a parameter other than 0 and infinity.  The words
+    give each label's top and radical at every vertex: the top vectors
+    are the factor points of the word and, for a nonempty word, the
+    radical vectors its submodule points; a label with no word has n of
+    each at every vertex, n = dim / 2g.  Their sums must be the pencil's
+    top and radical dimensions, vertex by vertex.
+    """
     P, Q = _radical_pencil(M)
+    g = len(P)
     right, left, inf, zero, finite = _kronecker(P, Q)
     counts = {}
-    for (n, _), c in right.items():
-        counts[KHLabel.string(2 * n - 1, 1) if n > 1 else KHLabel.triv()] = c
-    for (n, _), c in left.items():
-        counts[KHLabel.string(2 * n + 1, 2)] = c
-    for (n, _), c in inf.items():
-        counts[KHLabel.even(2 * n, INF)] = c
-    for (n, _), c in zero.items():
-        counts[KHLabel.even(2 * n, spec.zero())] = c
-    for lam, sizes in finite.items():
+    for kind, found in (("right", right), ("left", left), ("inf", inf),
+                        ("zero", zero)):
+        for (n, at), c in found.items():
+            counts[name(kind, n, at)] = c
+    for mu, sizes in finite.items():
         for n, c in sizes.items():
-            counts[KHLabel.even(2 * n, lam)] = c
-    shapes = [(_kh_shape(lab), c) for lab, c in counts.items()]
-    if (sum(s[0] * c for s, c in shapes) != P[0].cols
-            or sum(s[1] * c for s, c in shapes) != P[0].rows):
-        raise _StructureError("top/radical bookkeeping does not close")
+            counts[name("finite", n, mu)] = c
+    top, rad = [0] * g, [0] * g
+    for lab, c in counts.items():
+        w = word(lab)
+        if w is None:
+            t = r = dict.fromkeys(range(g), lab.dim // (2 * g))
+        else:
+            t = _point_slots(w, as_sub=False)
+            r = _point_slots(w, as_sub=True) if w.letters else {}
+        for v in range(g):
+            top[v] += c * t.get(v, 0)
+            rad[v] += c * r.get(v, 0)
+    if (top != [p.cols for p in P]
+            or rad != [P[(v + 1) % g].rows for v in range(g)]):
+        raise _StructureError("vertex profile does not match the counts")
     return counts
+
+
+def _klein_counts(M):
+    """Summand multiset of an H-representation with vanishing rad^2."""
+    zero = M.spec.zero()
+
+    def name(kind, n, at):
+        if kind == "right":
+            return KHLabel.string(2 * n - 1, 1) if n > 1 else KHLabel.triv()
+        if kind == "left":
+            return KHLabel.string(2 * n + 1, 2)
+        return KHLabel.even(2 * n, {"inf": INF, "zero": zero,
+                                    "finite": at}[kind])
+    return _summands(M, name, kh_label_word)
 
 
 def _a4_counts(M):
-    """Summand multiset of a G-representation via its graded pencil."""
+    """Summand multiset of a G-representation via its graded pencil.
+
+    A label's index i is a fixed offset from the vertex _kronecker
+    reports for it, read off the vertices of the label's top; a band
+    B_{6n,mu} is named by the smallest cube root of mu."""
     spec = M.spec
-    D, C = _radical_pencil(M)
-    tdims = [d.cols for d in D]
-    rdims = [D[(v + 1) % 3].rows for v in range(3)]
-    # a label's index i is a fixed offset from the vertex _kronecker
-    # reports for it, read off the vertices of the label's top
-    right, left, inf, zero, finite = _kronecker(D, C)
-    counts = {}
-    for (n, a), c in right.items():
-        lab = (KGLabel.odd(2 * n - 1, 1, (a - 1) % 3) if n > 1
-               else KGLabel.simple(a))
-        counts[lab] = c
-    for (n, b), c in left.items():
-        counts[KGLabel.odd(2 * n + 1, 2, (b - n - 1) % 3)] = c
-    for (n, a), c in inf.items():
-        counts[KGLabel.even(2 * n, INF, (a - 1) % 3)] = c
-    for (n, e), c in zero.items():
-        counts[KGLabel.even(2 * n, 0, (e + 1) % 3)] = c
-    for mu, sizes in finite.items():
-        # a band B_{6n,mu} is named by the smallest cube root of mu
-        roots = field_roots(Poly(spec, (mu.mask, 0, 0, 1)))
+
+    def name(kind, n, at):
+        if kind == "right":
+            return (KGLabel.odd(2 * n - 1, 1, (at - 1) % 3) if n > 1
+                    else KGLabel.simple(at))
+        if kind == "left":
+            return KGLabel.odd(2 * n + 1, 2, (at - n - 1) % 3)
+        if kind == "inf":
+            return KGLabel.even(2 * n, INF, (at - 1) % 3)
+        if kind == "zero":
+            return KGLabel.even(2 * n, 0, (at + 1) % 3)
+        roots = field_roots(Poly(spec, (at.mask, 0, 0, 1)))
         if not roots:
             raise ValueError(_OUTSIDE)
-        phi = spec.element(min(roots))
-        for n, c in sizes.items():
-            counts[KGLabel.band(6 * n, mu, phi=phi)] = c
-
-    _a4_profile_check(counts, tdims, rdims)
-    return counts
-
-
-def _a4_profile_check(counts, tdims, rdims):
-    """Recompute per-vertex top/radical dimensions from the counts."""
-    pt = [0, 0, 0]
-    pr = [0, 0, 0]
-    for lab, cnt in counts.items():
-        if lab.kind == "Simple":
-            pt[lab.i] += cnt
-            continue
-        if lab.kind == "Band":
-            n = lab.dim // 6
-            for v in range(3):
-                pt[v] += n * cnt
-                pr[v] += n * cnt
-            continue
-        n = lab.dim // 2
-        i = lab.i
-        if lab.kind == "OddString" and lab.x == 1:
-            tops = [(i + 1 + t) % 3 for t in range(n + 1)]
-            rads = [(i + t) % 3 for t in range(n)]
-        elif lab.kind == "OddString":
-            tops = [(i + 2 + t) % 3 for t in range(n)]
-            rads = [(i + t) % 3 for t in range(n + 1)]
-        elif lab.param is INF:
-            tops = [(i + 1 + t) % 3 for t in range(n)]
-            rads = [(i + t) % 3 for t in range(n)]
-        else:
-            tops = [(i - 1 - t) % 3 for t in range(n)]
-            rads = [(i - t) % 3 for t in range(n)]
-        for v in tops:
-            pt[v] += cnt
-        for v in rads:
-            pr[v] += cnt
-    if pt != [tdims[v] for v in range(3)] or pr != [rdims[v] for v in range(3)]:
-        raise _StructureError("vertex profile does not match the counts")
+        return KGLabel.band(6 * n, at, phi=spec.element(min(roots)))
+    return _summands(M, name, kg_label_word)
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +650,11 @@ def decompose_rep(M):
     Checks the group relations, reads the summands off the Wong
     sequences of the radical pencil (see _kronecker) and rejects the
     result unless the Wong bookkeeping closes (no negative chain count,
-    the tubes at infinity among the chains leaving V_j, the top and the
-    radical filled: over H by their dimensions, over G by the A4 vertex
-    profile), the dimensions add up to dim M and two dense hom counts
-    agree with the multiset (see _spot_check).  The closed form is not
+    the tubes at infinity among the chains leaving V_j), the vertex
+    profile of the named summands fills the top and the radical at every
+    vertex (see _summands; a label's vertices are written only in its zoo
+    word), the dimensions add up to dim M and two dense hom counts agree
+    with the multiset (see _spot_check).  The closed form is not
     consulted.
 
     Raises ValueError("no nonnegative integer solution") with a

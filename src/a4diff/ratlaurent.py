@@ -576,9 +576,12 @@ def poly_roots(p: Poly, context: str = "pole") -> dict[int, int]:
     for mask in field_roots(rest):
         out[mask], rest = rest.root_split(mask)
     if rest.degree > 0:
-        raise ValueError(
-            f"{context} not split over working field: irreducible factor of "
-            f"degree {rest.degree} with coeff masks {list(rest.coeffs)}")
+        # a factor with no root is irreducible only up to degree 3
+        d = rest.degree
+        what = (f"irreducible factor of degree {d} with" if d <= 3
+                else f"factor of degree {d} with no root in the field,")
+        raise ValueError(f"{context} not split over working field: {what} "
+                         f"coeff masks {list(rest.coeffs)}")
     return out
 
 

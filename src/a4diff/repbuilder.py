@@ -104,20 +104,12 @@ def _point_labels(place, m, M, k, lo):
     return out
 
 
-def _check_theta_range(pt):
-    mu1, mu2, _ = _mus(pt.m)
-    if mu2 - mu1 - 1 > pt.m // 4:
-        raise ValueError("theta range exceeded")
-
-
 def _band_matrix(spec, theta, n):
     """Upper triangular n x n band: coefficient theta[q - p] at (p, q)."""
     T = np.zeros((n, n), dtype=np.int64)
     for p in range(n):
         for q in range(p, n):
-            t = q - p
-            if t < len(theta):
-                T[p, q] = theta[t].mask
+            T[p, q] = theta[q - p].mask
     return Matrix(spec, T)
 
 
@@ -132,7 +124,6 @@ def _fill_special(spec, pt, offset, labels, Sg, Tg, Rg, plan):
                          "at a fixed branch point")
     m = pt.m
     mu1, mu2, mu3 = _mus(m)
-    _check_theta_range(pt)
     z = spec.zeta()
     if pt.lam != z and pt.lam != z * z:
         raise ValueError("unsupported configuration: fixed-point lambda "
@@ -297,7 +288,6 @@ def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
     mu1, mu2, mu3 = _mus(m)
     nu = (M - m) // 2
     k = 0
-    _check_theta_range(rep_pt)
     z = spec.zeta()
     zp = [spec.one().mask, z.mask, (z * z).mask]
     r0 = (r == 0)
@@ -386,10 +376,9 @@ def build_global_rep(data: RamData) -> GlobalRep:
 
     Returns a GlobalRep whose dimension equals the genus.  The group
     relations are not checked here; decompose_rep checks them.  Raises
-    "theta range exceeded" when a corrected tail would need theta
-    coefficients past the stored window, "unsupported configuration" on
-    data the mechanisms do not cover, and "inconsistent invariants" if
-    the assembled dimension disagrees with the genus.
+    "unsupported configuration" on data the mechanisms do not cover, and
+    "inconsistent invariants" if the assembled dimension disagrees with
+    the genus.
     """
     spec = data.spec
     specials = data.special

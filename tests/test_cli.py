@@ -384,6 +384,30 @@ def test_zoo_flags_a_model_that_breaks_the_relations(capsys, monkeypatch):
     assert not any(e["valid"] for e in json.loads(out)["entries"])
 
 
+def test_zoo_refuses_a_long_side_before_building_any_model(capsys,
+                                                          monkeypatch):
+    # at m = 2 and dim <= 8 the kH side has 27 labels and the kG side 48:
+    # under a cap of 40 the kG listing is refused before the first kH
+    # model is built
+    built = []
+
+    def counting(build):
+        def wrapper(spec, label):
+            built.append(label)
+            return build(spec, label)
+        return wrapper
+
+    import a4diff.modulezoo as modulezoo
+    monkeypatch.setattr(modulezoo, "ZOO_LABEL_CAP", 40)
+    for name in ("kh_group_rep", "kg_group_rep"):
+        monkeypatch.setattr(modulezoo, name,
+                            counting(getattr(modulezoo, name)))
+    code, out, err = run(capsys, "zoo", "--m", "2", "--max-dim", "8",
+                         "--side", "both", "--json")
+    assert code == 2 and not out and built == []
+    assert err.startswith("error: unsupported configuration: 48 kG labels")
+
+
 def test_zoo_single_label_dump(capsys):
     code, out, _ = run(capsys, "zoo", "--label", "B[6n=6,mu=9]", "--json")
     assert code == 0

@@ -447,6 +447,36 @@ class TestDecompose:
         with pytest.raises(RuntimeError, match="disagrees at"):
             decompose_rep(M)
 
+    @pytest.mark.parametrize("labels, wrong", [
+        # an A4 left string named at index i + 1
+        ([KGLabel.odd(5, 2, 0)],
+         {KGLabel.odd(5, 2, 0): KGLabel.odd(5, 2, 1)}),
+        ([KGLabel.simple(1), KGLabel.odd(3, 2, 2), KGLabel.band(6, ONE)],
+         {KGLabel.odd(3, 2, 2): KGLabel.odd(3, 2, 0)}),
+        # a Klein right string named one dimension too long, or as the
+        # left string of its dimension
+        ([KHLabel.string(5, 1)],
+         {KHLabel.string(5, 1): KHLabel.string(7, 1)}),
+        ([KHLabel.triv(), KHLabel.string(3, 1), KHLabel.even(4, Z)],
+         {KHLabel.string(3, 1): KHLabel.string(3, 2)}),
+    ])
+    def test_misnamed_summand_breaks_the_vertex_profile(self, monkeypatch,
+                                                       labels, wrong):
+        M = labels_group_rep(SPEC, labels)
+        summands = oracle._summands
+
+        def planted(rep, name, word):
+            def misname(kind, n, at):
+                lab = name(kind, n, at)
+                return wrong.get(lab, lab)
+            return summands(rep, misname, word)
+
+        assert decompose_rep(M).multiplicities == multiset(labels)
+        monkeypatch.setattr(oracle, "_summands", planted)
+        with pytest.raises(RuntimeError, match="internal extraction "
+                           "inconsistency: vertex profile does not match"):
+            decompose_rep(M)
+
     def test_non_cube_band_parameter_unsupported(self):
         M = kg_group_rep(SPEC, KGLabel.band(6, Z))
         with pytest.raises(ValueError, match="unsupported configuration"):

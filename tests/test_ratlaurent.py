@@ -457,6 +457,19 @@ def test_field_roots_ignores_factors_that_do_not_split(m):
         poly_roots(split * quad)
 
 
+def test_poly_roots_calls_a_rootless_quartic_no_irreducible_factor():
+    # q^2 (s + 1) leaves the cofactor q^2, which has no root in the field
+    # but is not irreducible
+    q = next(Poly(F256, (c, 1, 1)) for c in range(1, 256)
+             if not ratlaurent.field_roots(Poly(F256, (c, 1, 1))))
+    rest = q * q
+    with pytest.raises(ValueError) as err:
+        poly_roots(rest * Poly(F256, (1, 1)))
+    assert str(err.value) == (
+        "pole not split over working field: factor of degree 4 with no "
+        f"root in the field, coeff masks {list(rest.coeffs)}")
+
+
 def _sparse_poly(rnd, spec, degree):
     """A random polynomial of the given degree, about a third of its lower
     coefficients zero."""
