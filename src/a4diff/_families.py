@@ -14,14 +14,18 @@ mode and throughout the test-suite.
   unity.
 """
 
+from .gf import _mask_mul
 from .ratlaurent import Poly, RatFunc
 
 
-def _poly_power(base, e):
-    # base^e by repeated multiplication; degrees stay tiny
-    out = Poly(base.spec, (1,))
-    for _ in range(e):
-        out = out * base
+def _binomial_power(spec, a, c, e):
+    """(s^a + c)^e as the product of s^(a 2^j) + c^(2^j) over the set bits
+    j of e: squaring is additive in characteristic 2."""
+    out = Poly(spec, (1,))
+    for j in range(e.bit_length()):
+        if e >> j & 1:
+            out = out * Poly(spec, (c,) + (0,) * (a - 1) + (1,))
+        a, c = 2 * a, _mask_mul(spec, c, c)
     return out
 
 
@@ -43,9 +47,9 @@ def degenerate_orbit_alpha(spec, n):
         raise ValueError("family parameters out of range")
     z = spec.zeta()
     num = Poly(spec, [0] * (12 * n + 2) + [z.mask])
-    den = _poly_power(Poly(spec, (1, 1)), 4 * n - 1)
-    den = den * _poly_power(Poly(spec, (z.mask, 1)), 4 * n - 3)
-    den = den * _poly_power(Poly(spec, ((z * z).mask, 1)), 4 * n - 1)
+    den = _binomial_power(spec, 1, 1, 4 * n - 1)
+    den = den * _binomial_power(spec, 1, z.mask, 4 * n - 3)
+    den = den * _binomial_power(spec, 1, (z * z).mask, 4 * n - 1)
     return RatFunc(num, den)
 
 
@@ -61,5 +65,5 @@ def generic_orbit_alpha(spec, n, psi):
     coeffs[12 * n + 2] = scale
     coeffs[12 * n + 4] = scale
     num = Poly(spec, coeffs)
-    den = _poly_power(Poly(spec, (p3.mask, 0, 0, 1)), 4 * n + 1)
+    den = _binomial_power(spec, 3, p3.mask, 4 * n + 1)
     return RatFunc(num, den)

@@ -29,9 +29,13 @@ class ASForm:
     part has no preimage under x -> x^2 + x in the working field; over an
     algebraically closed field it would always be absorbable into h, so we
     record it instead of failing.
+
+    alpha_trace_zero and reduced_trace_zero: Tr(alpha), Tr(alpha_reduced)
+    = 0 once taken (None before), read, not retaken.
     """
 
-    __slots__ = ("alpha_reduced", "h", "pole_table", "dropped_constant")
+    __slots__ = ("alpha_reduced", "h", "pole_table", "dropped_constant",
+                 "alpha_trace_zero", "reduced_trace_zero")
 
     def __init__(self, alpha_reduced: RatFunc, h: RatFunc,
                  pole_table: dict[Place, int], dropped_constant: FieldElement):
@@ -39,6 +43,8 @@ class ASForm:
         self.h = h
         self.pole_table = dict(pole_table)
         self.dropped_constant = dropped_constant
+        self.alpha_trace_zero = None
+        self.reduced_trace_zero = None
 
     def to_json(self) -> dict:
         return {
@@ -96,8 +102,9 @@ def _polynomial_part(f: RatFunc):
     return q
 
 
-def _even_legs(work: RatFunc) -> RatFunc:
+def _even_legs(work: RatFunc, poles: dict[Place, int]) -> RatFunc:
     """Square roots of the even-exponent terms slated for cancellation.
+    poles is work.poles(), and the legs' poles are among them.
 
     Covers: every even-exponent monomial of the polynomial part, the
     leading term of the pole at 0 when its order is even, and, per
@@ -117,7 +124,6 @@ def _even_legs(work: RatFunc) -> RatFunc:
             root = spec.element(mask).sqrt()
             legs = legs + RatFunc.constant(root) * RatFunc.monomial(spec, e // 2)
 
-    poles = work.poles()
     zero_place = Place.zero(spec)
     p0 = poles.get(zero_place, 0)
     if p0 and p0 % 2 == 0:
@@ -153,15 +159,19 @@ def _even_legs(work: RatFunc) -> RatFunc:
 
 
 def _reduce_core(alpha: RatFunc):
+    # legs have poles at poles of work: later passes split at alpha's roots
     spec = alpha.spec
     work = alpha
     h = RatFunc.zero(spec)
+    poles = work.poles()
+    roots = {pl.value.mask for pl in poles if not pl.is_infinity()}
     while True:
-        legs = _even_legs(work)
+        legs = _even_legs(work, poles)
         if legs.is_zero():
             break
         work = work + legs.square() + legs
         h = h + legs
+        poles = work.poles(roots)
     dropped = spec.zero()
     q = _polynomial_part(work)
     c0 = q.coeffs[0] if q.degree >= 0 else 0
@@ -173,24 +183,22 @@ def _reduce_core(alpha: RatFunc):
             h = h + RatFunc.constant(root)
         else:
             dropped = const
-    return work, h, dropped
+    # a constant moves no pole: the last pass's table is reduced's
+    return work, h, dropped, poles
 
 
-def _validate_reduced(reduced: RatFunc) -> dict[Place, int]:
-    pole_table = reduced.poles()
-    for place, p in pole_table.items():
-        assert p % 2 == 1, "reduction left an even pole order"
-    q = _polynomial_part(reduced)
-    for e in range(0, q.degree + 1, 2):
-        mask = q.coeffs[e] if e < len(q.coeffs) else 0
-        assert mask == 0, "reduction left an even polynomial term"
-    return pole_table
+def _validate_reduced(reduced: RatFunc, pole_table: dict[Place, int]):
+    """Refuse a reduction left off standard form; pole_table is reduced's."""
+    if any(p % 2 == 0 for p in pole_table.values()):
+        raise AssertionError("reduction left an even pole order")
+    if any(_polynomial_part(reduced).coeffs[::2]):
+        raise AssertionError("reduction left an even polynomial term")
 
 
 def as_reduce(alpha: RatFunc) -> ASForm:
     """Reduce alpha to standard form; poles must split over the field."""
-    reduced, h, dropped = _reduce_core(alpha)
-    pole_table = _validate_reduced(reduced)
+    reduced, h, dropped, pole_table = _reduce_core(alpha)
+    _validate_reduced(reduced, pole_table)
     return ASForm(reduced, h, pole_table, dropped)
 
 
@@ -200,17 +208,24 @@ def symmetrize_h(alpha: RatFunc, form: ASForm | None = None) -> ASForm:
     form is as_reduce(alpha) when the caller has it, as
     check_a4_conditions(alpha).form; the reduction is the same one, since
     the trace-zero grouping lives in _even_legs.  The trace checks run on
-    it either way.
+    it either way; the verdicts are recorded on it.
     """
-    if not trace_K_over_J(alpha).is_zero():
+    trace_zero = None if form is None else form.alpha_trace_zero
+    if trace_zero is None:
+        trace_zero = trace_K_over_J(alpha).is_zero()
+    if not trace_zero:
         raise ValueError("trace nonzero")
     if form is None:
         form = as_reduce(alpha)
-    assert form.dropped_constant.mask == 0, \
-        "trace-zero input produced a constant"
-    assert trace_K_over_J(form.h).is_zero()
-    assert trace_K_over_J(form.h.square()).is_zero()
-    assert trace_K_over_J(form.alpha_reduced).is_zero()
+    if form.dropped_constant.mask:
+        raise AssertionError("trace-zero input produced a constant")
+    # each function once; Tr(alpha) = Tr(0) = 0 (h = 0 when alpha is
+    # already reduced, and then alpha_reduced = alpha)
+    checks = {form.h, form.h.square(), form.alpha_reduced}
+    for f in checks - {alpha, RatFunc.zero(alpha.spec)}:
+        if not trace_K_over_J(f).is_zero():
+            raise AssertionError("reduction left the trace-zero locus")
+    form.alpha_trace_zero = form.reduced_trace_zero = True
     return form
 
 
@@ -229,7 +244,8 @@ def check_a4_conditions(alpha: RatFunc) -> A4Report:
     Needs: Tr(alpha) = 0, and nontriviality of alpha, rho alpha, and
     alpha + rho alpha, so that the three degree-two subcovers are distinct.
 
-    alpha is reduced once, and the report keeps that reduction as .form.
+    alpha is reduced once, and the report keeps that reduction, with the
+    trace verdict, as .form.
     rho is a k-automorphism of k(s), so rho alpha = xi^2 - xi is solvable
     exactly when alpha is.  When Tr(alpha) = 0, alpha + rho alpha =
     rho^2 alpha, so the sum is trivial exactly when alpha is; only a datum
@@ -237,6 +253,7 @@ def check_a4_conditions(alpha: RatFunc) -> A4Report:
     """
     trace_zero = trace_K_over_J(alpha).is_zero()
     form = as_reduce(alpha)
+    form.alpha_trace_zero = trace_zero
     nontrivial = not form.alpha_reduced.is_zero()
     if trace_zero:
         nontrivial_sum = nontrivial

@@ -600,6 +600,12 @@ def induce_restrict_label(spec, label, direction):
 # a model for each: a side with more labels than this is refused
 ZOO_LABEL_CAP = 1 << 14
 
+# building and checking a model costs about dim^3: a side whose labels'
+# dim^3 sum past this is refused too.  On a 2-core x86 machine the kG
+# listing at m = 2, dim <= 400 (sum 4.18e10) took 20.5 s, the slowest
+# rate measured, so the budget holds a side to about 20 s
+ZOO_DIM3_BUDGET = 4 * 10 ** 10
+
 
 def zoo_label_count(spec, max_dim, side):
     """The number of labels zoo_labels lists, without listing them."""
@@ -614,12 +620,24 @@ def zoo_label_count(spec, max_dim, side):
     raise ValueError("side must be 'kH' or 'kG'")
 
 
+def zoo_dim3_sum(spec, max_dim, side):
+    """The sum of dim^3 over the labels zoo_labels lists."""
+    one, odd, even, bands = ((1, 2, spec.order + 1, 0) if side == "kH"
+                             else (3, 6, 6, spec.order - 1))
+    total = one if max_dim >= 1 else 0
+    for dim in range(2, max_dim + 1):
+        total += dim ** 3 * ((odd if dim % 2 else even)
+                             + (0 if dim % 6 else bands))
+    return total
+
+
 def zoo_labels(spec, max_dim, side):
     """Every label of the given side with dim <= max_dim.
 
     Parameter families run over the whole working field, so the count
     grows with the field order; a listing of more than ZOO_LABEL_CAP
-    labels is refused before the first label.
+    labels, or whose dimensions' cubes sum past ZOO_DIM3_BUDGET, is
+    refused before the first label.
     """
     count = zoo_label_count(spec, max_dim, side)
     if count > ZOO_LABEL_CAP:
@@ -627,6 +645,12 @@ def zoo_labels(spec, max_dim, side):
             f"unsupported configuration: {count} {side} labels with "
             f"dim <= {max_dim} over GF(2^{spec.m}), more than "
             f"{ZOO_LABEL_CAP}")
+    cubes = zoo_dim3_sum(spec, max_dim, side)
+    if cubes > ZOO_DIM3_BUDGET:
+        raise ValueError(
+            f"unsupported configuration: {count} {side} labels with "
+            f"dim <= {max_dim} over GF(2^{spec.m}) sum to {cubes} in "
+            f"dim^3, more than {ZOO_DIM3_BUDGET}")
     if side == "kH":
         if max_dim >= 1:
             yield KHLabel.triv()

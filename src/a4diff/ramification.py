@@ -28,7 +28,8 @@ of delta along an orbit) are asserted rather than trusted.
 """
 
 from .artin_schreier import as_reduce
-from .ratlaurent import Place, trace_K_over_J
+from .gf import _mask_inv, _mask_mul
+from .ratlaurent import LaurentChunk, Place, trace_K_over_J
 
 
 class ProjectiveInfinity:
@@ -116,20 +117,20 @@ def theta_coefficients(alpha_chunk, beta_chunk, m):
         raise ValueError("degenerate leading coefficient")
     if (beta_chunk.order - alpha_chunk.order) % 2:
         raise ValueError("degenerate leading coefficient")
-    zero = spec.zero()
-
-    def a(i):
-        return alpha_chunk.coeffs[i] if i < len(alpha_chunk.coeffs) else zero
-
-    def b(i):
-        return beta_chunk.coeffs[i] if i < len(beta_chunk.coeffs) else zero
-
-    theta = []
+    # on masks: theta_i^2 = acc / lead is kept for the later steps, and
+    # only theta_i itself takes a square root
+    a = [c.mask for c in alpha_chunk.coeffs[:2 * (m // 4) + 1:2]]
+    b = [c.mask for c in beta_chunk.coeffs[:2 * (m // 4) + 1:2]]
+    a += [0] * (m // 4 + 1 - len(a))
+    b += [0] * (m // 4 + 1 - len(b))
+    lead_inv = _mask_inv(spec, lead.mask)
+    squares = []
     for i in range(m // 4 + 1):
-        acc = b(2 * i)
-        for i2, t in enumerate(theta):
-            acc = acc + a(2 * (i - i2)) * t * t
-        theta.append((acc / lead).sqrt())
+        acc = b[i]
+        for i2, t2 in enumerate(squares):
+            acc ^= _mask_mul(spec, a[i - i2], t2)
+        squares.append(_mask_mul(spec, acc, lead_inv))
+    theta = [spec.element(t2).sqrt() for t2 in squares]
     if not theta[0]:
         raise ValueError("degenerate leading coefficient")
     if beta_chunk.order == alpha_chunk.order and theta[0].mask == 1:
@@ -173,11 +174,12 @@ class BranchPoint:
 
     def __init__(self, place, p_values, lam, delta, epsilon, theta):
         pa, pb, pc = p_values
-        for p in p_values:
-            assert p > 0 and p % 2 == 1, p_values
+        if not all(p > 0 and p % 2 == 1 for p in p_values):
+            raise AssertionError(f"pole orders {p_values} not odd poles")
         srt = sorted(p_values)
         # the three conjugates sum to zero, so the two largest agree
-        assert srt[1] == srt[2], p_values
+        if srt[1] != srt[2]:
+            raise AssertionError(f"pole orders {p_values} not M, M, m")
         self.place = place
         self.p_alpha = pa
         self.p_rho_alpha = pb
@@ -375,25 +377,25 @@ def _numerology(points):
     return genus, differents, jumps
 
 
-def _analyze_point(spec, alpha, rho_alpha, rho2_alpha, place, epsilon):
-    p_values = []
-    for f in (alpha, rho_alpha, rho2_alpha):
-        ord_y = f.ord_at(place)
-        assert ord_y < 0, place.key()
-        p_values.append(-ord_y)
-    p_values = tuple(p_values)
+def _analyze_point(spec, place, p_values, chunks, epsilon):
+    # p_values, chunks: alpha's pole orders and 2 (m // 4) + 1 Laurent
+    # coefficients at zeta^k place, k = 0, 1, 2: those of rho^k alpha at
+    # place, whose coefficient of pi^j is alpha's times zeta^(kj), or
+    # zeta^(-kj) in the uniformizer 1/s at oo
     m = min(p_values)
+    z = spec.zeta()
+    zeta_powers = (spec.one(), z, z * z)
+    sign = -1 if place.is_infinity() else 1
+
+    def conjugate(k):
+        return LaurentChunk(place, chunks[k].order, [
+            c * zeta_powers[sign * k * (chunks[k].order + i) % 3]
+            for i, c in enumerate(chunks[k].coeffs)])
     # the conjugate realizing the small order leads the pair; the
     # second expansion is fixed per case, not by cyclic order
-    if p_values[0] == m:
-        fa, fb = alpha, rho_alpha
-    elif p_values[1] == m:
-        fa, fb = rho_alpha, alpha
-    else:
-        fa, fb = rho2_alpha, rho_alpha
-    count = 2 * (m // 4) + 1
-    theta = theta_coefficients(
-        fa.laurent_at(place, count), fb.laurent_at(place, count), m)
+    a, b = (0, 1) if p_values[0] == m else (1, 0) if p_values[1] == m \
+        else (2, 1)
+    theta = theta_coefficients(conjugate(a), conjugate(b), m)
     lam, delta = lambda_delta(spec, p_values, theta)
     return BranchPoint(place, p_values, lam, delta, epsilon, theta)
 
@@ -403,7 +405,10 @@ def analyze_branch_data(form):
 
     form is an ASForm, the output of symmetrize_h or as_reduce; its
     pole table is read as the poles of its alpha_reduced, which are not
-    factored again.  Raises ValueError on an empty branch locus, a
+    factored again: ord_y(rho^k alpha) = ord_(zeta^k y)(alpha), and 0 and
+    oo are fixed.  The conjugates' Laurent data are read off alpha's, one
+    expansion per point.  A recorded trace verdict is not retaken.  Raises
+    ValueError on an empty branch locus, a
     nonzero trace, a finite pole whose orbit is not contained in the
     branch locus (the subcover is then not totally ramified above it),
     or degenerate leading data.
@@ -412,7 +417,10 @@ def analyze_branch_data(form):
     spec = alpha.spec
     if alpha.is_zero():
         raise ValueError("empty branch locus")
-    if not trace_K_over_J(alpha).is_zero():
+    trace_zero = form.reduced_trace_zero
+    if trace_zero is None:
+        trace_zero = trace_K_over_J(alpha).is_zero()
+    if not trace_zero:
         raise ValueError("trace nonzero")
 
     inf_pl = Place.infinity()
@@ -444,8 +452,10 @@ def analyze_branch_data(form):
     special = []
     for pl, eps in ((inf_pl, -1), (zero_pl, 1)):
         if pl in pole_table:
+            p = pole_table[pl]
+            chunk = alpha.laurent_at(pl, 2 * (p // 4) + 1)
             special.append(
-                _analyze_point(spec, alpha, rho_alpha, rho2_alpha, pl, eps))
+                _analyze_point(spec, pl, (p,) * 3, [chunk] * 3, eps))
 
     orbits = []
     seen = set()
@@ -456,9 +466,13 @@ def analyze_branch_data(form):
         chain = [v, z * v, z * z * v]
         seen.update(c.mask for c in chain)
         psi = min(chain, key=lambda c: c.mask)
+        places = [Place.finite(z ** k * psi) for k in range(3)]
+        orders = [finite[pl.value.mask] for pl in places]
+        chunks = [alpha.laurent_at(pl, 2 * (min(orders) // 4) + 1)
+                  for pl in places]
         points = tuple(
-            _analyze_point(spec, alpha, rho_alpha, rho2_alpha,
-                           Place.finite(z ** k * psi), None)
+            _analyze_point(spec, places[k], tuple(orders[k:] + orders[:k]),
+                           chunks[k:] + chunks[:k], None)
             for k in range(3))
         lam = points[0].lam
         orbits.append(Orbit(psi, points, phi_of_lambda(spec, lam),

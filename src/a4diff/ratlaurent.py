@@ -14,18 +14,20 @@ Local data at a place c is computed adically.  In characteristic 2,
 the cofactor q with p = (s + c)^v q take O(log v) synthetic divisions by
 such binomials, O(deg) each.  The first `count` Laurent coefficients then
 take one division of each cofactor by (s + c)^(2^j) with 2^j >= count,
-and `count` synthetic divisions of the remainder by s + c: O(deg +
-count^2) scalar multiplies by fixed scalars, each a byte-table lookup.
+and halvings of the remainder by smaller such binomials: O(deg + count
+log count) scalar multiplies by fixed scalars, each a byte-table lookup.
 At infinity the substitution s -> 1/s reverses the coefficient lists,
 which are already the expansions: no multiplies at all.
 
 The roots of p in the field are those of its split part gcd(p, s^(2^m) + s),
 which is squarefree and which trace splitting takes apart.  The Frobenius
 powers s^(2^i) mod p are computed once per polynomial and reduced into each
-factor.  root_split then takes each root's multiplicity off p.
+factor.  root_split then takes each root's multiplicity off p, also at
+roots a caller already knows, with no search.
 
 The degree-3 twist rho acts on functions by (rho f)(s) = f(zeta s); the
-trace to the fixed field k(s^3) is f + rho f + rho^2 f.
+trace to the fixed field k(s^3) is f + rho f + rho^2 f.  A pullback is
+built with no gcd: rho is an automorphism of k[s].
 """
 
 from __future__ import annotations
@@ -208,19 +210,22 @@ class Poly:
         """First `count` coefficients of the (s + c)-adic expansion.
 
         They are those of p mod (s + c)^k = s^k + c^k, k = 2^j >= count:
-        one O(deg) division, then count divisions of degree < 2 count.
+        one O(deg) division.  Dividing by (s + c)^(k/2) then splits that
+        into its low and high halves, and so on: O(count log count).
         """
         spec = self.spec
-        k, d = 1, c
+        k, d, muls = 1, c, []       # muls[j] multiplies by c^(2^j)
         while k < count:
+            muls.append(_multiplier(spec, d))
             k, d = 2 * k, _mask_mul(spec, d, d)
         _, coeffs = _divmod_binomial(self.coeffs, k, _multiplier(spec, d))
-        mul = _multiplier(spec, c)
-        out = []
-        for _ in range(count):
-            coeffs, r = _divmod_binomial(coeffs, 1, mul)
-            out.append(r[0] if r else 0)
-        return out
+
+        def halves(coeffs, j):      # coeffs of degree < 2^(j + 1)
+            if j < 0:
+                return [coeffs[0] if coeffs else 0]
+            q, r = _divmod_binomial(coeffs, 1 << j, muls[j])
+            return halves(r, j - 1) + halves(q, j - 1)
+        return halves(coeffs, len(muls) - 1)[:count]
 
     def root_split(self, c: int):
         """(v, q) with p = (s + c)^v q and q(c) != 0, for nonzero p.
@@ -260,16 +265,6 @@ class Poly:
 
     def reversed_coeffs(self) -> "Poly":
         return Poly(self.spec, tuple(reversed(self.coeffs)))
-
-    def compose_scale(self, mask: int) -> "Poly":
-        """p(mask * s): multiply coefficient i by mask^i."""
-        spec = self.spec
-        out = []
-        power = 1
-        for c in self.coeffs:
-            out.append(_mask_mul(spec, c, power))
-            power = _mask_mul(spec, power, mask)
-        return Poly(spec, out)
 
     def elements(self):
         return [self.spec.element(c) for c in self.coeffs]
@@ -506,8 +501,9 @@ class RatFunc:
         else:
             # expand the cofactors prime to (s + c)
             c = place.value.mask
-            vn, qn = self.num.root_split(c)
             vd, qd = self.den.root_split(c)
+            # coprime: at a pole only the denominator vanishes
+            vn, qn = (0, self.num) if vd else self.num.root_split(c)
             base = vn - vd
             n_coeffs = qn.adic_coeffs(c, count)
             d_coeffs = qd.adic_coeffs(c, count)
@@ -519,9 +515,20 @@ class RatFunc:
     # -- the rho twist -----------------------------------------------------
 
     def rho_pullback(self) -> "RatFunc":
-        """(rho f)(s) = f(zeta s)."""
-        z = self.spec.zeta().mask
-        return RatFunc(self.num.compose_scale(z), self.den.compose_scale(z))
+        """(rho f)(s) = f(zeta s), with no gcd: s -> zeta s is an
+        automorphism, so N(zeta s) and D(zeta s) stay coprime.  Scaled by
+        zeta^(-deg D) to keep D monic, coefficient i gets zeta^(i - deg D)."""
+        spec = self.spec
+        z = spec.zeta().mask
+        powers = (1, z, _mask_mul(spec, z, z))
+        muls = [_multiplier(spec, powers[(k - self.den.degree) % 3])
+                for k in range(3)]
+        out = RatFunc.__new__(RatFunc)
+        out.spec = spec
+        out.num, out.den = (Poly(spec, [muls[i % 3](c) if c else 0
+                                        for i, c in enumerate(p.coeffs)])
+                            for p in (self.num, self.den))
+        return out
 
     def substitute_inverse(self) -> "RatFunc":
         """f(1/s), as a rational function of s."""
@@ -535,15 +542,16 @@ class RatFunc:
 
     # -- pole structure ----------------------------------------------------
 
-    def poles(self) -> dict[Place, int]:
-        """Pole orders; requires every finite pole to split over the field."""
+    def poles(self, roots=None) -> dict[Place, int]:
+        """Pole orders; requires every finite pole to split over the field.
+        roots, if given, holds every finite pole (see poly_roots)."""
         out: dict[Place, int] = {}
         if self.is_zero():
             return out
         deficit = self.num.degree - self.den.degree
         if deficit > 0:
             out[Place.infinity()] = deficit
-        for mask, mult in poly_roots(self.den).items():
+        for mask, mult in poly_roots(self.den, roots=roots).items():
             out[Place.finite(self.spec.element(mask))] = mult
         return out
 
@@ -562,19 +570,21 @@ class RatFunc:
 
 # ---------------------------------------------------------------------------
 
-def poly_roots(p: Poly, context: str = "pole") -> dict[int, int]:
+def poly_roots(p: Poly, context: str = "pole", roots=None) -> dict[int, int]:
     """All roots of p in its field, with multiplicities.
 
-    The distinct roots are field_roots(p), and root_split takes each one's
-    power off p.  Raises ValueError ("<context> not split over working
+    root_split takes the power of each root, from field_roots(p) or from
+    roots, off p.  Raises ValueError ("<context> not split over working
     field") when a cofactor of positive degree is left.
     """
     if p.is_zero():
         raise ValueError("root-finding on the zero polynomial")
     rest = p.monic()
     out = {}
-    for mask in field_roots(rest):
-        out[mask], rest = rest.root_split(mask)
+    for mask in field_roots(rest) if roots is None else roots:
+        v, rest = rest.root_split(mask)
+        if v:
+            out[mask] = v
     if rest.degree > 0:
         # a factor with no root is irreducible only up to degree 3
         d = rest.degree
@@ -647,14 +657,15 @@ def trace_K_over_J(f: RatFunc) -> RatFunc:
     """Trace of f to the degree-3 fixed field: f + rho f + rho^2 f.
 
     The result is verified to be rho-invariant, i.e. a function of s^3.
+    Callers record the verdict Tr f = 0 on the ASForm they pass on.
     """
     rf = f.rho_pullback()
     t = f + rf + rf.rho_pullback()
-    if t.rho_pullback() != t:
-        raise AssertionError("trace left the fixed field")
+    # canonical N/D (D monic) is rho-invariant iff 3 divides every exponent:
+    # rho t = t gives N(zeta s) = zeta^(deg D) N(s), D likewise, so every
+    # exponent is = deg D (mod 3); D(0) or N(0) is nonzero by coprimality,
+    # so 0 is an exponent and deg D = 0 (mod 3)
     if not t.is_zero():
-        # canonical form of a rho-invariant function uses only exponents
-        # divisible by 3
         for poly in (t.num, t.den):
             for i, c in enumerate(poly.coeffs):
                 if c and i % 3 != 0:

@@ -3,8 +3,8 @@ expectations for the parametric families, and slow reference versions of
 the field's exp/log tables, its bit-loop scalar arithmetic and its zeta
 solver, of the coefficient loops of polynomial products and division, of
 the matrix kernel's products, row reduction, kernel bases and rank, of
-root multiplicities and adic expansions, of rational-function sums, of
-trace splitting, of the oracle's field-wide parameter scan and of the
+root multiplicities and adic expansions, of rational-function sums and
+rho pullbacks, of trace splitting, of the oracle's field-wide parameter scan and of the
 three-reduction A4 precheck.  Also the explicit constructions that only
 tests use: matrices from rows, Kronecker products, the dense hom
 dimension, the stacked-rank probe counts, induction to A4, direct sums
@@ -426,6 +426,22 @@ def reference_adic_coeffs(p, c, count):
 def reference_sum(f, g):
     """f + g over the product of the denominators."""
     return RatFunc(f.num * g.den + g.num * f.den, f.den * g.den)
+
+
+def reference_rho_pullback(f):
+    """f(zeta s) through the canonicalising constructor: coefficient i of
+    numerator and denominator times zeta^i, then the gcd and the monic
+    scaling of RatFunc()."""
+    spec = f.spec
+    z = spec.zeta().mask
+
+    def compose(p):
+        out, power = [], 1
+        for c in p.coeffs:
+            out.append(_mask_mul(spec, c, power))
+            power = _mask_mul(spec, power, z)
+        return Poly(spec, out)
+    return RatFunc(compose(f.num), compose(f.den))
 
 
 def reference_trace_split(p, out):

@@ -1,9 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from a4diff import artin_schreier
+from a4diff import artin_schreier, ramification, ratlaurent
 from a4diff._families import (degenerate_orbit_alpha, generic_orbit_alpha,
                               hkg_alpha)
 from a4diff.cli import run_cli
@@ -321,3 +325,90 @@ def test_one_job_reduces_alpha_once(monkeypatch, capsys):
         assert run_cli(argv + ["--json"]) == 0
         assert calls[0] == 1, argv
     capsys.readouterr()
+
+
+def test_one_job_searches_each_polynomial_and_traces_each_function_once(
+        monkeypatch, capsys):
+    # a reduction finds its roots once and splits at them in later passes;
+    # each trace verdict is recorded on the form the caller passes on
+    searched, traced = [], []
+    field_roots = ratlaurent.field_roots
+    trace = ratlaurent.trace_K_over_J
+
+    def counting_roots(p):
+        searched.append(p)
+        return field_roots(p)
+
+    def counting_trace(f):
+        traced.append(f)
+        return trace(f)
+
+    monkeypatch.setattr(ratlaurent, "field_roots", counting_roots)
+    for module in (artin_schreier, ramification):
+        monkeypatch.setattr(module, "trace_K_over_J", counting_trace)
+    for argv in (["examples", "--which", "2", "--n", "4", "--m", "8"],
+                 ["examples", "--which", "1", "--n", "1", "--x", "2"],
+                 ["analyze", "--alpha", '{"num":[0,0,0,0,0,1],"den":[1]}']):
+        searched.clear()
+        traced.clear()
+        assert run_cli(argv + ["--json"]) == 0
+        assert searched and len(set(searched)) == len(searched), argv
+        assert traced and len(set(traced)) == len(traced), argv
+    capsys.readouterr()
+
+
+def test_broken_analysis_is_refused_under_optimisation():
+    # python -O strips asserts; the analyze invariants are explicit raises.
+    # The child plants broken reductions behind the CLI and builds branch
+    # points with impossible pole orders.
+    script = """
+import a4diff.artin_schreier as a
+from a4diff.cli import run_cli
+from a4diff.ramification import BranchPoint
+from a4diff.ratlaurent import Place, RatFunc
+assert False, "asserts are live"
+core = a._reduce_core
+
+def even_term(alpha):
+    work, h, dropped, poles = core(alpha)
+    return work + RatFunc.monomial(alpha.spec, 2), h, dropped, poles
+
+def even_pole(alpha):
+    work, h, dropped, poles = core(alpha)
+    return work, h, dropped, {pl: 2 * p for pl, p in poles.items()}
+
+def constant(alpha):
+    work, h, dropped, poles = core(alpha)
+    return work, h, alpha.spec.one(), poles
+
+def traced_h(alpha):
+    work, h, dropped, poles = core(alpha)
+    return work, h + RatFunc.monomial(alpha.spec, 3), dropped, poles
+
+for broken in (even_term, even_pole, constant, traced_h):
+    a._reduce_core = broken
+    try:
+        run_cli(["analyze", "--alpha", '{"num":[0,0,0,0,0,1],"den":[1]}'])
+        print("accepted")
+    except AssertionError as exc:
+        print(exc)
+for p_values in ((2, 3, 3), (3, 5, 7)):
+    try:
+        BranchPoint(Place.infinity(), p_values, None, 0, None, [])
+        print("accepted")
+    except AssertionError as exc:
+        print(exc)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "reduction left an even polynomial term",
+        "reduction left an even pole order",
+        "trace-zero input produced a constant",
+        "reduction left the trace-zero locus",
+        "pole orders (2, 3, 3) not odd poles",
+        "pole orders (3, 5, 7) not M, M, m",
+    ]

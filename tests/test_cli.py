@@ -408,6 +408,31 @@ def test_zoo_refuses_a_long_side_before_building_any_model(capsys,
     assert err.startswith("error: unsupported configuration: 48 kG labels")
 
 
+def test_zoo_refuses_a_side_past_the_dim3_budget(capsys, monkeypatch):
+    # at m = 2 and dim <= 8 the kH side's cubes sum to 1 + 2 (27 + 125 +
+    # 343) + 5 (8 + 64 + 216 + 512) = 4991: under a budget of 4990 it is
+    # refused before the first model is built
+    built = []
+
+    def counting(spec, label):
+        built.append(label)
+
+    import a4diff.modulezoo as modulezoo
+    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 4990)
+    monkeypatch.setattr(modulezoo, "kh_group_rep", counting)
+    code, out, err = run(capsys, "zoo", "--m", "2", "--max-dim", "8",
+                         "--side", "kH", "--json")
+    assert code == 2 and not out and built == []
+    assert err == ("error: unsupported configuration: 27 kH labels with "
+                   "dim <= 8 over GF(2^2) sum to 4991 in dim^3, more than "
+                   "4990\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 4991)
+    code, out, _ = run(capsys, "zoo", "--m", "2", "--max-dim", "8",
+                       "--side", "kH", "--json")
+    assert code == 0 and len(json.loads(out)["entries"]) == 27
+
+
 def test_zoo_single_label_dump(capsys):
     code, out, _ = run(capsys, "zoo", "--label", "B[6n=6,mu=9]", "--json")
     assert code == 0

@@ -28,7 +28,9 @@ from a4diff.modulezoo import (
     string_module_matrices,
     validate_group_rep,
     zoo_dump,
+    ZOO_DIM3_BUDGET,
     ZOO_LABEL_CAP,
+    zoo_dim3_sum,
     zoo_label_count,
     zoo_labels,
 )
@@ -469,6 +471,29 @@ def test_zoo_labels_refuses_listings_past_the_cap():
         with pytest.raises(ValueError, match="unsupported configuration"):
             next(zoo_labels(spec, max_dim, side))
     assert zoo_label_count(FieldSpec(m=12), 2, "kH") == 1 + (1 << 12) + 1
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_zoo_dim3_sum_is_the_listings(m):
+    spec = FieldSpec(m=m)
+    for side in ("kH", "kG"):
+        for max_dim in range(-1, 20):
+            assert zoo_dim3_sum(spec, max_dim, side) == sum(
+                lab.dim ** 3 for lab in zoo_labels(spec, max_dim, side))
+
+
+def test_zoo_labels_refuses_listings_past_the_dim3_budget():
+    # the largest test listing fits; over GF(4) a listing under the label
+    # cap can still be refused for its dimensions
+    assert zoo_dim3_sum(F, 30, "kH") <= ZOO_DIM3_BUDGET
+    assert zoo_dim3_sum(F, 30, "kG") <= ZOO_DIM3_BUDGET
+    spec = FieldSpec(m=2)
+    for max_dim, side in ((800, "kH"), (400, "kG")):
+        assert zoo_label_count(spec, max_dim, side) <= ZOO_LABEL_CAP
+        assert zoo_dim3_sum(spec, max_dim, side) > ZOO_DIM3_BUDGET
+        with pytest.raises(ValueError, match="unsupported configuration: "
+                           r"\d+ k[HG] labels .* in dim\^3, more than"):
+            next(zoo_labels(spec, max_dim, side))
 
 
 def test_zoo_labels_enumeration():

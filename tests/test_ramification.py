@@ -248,6 +248,24 @@ def test_degenerate_orbit_family(n):
     assert data.differents["inf"] == 24
 
 
+@pytest.mark.parametrize("alpha", [
+    hkg_alpha(F, 1, 1), hkg_alpha(F, 2, 2), degenerate_orbit_alpha(F, 1),
+    degenerate_orbit_alpha(F, 3), generic_orbit_alpha(F, 1, F.element(7)),
+    generic_orbit_alpha(F, 2, F.element(3)), mono(-5) + mono(-1)],
+    ids=["hkg1", "hkg2", "degenerate1", "degenerate3", "generic1",
+         "generic2", "inverted"])
+def test_table_orders_equal_ord_at(alpha):
+    # the pole orders of the conjugates are read off alpha's pole table,
+    # not from ord_at: ord_y(rho^k alpha) = ord_(zeta^k y)(alpha)
+    data = analyze(alpha)
+    rho_alpha = data.alpha.rho_pullback()
+    conjugates = (data.alpha, rho_alpha, rho_alpha.rho_pullback())
+    points = list(data.branch_points())
+    assert points
+    for bp in points:
+        assert bp.p_values == tuple(-f.ord_at(bp.place) for f in conjugates)
+
+
 @pytest.mark.parametrize("n,psi_mask", [(1, 3), (1, 7), (2, 3)])
 def test_generic_orbit_family(n, psi_mask):
     psi = F.element(psi_mask)

@@ -12,7 +12,8 @@ from a4diff.ratlaurent import (
 )
 from helpers import (eval_at, linear_power, reference_adic_coeffs,
                      reference_poly_divmod, reference_poly_mul,
-                     reference_root_split, reference_sum,
+                     reference_rho_pullback, reference_root_split,
+                     reference_sum,
                      reference_trace_split)
 
 F16 = FieldSpec(m=4)
@@ -163,6 +164,31 @@ def test_rho_pullback_moves_poles():
     target = psi * Z.inverse()
     assert rf.ord_at(Place.finite(target)) == -1
     assert rf.ord_at(Place.finite(psi)) == 0
+
+
+@pytest.mark.parametrize("m", [2, 8, 20])
+def test_rho_pullback_equals_the_gcd_reduced_reference(m):
+    # the pullback skips the gcd: it must still be the canonical fraction,
+    # also when s divides the denominator and when 3 does not divide its
+    # degree (the monic scaling by zeta^(-deg D) is then not 1)
+    spec = FieldSpec(m=m)
+    rnd = random.Random(m)
+
+    def poly(deg):
+        return Poly(spec, [rnd.randrange(spec.order) for _ in range(deg)]
+                    + [rnd.randrange(1, spec.order)])
+    seen = set()
+    for trial in range(60):
+        den = poly(rnd.randrange(6)) * Poly(spec, (0,) * (trial % 3) + (1,))
+        f = RatFunc(poly(rnd.randrange(8)), den)
+        got, ref = f.rho_pullback(), reference_rho_pullback(f)
+        assert (got.num, got.den) == (ref.num, ref.den), f
+        seen.add((f.den.coeffs[0] == 0, f.den.degree % 3))
+    assert {(True, 1), (True, 2), (False, 1), (False, 2),
+            (False, 0)} <= seen
+    zero = RatFunc.zero(spec)
+    assert (zero.rho_pullback().num, zero.rho_pullback().den) == \
+        (zero.num, zero.den)
 
 
 def test_trace_of_monomials():
