@@ -17,11 +17,13 @@ the deltas, and inverting
     A = zeta C + zeta D + zeta^2 CD
     B = zeta^2 C + D + zeta^2 CD
 
-recovers the group generators from any quiver representation.  rho
-itself acts as zeta^i on the vertex-i summand.  The models go one way
-only, from words to group matrices: the oracle reads the graded pencil
-back off the group matrices directly, with no quiver representation in
-between.
+recovers the group generators from any quiver representation, where
+CD = 0 (a sum of length-two paths), so that A = zeta C + zeta D and
+B = zeta^2 C + D.  rho itself acts as zeta^i on the vertex-i summand.
+The models go one way only, from words to group matrices: the oracle
+reads the graded pencil back off the group matrices directly, with no
+quiver representation in between.  A word's constructor refuses every
+path in the ideal, so the models built from words check no relation.
 
 String modules follow the usual recipe: basis b_1 .. b_{l+1} along the
 word, a direct letter w_j acting by alpha . b_{j+1} = b_j and an
@@ -360,7 +362,10 @@ class GroupRep:
 
 def validate_group_rep(rep):
     """Check the defining relations, naming the first one that fails;
-    a representation that passed before is not checked again."""
+    a representation that passed before is not checked again.  Over G
+    they are the presentation <s, r | s^2 = r^3 = (sr)^3 = 1> of A4
+    (Coxeter and Moser) and rho sigma rho^-1 = tau, which imply tau^2 = 1
+    and sigma tau = tau sigma: 8 products, and 4 over H."""
     def check(holds, name):
         if not holds:
             raise ValueError(f"relation violation: {name}")
@@ -370,9 +375,10 @@ def validate_group_rep(rep):
     I = Matrix.identity(rep.spec, rep.dim)
     s, t = rep.sigma, rep.tau
     check(s @ s == I, "sigma^2 != 1")
-    check(t @ t == I, "tau^2 != 1")
-    check(s @ t == t @ s, "sigma tau != tau sigma")
-    if rep.group == "G":
+    if rep.group == "H":
+        check(t @ t == I, "tau^2 != 1")
+        check(s @ t == t @ s, "sigma tau != tau sigma")
+    else:
         r = rep.rho
         rr = r @ r
         check(rr @ r == I, "rho^3 != 1")
@@ -383,34 +389,20 @@ def validate_group_rep(rep):
 
 
 def _ab_from_cd(spec, C, D):
+    """A and B from the letters C and D of a representation whose quiver
+    relations hold, where the terms zeta^2 CD vanish."""
     z = spec.zeta()
-    z2 = z * z
-    CD = C @ D
-    A = C.scale(z) + D.scale(z) + CD.scale(z2)
-    B = C.scale(z2) + D + CD.scale(z2)
-    return A, B
+    return (C + D).scale(z), C.scale(z * z) + D
 
 
-def klein_group_matrices(rep):
-    """GroupRep of H from a Klein four quiver representation; the group
-    relations follow from the quiver relations rep.validate checks."""
-    rep.validate()
+def _klein_group(rep):
     spec = rep.spec
     I = Matrix.identity(spec, rep.total_dim)
     return GroupRep("H", spec, I + rep.arrow_mats["A"],
                     I + rep.arrow_mats["B"])
 
 
-def kG_group_matrices(rep):
-    """GroupRep of G from an A4 quiver representation.
-
-    Basis order: vertex 0 block, then vertex 1, then vertex 2; rho acts
-    as zeta^i on the vertex-i block.  The group relations follow from the
-    quiver relations rep.validate checks.
-    """
-    if rep.quiver is not A4_QUIVER:
-        raise ValueError("expected an A4 quiver representation")
-    rep.validate()
+def _kg_group(rep):
     spec = rep.spec
     z = spec.zeta()
     dims = [rep.vertex_dims[v] for v in (0, 1, 2)]
@@ -426,6 +418,26 @@ def kG_group_matrices(rep):
     A, B = _ab_from_cd(spec, C, D)
     I = Matrix.identity(spec, rep.total_dim)
     return GroupRep("G", spec, I + A, I + B, rho)
+
+
+def klein_group_matrices(rep):
+    """GroupRep of H from a Klein four quiver representation; the group
+    relations follow from the quiver relations rep.validate checks."""
+    rep.validate()
+    return _klein_group(rep)
+
+
+def kG_group_matrices(rep):
+    """GroupRep of G from an A4 quiver representation.
+
+    Basis order: vertex 0 block, then vertex 1, then vertex 2; rho acts
+    as zeta^i on the vertex-i block.  The group relations follow from the
+    quiver relations rep.validate checks.
+    """
+    if rep.quiver is not A4_QUIVER:
+        raise ValueError("expected an A4 quiver representation")
+    rep.validate()
+    return _kg_group(rep)
 
 
 def restrict_to_h(grep):
@@ -450,40 +462,11 @@ _DELTA = ("d01", "d12", "d20")   # _DELTA[p] lowers p+1 -> p
 _GAMMA = ("g02", "g10", "g21")   # _GAMMA[p] raises p-1 -> p
 
 
-def _a4_leading_delta(i, count):
-    """delta^-1 gamma delta^-1 gamma ... starting at vertex i."""
-    out = []
-    for t in range(count):
-        j = t // 2
-        if t % 2 == 0:
-            out.append(rev(_DELTA[(i + j) % 3]))
-        else:
-            out.append(fwd(_GAMMA[(i + j) % 3]))
-    return tuple(out)
-
-
-def _a4_leading_gamma(i, count):
-    """gamma delta^-1 gamma delta^-1 ... starting at vertex i."""
-    out = []
-    for t in range(count):
-        j = t // 2
-        if t % 2 == 0:
-            out.append(fwd(_GAMMA[(i + j) % 3]))
-        else:
-            out.append(rev(_DELTA[(i + j + 1) % 3]))
-    return tuple(out)
-
-
-def _a4_descending(i, count):
-    """gamma^-1 delta gamma^-1 delta ... descending from vertex i."""
-    out = []
-    for t in range(count):
-        j = t // 2
-        if t % 2 == 0:
-            out.append(rev(_GAMMA[(i - j) % 3]))
-        else:
-            out.append(fwd(_DELTA[(i - j) % 3]))
-    return tuple(out)
+def _a4_zigzag(i, count, step, even, odd):
+    """count letters even(v), odd(v), even(v + step), odd(v + step), ...
+    from v = i, vertex indices mod 3."""
+    return tuple((odd if t % 2 else even)((i + step * (t // 2)) % 3)
+                 for t in range(count))
 
 
 A4_BAND = BandWord(A4_QUIVER, "d01 ~g21 d20 ~g10 d12 ~g02")
@@ -516,12 +499,18 @@ def kg_label_word(label):
     if label.kind == "Band":
         return None
     count = label.dim - 1
-    if label.kind == "OddString":
-        letters = (_a4_leading_delta(label.i, count) if label.x == 1
-                   else _a4_leading_gamma(label.i, count))
+    if label.kind == "OddString" and label.x == 2:
+        # gamma delta^-1 gamma delta^-1 ... starting at vertex i
+        letters = _a4_zigzag(label.i, count, 1, lambda v: fwd(_GAMMA[v]),
+                             lambda v: rev(_DELTA[(v + 1) % 3]))
+    elif label.kind == "EvenString" and label.param is not INF:
+        # gamma^-1 delta gamma^-1 delta ... descending from vertex i
+        letters = _a4_zigzag(label.i, count, -1, lambda v: rev(_GAMMA[v]),
+                             lambda v: fwd(_DELTA[v]))
     else:
-        letters = (_a4_leading_delta(label.i, count) if label.param is INF
-                   else _a4_descending(label.i, count))
+        # delta^-1 gamma delta^-1 gamma ... starting at vertex i
+        letters = _a4_zigzag(label.i, count, 1, lambda v: rev(_DELTA[v]),
+                             lambda v: fwd(_GAMMA[v]))
     return StringWord(A4_QUIVER, letters)
 
 
@@ -543,11 +532,14 @@ def kg_quiver_rep(spec, label):
 
 
 def kh_group_rep(spec, label):
-    return klein_group_matrices(kh_quiver_rep(spec, label))
+    """The H model of a label; its word fixes the quiver relations, and
+    validate_group_rep checks the group ones."""
+    return _klein_group(kh_quiver_rep(spec, label))
 
 
 def kg_group_rep(spec, label):
-    return kG_group_matrices(kg_quiver_rep(spec, label))
+    """The G model of a label, built as kh_group_rep's."""
+    return _kg_group(kg_quiver_rep(spec, label))
 
 
 # ---------------------------------------------------------------------------
@@ -601,9 +593,10 @@ def induce_restrict_label(spec, label, direction):
 ZOO_LABEL_CAP = 1 << 14
 
 # building and checking a model costs about dim^3: a side whose labels'
-# dim^3 sum past this is refused too.  On a 2-core x86 machine the kG
-# listing at m = 2, dim <= 400 (sum 4.18e10) took 20.5 s, the slowest
-# rate measured, so the budget holds a side to about 20 s
+# dim^3 sum past this is refused too, and so is a dump of one label past
+# it.  On a 2-core x86 machine the kG listing at m = 2, dim <= 390 (sum
+# 3.79e10) took 11.5-12.6 s and the kH one at dim <= 400 (2.26e10) 4.0 s,
+# so the budget holds a side to about 13 s
 ZOO_DIM3_BUDGET = 4 * 10 ** 10
 
 
@@ -733,14 +726,21 @@ def parse_label(spec, text):
 
 
 def zoo_dump(spec, label):
-    """JSON description of one label: dims plus all the matrices."""
+    """JSON description of one label: dims plus all the matrices.  A
+    label whose dim^3 exceeds ZOO_DIM3_BUDGET is refused before its model
+    is built, as a listing of that label alone would be."""
+    cubes = label.dim ** 3
+    if cubes > ZOO_DIM3_BUDGET:
+        raise ValueError(
+            f"unsupported configuration: {label.label_str()} has dim "
+            f"{label.dim}, {cubes} in dim^3, more than {ZOO_DIM3_BUDGET}")
     if isinstance(label, KHLabel):
         qrep = kh_quiver_rep(spec, label)
-        grep = klein_group_matrices(qrep)
+        grep = _klein_group(qrep)
         side = "kH"
     else:
         qrep = kg_quiver_rep(spec, label)
-        grep = kG_group_matrices(qrep)
+        grep = _kg_group(qrep)
         side = "kG"
     out = {"label": label.label_str(), "side": side, "dim": grep.dim,
            "field": spec.to_json(), "quiver": qrep.to_json(),

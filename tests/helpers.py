@@ -13,7 +13,9 @@ quiver representation read back off group matrices, the reference for
 the oracle's radical pencil; and the accessors only tests read: division by
 one linear factor, places from keys, constancy and evaluation of
 rational functions, the orbit count, the branch point at a place and
-the recomputed numerology of branch data."""
+the recomputed numerology of branch data; and the six group relations of
+A4, the reference for the four-relation presentation that the validator
+checks."""
 
 import math
 
@@ -604,6 +606,19 @@ def labels_group_rep(spec, labels):
                     diag(lambda r: r.tau), rho)
 
 
+def reference_group_relations(rep):
+    """Whether a G-representation satisfies all six relations sigma^2 =
+    tau^2 = rho^3 = 1, sigma tau = tau sigma, rho sigma rho^-1 = tau and
+    (sigma rho)^3 = 1; the reference for validate_group_rep's
+    presentation."""
+    I = Matrix.identity(rep.spec, rep.dim)
+    s, t, r = rep.sigma, rep.tau, rep.rho
+    rr = r @ r
+    sr = s @ r
+    return (s @ s == I and t @ t == I and s @ t == t @ s and rr @ r == I
+            and r @ s @ rr == t and sr @ sr @ sr == I)
+
+
 # the eigenvector letters of the Klein four algebra: C and D are scaled
 # by zeta and zeta^2 under conjugation with rho
 KLEIN_CD = Quiver("klein_cd", (0,), {"C": (0, 0), "D": (0, 0)})
@@ -611,10 +626,10 @@ KLEIN_CD = Quiver("klein_cd", (0,), {"C": (0, 0), "D": (0, 0)})
 
 def kh_cd_group_rep(spec, label):
     """The model of an even-dimensional Klein four label built in the
-    (C, D) letters, A = zeta C + zeta D + zeta^2 CD and B = zeta^2 C + D +
-    zeta^2 CD.  Its (C, D) parameter is phi_of_lambda of the (A, B)
-    parameter, so the string cases sit at phi in {0, inf}, that is at
-    lambda in {zeta, zeta^2}."""
+    (C, D) letters, A = zeta C + zeta D and B = zeta^2 C + D (CD = 0).
+    Its (C, D) parameter is phi_of_lambda of the (A, B) parameter, so the
+    string cases sit at phi in {0, inf}, that is at lambda in {zeta,
+    zeta^2}."""
     phi = phi_of_lambda(spec, label.param)
     n = label.dim // 2
     if phi is INF:

@@ -433,6 +433,31 @@ def test_zoo_refuses_a_side_past_the_dim3_budget(capsys, monkeypatch):
     assert code == 0 and len(json.loads(out)["entries"]) == 27
 
 
+def test_zoo_refuses_a_label_past_the_dim3_budget(capsys, monkeypatch):
+    # a label whose dim^3 is past the budget is refused before its model
+    # is built, as a listing of it alone would be
+    import a4diff.modulezoo as modulezoo
+
+    def unbuildable(spec, label):
+        raise AssertionError(f"{label.label_str()} was built")
+
+    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 4912)
+    for name in ("kh_quiver_rep", "kg_quiver_rep"):
+        monkeypatch.setattr(modulezoo, name, unbuildable)
+    for text, dim in (("M[2n+1=17,x=1,i=0]", 17), ("N[2n=18,lambda=inf]", 18),
+                      ("B[6n=18,mu=1]", 18)):
+        code, out, err = run(capsys, "zoo", "--m", "2", "--label", text,
+                             "--json")
+        assert code == 2 and not out
+        assert err == (f"error: unsupported configuration: {text} has dim "
+                       f"{dim}, {dim ** 3} in dim^3, more than 4912\n")
+    monkeypatch.undo()
+    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 17 ** 3)
+    code, out, _ = run(capsys, "zoo", "--m", "2", "--label",
+                       "M[2n+1=17,x=1,i=0]", "--json")
+    assert code == 0 and json.loads(out)["dim"] == 17
+
+
 def test_zoo_single_label_dump(capsys):
     code, out, _ = run(capsys, "zoo", "--label", "B[6n=6,mu=9]", "--json")
     assert code == 0
@@ -461,6 +486,25 @@ def test_zoo_malformed_label_exits_2_under_optimisation():
     assert len(lines) == len(MALFORMED_LABELS)
     for text, line in zip(MALFORMED_LABELS, lines):
         assert line.startswith(f"error: invalid label {text!r}: ")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["examples", "--which", "1", "--n", "2", "--x", "2", "--m", "8",
+      "--verify", "--json"], 0),
+    (["examples", "--which", "3", "--n", "1", "--m", "12", "--psi", "19",
+      "--verify", "--json"], 0),
+    (["zoo", "--m", "2", "--max-dim", "10", "--json"], 0),
+    (["verify", "--alpha", S3, "--json"], 2),
+])
+def test_reports_are_the_same_under_optimisation(argv, code):
+    # no report may rest on an assert, which python -O strips
+    runs = [subprocess.run([sys.executable, *flags, "-m", "a4diff.cli",
+                            *argv], capture_output=True, text=True,
+                           timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
+            for flags in ([], ["-O"])]
+    plain, optimised = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    assert plain == optimised
+    assert plain[0] == code
 
 
 def test_zoo_listing_keeps_to_max_dim_and_refuses_large_ones(capsys):

@@ -4,10 +4,11 @@ and the induction/restriction dictionary, plus the matrix plumbing."""
 import random
 import re
 
+import numpy as np
 import pytest
 
 from a4diff.gf import FieldSpec
-from a4diff._linalg import Matrix, jordan_block
+from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.ramification import INF, lambda_of_phi, phi_of_lambda
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.modulezoo import (
@@ -16,6 +17,7 @@ from a4diff.modulezoo import (
     BandWord,
     GroupRep,
     KLEIN_AB,
+    QuiverRep,
     StringWord,
     band_module_matrices,
     induce_restrict_label,
@@ -23,6 +25,7 @@ from a4diff.modulezoo import (
     kg_group_rep,
     kg_quiver_rep,
     kh_group_rep,
+    klein_group_matrices,
     parse_label,
     restrict_to_h,
     string_module_matrices,
@@ -36,7 +39,7 @@ from a4diff.modulezoo import (
 )
 
 from helpers import (KLEIN_CD, induce_to_g, kh_cd_group_rep,
-                     matrix_from_rows)
+                     matrix_from_rows, reference_group_relations)
 
 F = FieldSpec(m=8)
 Z = F.zeta()
@@ -208,18 +211,108 @@ def test_relation_validator_names_failure():
         validate_group_rep(GroupRep("H", F, bad, t))
 
 
-def test_g_validation_takes_eleven_products(monkeypatch):
+def test_g_validation_takes_eight_products(monkeypatch):
     rep = kg_group_rep(F, KGLabel.odd(5, 1, 0))
     calls = []
     product = Matrix.__matmul__
     monkeypatch.setattr(Matrix, "__matmul__",
                         lambda a, b: calls.append(1) or product(a, b))
     validate_group_rep(rep)
-    assert len(calls) == 11
+    assert len(calls) == 8
     s, t = rep.sigma, rep.tau
     one = Matrix.identity(F, rep.dim)
     with pytest.raises(ValueError, match="rho sigma rho\\^-1 != tau"):
         validate_group_rep(GroupRep("G", F, s, t, one))
+
+
+def _accepts(rep):
+    try:
+        validate_group_rep(rep)
+    except ValueError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("m", [2, 4])
+def test_the_presentation_accepts_what_the_six_relations_accept(m):
+    spec = FieldSpec(m=m)
+    rnd = random.Random(m)
+    models = [kg_group_rep(spec, lab) for lab in zoo_labels(spec, 12, "kG")]
+
+    def random_matrix(d):
+        return Matrix(spec, np.array(
+            [[rnd.randrange(spec.order) for _ in range(d)]
+             for _ in range(d)], dtype=np.int64))
+
+    conjugated = []
+    for rep in models:
+        while True:
+            S = random_matrix(rep.dim)
+            if S.rank() == rep.dim:
+                break
+        Si = coords_in_basis(S, Matrix.identity(spec, rep.dim))
+        g = [Si @ X @ S for X in (rep.sigma, rep.tau, rep.rho)]
+        conjugated.append(GroupRep("G", spec, *g))
+    changed = []
+    for rep in models:
+        g = [X.copy() for X in (rep.sigma, rep.tau, rep.rho)]
+        X = g[rnd.randrange(3)]
+        i, j = rnd.randrange(rep.dim), rnd.randrange(rep.dim)
+        X.a[i, j] ^= rnd.randrange(1, spec.order)
+        changed.append(GroupRep("G", spec, *g))
+    # and one planted failure of each relation of the presentation but the
+    # conjugation, which then defines tau: (sigma, rho) with sigma^2 != 1;
+    # with rho^3 != 1 (sigma rho of order 3); with (sigma rho)^3 != 1
+    z = spec.zeta()
+    swap = matrix_from_rows(spec, [[0, 1], [1, 0]])
+    planted = [(Matrix.scalar(spec, 1, z), Matrix.identity(spec, 1)),
+               (swap, matrix_from_rows(spec, [[1, 1], [0, 1]])),
+               (swap, matrix_from_rows(spec, [[0, 1], [1, 1]]))]
+    planted = [GroupRep("G", spec, s, r @ s @ r @ r, r) for s, r in planted]
+    verdicts = []
+    for rep in models + conjugated + changed + planted:
+        want = reference_group_relations(rep)
+        assert _accepts(rep) == want
+        verdicts.append(want)
+    # every model and its conjugate pass; most changed copies do not, and
+    # no planted one does
+    assert all(verdicts[:2 * len(models)])
+    assert sum(verdicts[2 * len(models):]) < len(models) // 4
+    assert not any(verdicts[3 * len(models):])
+
+
+def test_zoo_models_are_built_with_no_product_and_checked_with_4_or_8(
+        monkeypatch):
+    spec = FieldSpec(m=2)
+    calls = []
+    product = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__",
+                        lambda a, b: calls.append(1) or product(a, b))
+    for side, build, count in (("kH", kh_group_rep, 4),
+                               ("kG", kg_group_rep, 8)):
+        for lab in zoo_labels(spec, 12, side):
+            label = parse_label(spec, lab.label_str())
+            zoo_dump(spec, label)
+            rep = build(spec, label)
+            assert not calls
+            validate_group_rep(rep)
+            assert len(calls) == count
+            calls.clear()
+
+
+def test_public_builders_refuse_a_path_off_the_ideal():
+    one = Matrix.identity(F, 1)
+    zero = Matrix.zeros(F, 1, 1)
+    klein = QuiverRep(KLEIN_AB, F, {0: 1}, {"A": one, "B": zero})
+    with pytest.raises(ValueError,
+                       match="relation violation: A.A acts nonzero"):
+        klein_group_matrices(klein)
+    arrows = {name: zero for name in A4_QUIVER.arrows}
+    arrows["g10"] = arrows["g21"] = one
+    a4 = QuiverRep(A4_QUIVER, F, {0: 1, 1: 1, 2: 1}, arrows)
+    with pytest.raises(ValueError,
+                       match="relation violation: g21.g10 acts nonzero"):
+        kG_group_matrices(a4)
 
 
 def test_the_restriction_of_a_validated_model_is_not_checked_again(
@@ -252,8 +345,8 @@ def test_quiver_relation_validator():
 
 
 def test_every_small_label_validates():
-    # the model builders check the quiver relations only, so each group
-    # model is validated here
+    # the model builders check no relation (a word fixes the quiver
+    # relations), so each group model is validated here
     def built(grep, dim):
         validate_group_rep(grep)
         assert grep.dim == dim
