@@ -208,7 +208,8 @@ def symmetrize_h(alpha: RatFunc, form: ASForm | None = None) -> ASForm:
     form is as_reduce(alpha) when the caller has it, as
     check_a4_conditions(alpha).form; the reduction is the same one, since
     the trace-zero grouping lives in _even_legs.  The trace checks run on
-    it either way; the verdicts are recorded on it.
+    it either way; the verdicts are recorded on it.  h^2 is not traced:
+    rho is a field automorphism in characteristic 2, so Tr(h^2) = Tr(h)^2.
     """
     trace_zero = None if form is None else form.alpha_trace_zero
     if trace_zero is None:
@@ -221,7 +222,7 @@ def symmetrize_h(alpha: RatFunc, form: ASForm | None = None) -> ASForm:
         raise AssertionError("trace-zero input produced a constant")
     # each function once; Tr(alpha) = Tr(0) = 0 (h = 0 when alpha is
     # already reduced, and then alpha_reduced = alpha)
-    checks = {form.h, form.h.square(), form.alpha_reduced}
+    checks = {form.h, form.alpha_reduced}
     for f in checks - {alpha, RatFunc.zero(alpha.spec)}:
         if not trace_K_over_J(f).is_zero():
             raise AssertionError("reduction left the trace-zero locus")

@@ -65,7 +65,12 @@ class JobSpec:
     __slots__ = ("field", "alpha", "mode", "options")
 
     def __init__(self, field, alpha, mode, options=None):
-        assert mode in ("analyze", "hkg", "verify", "zoo", "examples")
+        modes = ("analyze", "hkg", "verify", "zoo", "examples")
+        if mode not in modes:
+            raise UsageError(f"job mode must be one of {', '.join(modes)}, "
+                             f"got {mode!r}")
+        if alpha is None and mode != "examples":
+            raise UsageError(f"{mode} job needs alpha")
         self.field = field
         self.alpha = alpha
         self.mode = mode
@@ -171,7 +176,7 @@ def _parse_alpha_obj(field, obj):
     for key in ("num", "den"):
         coeffs = obj[key]
         if (not isinstance(coeffs, list) or not coeffs or
-                not all(isinstance(c, int) and 0 <= c < field.order
+                not all(type(c) is int and 0 <= c < field.order
                         for c in coeffs)):
             raise UsageError(
                 f"alpha {key} must be a nonempty list of masks below "
@@ -213,13 +218,11 @@ def _precheck(alpha):
         raise ValueError(
             "trace nonzero: the datum needs Tr(alpha) = 0 over the "
             "rational subfield")
-    for flag, name in ((crit.nontrivial_alpha, "alpha"),
-                       (crit.nontrivial_rho_alpha, "rho(alpha)"),
-                       (crit.nontrivial_sum, "alpha + rho(alpha)")):
-        if not flag:
-            raise ValueError(
-                f"trivial datum: {name} = xi^2 - xi is solvable; the cover "
-                "needs all three conditions alpha != xi^2 - xi")
+    # at trace zero the rho(alpha) and alpha + rho(alpha) flags are this one
+    if not crit.nontrivial_alpha:
+        raise ValueError(
+            "trivial datum: alpha = xi^2 - xi is solvable; the cover "
+            "needs all three conditions alpha != xi^2 - xi")
     return crit.form
 
 
@@ -270,7 +273,6 @@ def run_job(job):
     alpha = job.alpha
     if job.mode == "examples":
         alpha = _synthesize_example(job)
-    assert alpha is not None
     job.alpha = alpha
     form = _precheck(alpha)
     t0 = time.perf_counter()

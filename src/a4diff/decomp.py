@@ -266,7 +266,6 @@ class MuNu:
         self.a_y = a_y
         self.b_y = b_y
         self.k_y = k_y
-        assert a_y in (0, 1, 2) and b_y in (0, 1) and k_y in (0, -2)
 
 
 def mu_nu(bp, data):
@@ -334,8 +333,15 @@ def kH_decomposition(data):
         raise ValueError("inconsistent invariants")
     dec.add(KHLabel.string(3, 1), b)
     dec.add(KHLabel.triv(), c)
-    assert dec.total_dim == data.genus
+    _check_genus(dec, data)
     return dec
+
+
+def _check_genus(dec, data):
+    if dec.total_dim != data.genus:
+        raise AssertionError(
+            f"{dec.side} closed form has dimension {dec.total_dim}, "
+            f"not the genus {data.genus}")
 
 
 def _split3(value, eps, offset):
@@ -425,7 +431,7 @@ def kG_decomposition(data):
     if data.r == 0:
         dec.note = ("r = 0 datum: multiplicity congruences use the a(y) "
                     "offsets; the b(y) basis flags do not enter them")
-    assert dec.total_dim == data.genus
+    _check_genus(dec, data)
     return dec
 
 
@@ -456,7 +462,9 @@ def hkg_decomposition(data):
         dec.add(KGLabel.odd(3, 1, i), mult)
     for i, mult in enumerate(_split3(mn.mu3 - mn.mu2, -1, mn.mu2 - 1)):
         dec.add(KGLabel.simple(i), mult)
-    assert dec == kG_decomposition(data)
+    if dec != kG_decomposition(data):
+        raise AssertionError(
+            "one-point shortcut disagrees with the general kG recipe")
     return dec
 
 

@@ -121,9 +121,6 @@ def _fill_special(spec, pt, offset, labels, Sg, Tg, Rg, plan):
     m = pt.m
     mu1, mu2, mu3 = _mus(m)
     z = spec.zeta()
-    if pt.lam != z and pt.lam != z * z:
-        raise ValueError("unsupported configuration: fixed-point lambda "
-                         "outside the cube roots of unity")
     zp = [spec.one().mask, z.mask, (z * z).mask]
     ranges = _family_ranges(m, m, k, a)
     point_labels = _point_labels(place, m, m, k, a)
@@ -369,11 +366,10 @@ def build_global_rep(data: RamData) -> GlobalRep:
     """Assemble the global differential representation of the datum.
 
     Returns a GlobalRep whose dimension equals the genus.  The group
-    relations are not checked here; decompose_rep checks them.  Raises
-    "unsupported configuration" at a fixed branch point whose lambda is
-    not a primitive cube root of unity (the one check of lambda =
-    zeta^(epsilon m) that python -O keeps), and "inconsistent invariants"
-    if the assembled dimension disagrees with the genus.
+    relations are not checked here; decompose_rep checks them.  A fixed
+    branch point's lambda is a primitive cube root of unity, since
+    BranchPoint refuses any other.  Raises "inconsistent invariants" if
+    the assembled dimension disagrees with the genus.
     """
     spec = data.spec
     specials = data.special

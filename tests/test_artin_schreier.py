@@ -398,6 +398,40 @@ for p_values in ((2, 3, 3), (3, 5, 7)):
         print("accepted")
     except AssertionError as exc:
         print(exc)
+
+# the derived relations of the analysis, each planted broken once
+from a4diff import decomp
+from a4diff._families import generic_orbit_alpha, hkg_alpha
+from a4diff.artin_schreier import symmetrize_h
+from a4diff.gf import FieldSpec
+from a4diff.ramification import Orbit, analyze_branch_data
+a._reduce_core = core
+
+def refused(make):
+    try:
+        make()
+        print("accepted")
+    except AssertionError as exc:
+        print(exc)
+
+F8, F12 = FieldSpec(8), FieldSpec(12)
+one_point = analyze_branch_data(symmetrize_h(hkg_alpha(F8, 1, 1)))
+bp = one_point.special[0]
+refused(lambda: BranchPoint(bp.place, bp.p_values, F8.zeta() * bp.lam,
+                            bp.delta, bp.epsilon, bp.theta))
+orbit = analyze_branch_data(symmetrize_h(
+    generic_orbit_alpha(F12, 1, F12.element(19)))).orbits[0]
+p0, p1, p2 = orbit.points
+refused(lambda: Orbit(orbit.psi, (p2, p1, p2)))
+refused(lambda: Orbit(orbit.psi, (p0, p1, p0)))
+refused(lambda: Orbit(orbit.psi, (p0, p1, BranchPoint(
+    p2.place, p2.p_values, p2.lam, p2.delta + 1, None, p2.theta))))
+one_point.genus += 1
+refused(lambda: decomp.kH_decomposition(one_point))
+refused(lambda: decomp.kG_decomposition(one_point))
+one_point.genus -= 1
+decomp.kG_decomposition = lambda data: decomp.Decomposition("kG")
+refused(lambda: decomp.hkg_decomposition(one_point))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -411,4 +445,11 @@ for p_values in ((2, 3, 3), (3, 5, 7)):
         "reduction left the trace-zero locus",
         "pole orders (2, 3, 3) not odd poles",
         "pole orders (3, 5, 7) not M, M, m",
+        "lambda 189 at inf is not zeta^(epsilon m) with epsilon = -1, m = 47",
+        "orbit psi = 19: lambdas [3302, 4078, 3302] break the Moebius chain",
+        "orbit psi = 19: lambdas [365, 4078, 365] break the Moebius chain",
+        "orbit psi = 19: delta [1, 1, 2] varies along the orbit",
+        "kH closed form has dimension 69, not the genus 70",
+        "kG closed form has dimension 69, not the genus 70",
+        "one-point shortcut disagrees with the general kG recipe",
     ]

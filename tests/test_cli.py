@@ -1,5 +1,6 @@
 """Exit codes, report shapes and determinism of the command line."""
 
+import ast
 import hashlib
 import json
 import os
@@ -91,6 +92,9 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys)[0] == 1
     code, _, err = run(capsys, "analyze", "--alpha", '{"num":[1]}')
     assert code == 1 and "num" in err
+    code, out, err = run(capsys, "analyze", "--alpha",
+                         '{"num":[0,0,0,0,0,true],"den":[true]}', "--json")
+    assert code == 1 and not out and err.startswith("usage error: alpha num")
 
 
 def test_alpha_from_file_and_trunc(tmp_path, capsys):
@@ -356,6 +360,21 @@ def test_batch_job_with_a_malformed_number_is_a_usage_error(tmp_path, capsys,
     assert json.loads(out)["error"].startswith("usage: job ")
 
 
+def test_batch_job_with_an_unknown_mode_or_no_alpha_is_a_usage_error(
+        tmp_path, capsys):
+    jobs = [{"m": 8, "mode": "bogus", "alpha": json.loads(S5)},
+            {"m": 8, "mode": "hkg"}]
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(json.dumps(j) for j in jobs), encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--batch", str(path))
+    assert code == 1
+    assert [json.loads(l)["error"] for l in out.splitlines()] == [
+        "usage: job mode must be one of analyze, hkg, verify, zoo, examples, "
+        "got 'bogus'",
+        "usage: hkg job needs alpha",
+    ]
+
+
 # ---------------------------------------------------------------- zoo
 
 def test_zoo_table_all_valid(capsys):
@@ -495,9 +514,20 @@ def test_zoo_malformed_label_exits_2_under_optimisation():
       "--verify", "--json"], 0),
     (["zoo", "--m", "2", "--max-dim", "10", "--json"], 0),
     (["verify", "--alpha", S3, "--json"], 2),
+    (["examples", "--which", "2", "--n", "4", "--m", "8", "--json"], 0),
+    (["hkg", "--alpha", json.dumps({"num": [0] * 31 + [1] + [0] * 15 + [1],
+                                    "den": [1]}), "--json"], 0),  # family 1
+    (["examples", "--which", "3", "--n", "1", "--m", "12", "--psi", "19",
+      "--json"], 0),
+    (["verify", "--batch", {"m": 8, "mode": "bogus", "alpha": json.loads(S5)}],
+     1),
 ])
-def test_reports_are_the_same_under_optimisation(argv, code):
+def test_reports_are_the_same_under_optimisation(argv, code, tmp_path):
     # no report may rest on an assert, which python -O strips
+    if argv[:2] == ["verify", "--batch"]:
+        path = tmp_path / "batch.jsonl"
+        path.write_text(json.dumps(argv[2]), encoding="utf-8")
+        argv = [*argv[:2], str(path)]
     runs = [subprocess.run([sys.executable, *flags, "-m", "a4diff.cli",
                             *argv], capture_output=True, text=True,
                            timeout=120, env=dict(os.environ, PYTHONPATH=SRC))
@@ -505,6 +535,16 @@ def test_reports_are_the_same_under_optimisation(argv, code):
     plain, optimised = ((p.returncode, p.stdout, p.stderr) for p in runs)
     assert plain == optimised
     assert plain[0] == code
+
+
+def test_the_analysis_path_holds_no_assert():
+    # python -O strips assert statements; these modules raise explicitly
+    for name in ("ramification", "artin_schreier", "cli"):
+        path = Path(SRC) / "a4diff" / f"{name}.py"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert not lines, f"{name}.py asserts at lines {lines}"
 
 
 def test_zoo_listing_keeps_to_max_dim_and_refuses_large_ones(capsys):
