@@ -29,9 +29,9 @@ String modules follow the usual recipe: basis b_1 .. b_{l+1} along the
 word, a direct letter w_j acting by alpha . b_{j+1} = b_j and an
 inverse letter by alpha . b_j = b_{j+1}.  Band modules replace basis
 vectors by blocks of size n and put a Jordan block J_n(mu) on the
-first letter.  `induce_restrict_label` exposes the label-level
-dictionary between the two zoos; it matches the A4 band parameters with
-the Klein four ones by the Moebius correspondence phi_of_lambda.
+first letter.  The label-level dictionary from the A4 zoo to the Klein
+four one is `decomp.restrict_decomposition`; it matches the A4 band
+parameters with the Klein four ones by the Moebius correspondence.
 """
 
 import re
@@ -40,8 +40,8 @@ import numpy as np
 
 from ._linalg import Matrix, jordan_block
 from .gf import FieldElement, all_elements
-from .ramification import INF, phi_of_lambda
-from .decomp import (KHLabel, KGLabel, Decomposition, restrict_decomposition)
+from .ramification import INF
+from .decomp import KHLabel, KGLabel
 
 
 # ---------------------------------------------------------------------------
@@ -540,48 +540,6 @@ def kh_group_rep(spec, label):
 def kg_group_rep(spec, label):
     """The G model of a label, built as kh_group_rep's."""
     return _kg_group(kg_quiver_rep(spec, label))
-
-
-# ---------------------------------------------------------------------------
-# induction and restriction, label level
-
-def induce_restrict_label(spec, label, direction):
-    """The label-level dictionary between the two zoos.
-
-    direction "restrict" takes an A4 label to its Klein four multiset;
-    "induce" takes a Klein four label to the A4 side.  Induction is
-    exact on these algebras, so dimensions triple.
-    """
-    if direction == "restrict":
-        if not isinstance(label, KGLabel):
-            raise ValueError("restrict expects an A4 label")
-        one = Decomposition("kG", spec=spec)
-        one.add(label, 1)
-        return restrict_decomposition(one)
-    if direction != "induce":
-        raise ValueError("direction must be 'induce' or 'restrict'")
-    if not isinstance(label, KHLabel):
-        raise ValueError("induce expects a Klein four label")
-    out = Decomposition("kG", spec=spec)
-    if label.kind == "Triv":
-        for i in range(3):
-            out.add(KGLabel.simple(i), 1)
-        return out
-    if label.kind == "String":
-        for i in range(3):
-            out.add(KGLabel.odd(label.dim, label.x, i), 1)
-        return out
-    z = spec.zeta()
-    if label.param is not INF and label.param == z:
-        for i in range(3):
-            out.add(KGLabel.even(label.dim, 0, i), 1)
-    elif label.param is not INF and label.param == z * z:
-        for i in range(3):
-            out.add(KGLabel.even(label.dim, INF, i), 1)
-    else:
-        phi = phi_of_lambda(spec, label.param)
-        out.add(KGLabel.band(3 * label.dim, phi ** 3, phi=phi), 1)
-    return out
 
 
 # ---------------------------------------------------------------------------

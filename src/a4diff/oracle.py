@@ -49,9 +49,9 @@ from ._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
                       preimage_space, vstack)
 from .ramification import INF
 from .ratlaurent import Poly, field_roots
-from .decomp import KHLabel, KGLabel
-from .modulezoo import (StringWord, induce_restrict_label, kg_label_word,
-                        kh_label_word, validate_group_rep)
+from .decomp import Decomposition, KHLabel, KGLabel, restrict_decomposition
+from .modulezoo import (StringWord, kg_label_word, kh_label_word,
+                        validate_group_rep)
 
 __all__ = [
     "Matrix",
@@ -221,12 +221,14 @@ def hom_labels(spec, a, b):
         return 3 * n * n2 + extra
     if a_band:
         shadow = _band_shadow(a.dim // 6)
-        parts = induce_restrict_label(spec, b, "restrict")
+        parts = restrict_decomposition(
+            Decomposition("kG", [(b, 1)], spec=spec))
         return sum(m * _hom_kh_shapes(shadow, _kh_shape(lab))
                    for lab, m in parts.entries.items())
     if b_band:
         shadow = _band_shadow(b.dim // 6)
-        parts = induce_restrict_label(spec, a, "restrict")
+        parts = restrict_decomposition(
+            Decomposition("kG", [(a, 1)], spec=spec))
         return sum(m * _hom_kh_shapes(_kh_shape(lab), shadow)
                    for lab, m in parts.entries.items())
     return string_pair_homs(kg_label_word(a), kg_label_word(b))

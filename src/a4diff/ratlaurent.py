@@ -79,10 +79,6 @@ class Poly:
     def x(cls, spec: FieldSpec) -> "Poly":
         return cls(spec, (0, 1))
 
-    @classmethod
-    def const(cls, spec: FieldSpec, mask: int) -> "Poly":
-        return cls(spec, (mask,))
-
     @property
     def degree(self) -> int:
         """Degree, -1 for the zero polynomial."""
@@ -266,9 +262,6 @@ class Poly:
     def reversed_coeffs(self) -> "Poly":
         return Poly(self.spec, tuple(reversed(self.coeffs)))
 
-    def elements(self):
-        return [self.spec.element(c) for c in self.coeffs]
-
     def __repr__(self):
         if self.is_zero():
             return "Poly(0)"
@@ -342,10 +335,6 @@ class LaurentChunk:
         self.place = place
         self.order = order
         self.coeffs = tuple(coeffs)
-
-    def coeff(self, i: int) -> FieldElement:
-        """Coefficient of pi^(order+i)."""
-        return self.coeffs[i]
 
     def __repr__(self):
         return (f"LaurentChunk({self.place!r}, order={self.order}, "
@@ -656,18 +645,8 @@ def rho_pullback(f: RatFunc) -> RatFunc:
 def trace_K_over_J(f: RatFunc) -> RatFunc:
     """Trace of f to the degree-3 fixed field: f + rho f + rho^2 f.
 
-    The result is verified to be rho-invariant, i.e. a function of s^3.
+    rho^3 = id, so the result is rho-invariant, a function of s^3.
     Callers record the verdict Tr f = 0 on the ASForm they pass on.
     """
     rf = f.rho_pullback()
-    t = f + rf + rf.rho_pullback()
-    # canonical N/D (D monic) is rho-invariant iff 3 divides every exponent:
-    # rho t = t gives N(zeta s) = zeta^(deg D) N(s), D likewise, so every
-    # exponent is = deg D (mod 3); D(0) or N(0) is nonzero by coprimality,
-    # so 0 is an exponent and deg D = 0 (mod 3)
-    if not t.is_zero():
-        for poly in (t.num, t.den):
-            for i, c in enumerate(poly.coeffs):
-                if c and i % 3 != 0:
-                    raise AssertionError("trace left the fixed field")
-    return t
+    return f + rf + rf.rho_pullback()

@@ -1,15 +1,19 @@
 """Explicit matrix model of the holomorphic differentials of an A4 cover.
 
 Builds, from analyzed branch data, the sigma/tau/rho matrices acting on the
-labelled differential basis.  sigma and tau act blockwise through the local
-two-generator tables at each branch point; rho acts by zeta-power diagonals
-at the fixed points, by a banded theta block across each middle range, and
-by scalar permutation around each finite orbit.  On a datum without fixed
-branch points, rho on the index-one sextet of the leading orbit comes from
-one linear solve of the conjugation relations.  Every block is written
-down directly, with no search and no repair.  The matrices are emitted in
-the basis as labelled, before any change of basis; identifying the
-isomorphism classes of the summands is the hom-space oracle's job.
+labelled differential basis.  The model is block diagonal: one block per
+rho-fixed branch point (0 or infinity) and one per finite orbit
+{psi, zeta psi, zeta^2 psi}, each written in its own coordinates into a
+view of the one d x d allocation.  sigma and tau act through the local
+two-generator tables at each branch point; rho acts by zeta-power
+diagonals at the fixed points, by a banded theta block across each middle
+range, and by scalar permutation around each finite orbit.  On a datum
+without fixed branch points, rho on the index-one sextet of the leading
+orbit comes from one linear solve of the conjugation relations.  Every
+block is written down directly, with no search and no repair.  The
+matrices are emitted in the basis as labelled, before any change of
+basis; identifying the isomorphism classes of the summands is the
+hom-space oracle's job.
 """
 
 from __future__ import annotations
@@ -38,10 +42,6 @@ class BasisLabel:
         self.family = family
         self.index = int(index)
 
-    def to_json(self):
-        return {"place": self.place.key(), "family": self.family,
-                "index": self.index}
-
     def __eq__(self, other):
         if not isinstance(other, BasisLabel):
             return NotImplemented
@@ -56,31 +56,17 @@ class BasisLabel:
 
 
 class GlobalRep:
-    """A GroupRep over G together with its basis labels and block plan."""
+    """A GroupRep over G together with its basis labels."""
 
-    __slots__ = ("rep", "labels", "block_plan")
+    __slots__ = ("rep", "labels")
 
-    def __init__(self, rep, labels, block_plan):
+    def __init__(self, rep, labels):
         self.rep = rep
         self.labels = list(labels)
-        self.block_plan = list(block_plan)
 
     @property
     def dim(self):
         return self.rep.dim
-
-    def to_json(self):
-        return {
-            "dim": self.dim,
-            "labels": [lab.to_json() for lab in self.labels],
-            "sigma": self.rep.sigma.to_mask_rows(),
-            "tau": self.rep.tau.to_mask_rows(),
-            "rho": self.rep.rho.to_mask_rows(),
-            "blocks": self.block_plan,
-        }
-
-    def __repr__(self):
-        return f"GlobalRep(dim={self.dim}, blocks={len(self.block_plan)})"
 
 
 def _mus(m):
@@ -112,56 +98,50 @@ def _band_matrix(spec, theta, n):
     return Matrix(spec, T)
 
 
-def _fill_special(spec, pt, offset, labels, Sg, Tg, Rg, plan):
-    """Block at a rho-fixed branch point (infinity or zero)."""
+def _fill_special(spec, pt, S, T, R):
+    """Block at a rho-fixed branch point (infinity or zero), written into
+    S, T and R from their top left corner; returns the point's labels."""
     place = pt.place
     eps = pt.epsilon
     k = -2 if place.is_infinity() else 0
     a = 0 if place.is_infinity() else 1
     m = pt.m
-    mu1, mu2, mu3 = _mus(m)
+    mu1, mu2, _ = _mus(m)
     z = spec.zeta()
     zp = [spec.one().mask, z.mask, (z * z).mask]
     ranges = _family_ranges(m, m, k, a)
-    point_labels = _point_labels(place, m, m, k, a)
-    slot = [(lab.family, lab.index) for lab in point_labels]
-    pos = {fi: offset + t for t, fi in enumerate(slot)}
-    labels.extend(point_labels)
+    labels = _point_labels(place, m, m, k, a)
+    slot = [(lab.family, lab.index) for lab in labels]
+    pos = {fi: t for t, fi in enumerate(slot)}
+    du = len(slot)
 
     def jexp(idx):
         return (1 - eps * idx) % 3
 
     # sigma and tau: the local table, theta tail included
-    block = slice(offset, offset + len(slot))
     Sp, Tp = _table_patterns(spec, slot, ranges, mu1, mu2, k, 0, pt.theta)
-    Sg[block, block] = Sp.a
-    Tg[block, block] = Tp.a
+    S[:du, :du] = Sp.a
+    T[:du, :du] = Tp.a
     # rho: zeta-power diagonal on family 1
     for i in range(ranges[1][0], ranges[1][1] + 1):
-        Rg[pos[(1, i)], pos[(1, i)]] = zp[jexp(i)]
+        R[pos[(1, i)], pos[(1, i)]] = zp[jexp(i)]
     # rho on the low triples: f2 -> f3, f3 -> f2 + f3, all scaled
     for i in range(ranges[2][0], ranges[2][1] + 1):
-        Rg[pos[(3, i)], pos[(2, i)]] = zp[jexp(i)]
+        R[pos[(3, i)], pos[(2, i)]] = zp[jexp(i)]
     for i in range(ranges[3][0], min(ranges[3][1], mu1 + k) + 1):
-        Rg[pos[(2, i)], pos[(3, i)]] = zp[jexp(i)]
-        Rg[pos[(3, i)], pos[(3, i)]] = zp[jexp(i)]
+        R[pos[(2, i)], pos[(3, i)]] = zp[jexp(i)]
+        R[pos[(3, i)], pos[(3, i)]] = zp[jexp(i)]
     # rho on the corrected tail: the banded block T^{-1} P
     n = mu2 - mu1
-    entry = {"place": place.key(), "kind": "special", "a": a, "k": k,
-             "epsilon": eps, "mu": [mu1, mu2, mu3], "n": n}
     if n >= 1:
         w_lo = mu1 + k + 1
-        T = _band_matrix(spec, pt.theta, n)
+        band = _band_matrix(spec, pt.theta, n)
         P = np.zeros((n, n), dtype=np.int64)
         for p in range(n):
             P[p, p] = zp[jexp(w_lo + p)]
         tail = [pos[(3, w_lo + p)] for p in range(n)]
-        Rg[np.ix_(tail, tail)] = coords_in_basis(T, Matrix(spec, P)).a
-        Theta = T.a.copy()
-        np.fill_diagonal(Theta, 0)
-        entry["Theta"] = [[int(x) for x in row] for row in Theta]
-    plan.append(entry)
-    return len(point_labels)
+        R[np.ix_(tail, tail)] = coords_in_basis(band, Matrix(spec, P)).a
+    return labels
 
 
 def _table_patterns(spec, pos_list, ranges, mu1, mu2, k, nu, theta):
@@ -271,9 +251,11 @@ def _index_one_block(spec, cases):
     return sig6, tau6, _solve_udagger_rho(spec, sig6, tau6)
 
 
-def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
-    """Blocks of one finite orbit: three member slots plus, on the leading
-    orbit of a fixed-point-free datum, the special index-one sextet."""
+def _fill_orbit(spec, orbit, r, first, S, T, R):
+    """Blocks of one finite orbit, written into S, T and R from their top
+    left corner: three member slots plus, on the leading orbit of a
+    fixed-point-free datum, the special index-one sextet.  Returns the
+    orbit's labels."""
     rep_pt = orbit.points[0]
     m, M = rep_pt.m, rep_pt.M
     mu1, mu2, mu3 = _mus(m)
@@ -290,22 +272,19 @@ def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
     for fam in (1, 2, 3):
         a, b = ranges[fam]
         slot.extend((fam, i) for i in range(a, b + 1))
-    du = len(slot)
 
     # labels in place order, families ascending, with index one present
     # on primed members of the leading orbit and everywhere when r = 0
     member_lo = [lo_dd, 1 if lead else lo_dd, 1 if lead else lo_dd]
     if r0 and not first:
         member_lo = [1, 1, 1]
+    labels = []
     gpos = []
-    cursor = offset
     for mem, pt in enumerate(orbit.points):
         pl = _point_labels(pt.place, m, M, k, member_lo[mem])
-        pos = {(lab.family, lab.index): cursor + t
-               for t, lab in enumerate(pl)}
+        gpos.append({(lab.family, lab.index): len(labels) + t
+                     for t, lab in enumerate(pl)})
         labels.extend(pl)
-        cursor += len(pl)
-        gpos.append(pos)
 
     # local H table at the representative, resolved to actual generators
     Sp, Tp = _table_patterns(spec, slot, ranges, mu1, mu2, k, nu,
@@ -321,32 +300,22 @@ def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
         if i == 1 and r0 and not first:
             e = 2
         exps.append(e)
-    dvals = [zp[e] for e in exps]
 
     A2 = _conj_diag(spec, ST0, exps, 1)
     B2 = _conj_diag(spec, A0, exps, 1)
     A1 = _conj_diag(spec, B0, exps, 2)
     B1 = _conj_diag(spec, ST0, exps, 2)
 
-    members = [(0, A0, B0), (1, A1, B1), (2, A2, B2)]
-    for mem, Amat, Bmat in members:
-        pos = gpos[mem]
+    for pos, Amat, Bmat in zip(gpos, (A0, A1, A2), (B0, B1, B2)):
         idx = [pos[fi] for fi in slot]
-        Sg[np.ix_(idx, idx)] = Amat.a
-        Tg[np.ix_(idx, idx)] = Bmat.a
+        S[np.ix_(idx, idx)] = Amat.a
+        T[np.ix_(idx, idx)] = Bmat.a
     # rho: slot 0 -> slot 2 -> slot 1 -> slot 0, each hop diagonal
-    for t, fi in enumerate(slot):
-        d = dvals[t]
-        Rg[gpos[2][fi], gpos[0][fi]] = d
-        Rg[gpos[1][fi], gpos[2][fi]] = d
-        Rg[gpos[0][fi], gpos[1][fi]] = d
-
-    entry = {"place": rep_pt.place.key(), "kind": "orbit",
-             "psi": orbit.psi.mask, "klass": orbit.klass,
-             "members": [pt.place.key() for pt in orbit.points],
-             "slot_dim": du, "hops": [int(d) for d in dvals],
-             "index_one_sextet": bool(lead)}
-    plan.append(entry)
+    for fi, e in zip(slot, exps):
+        d = zp[e]
+        R[gpos[2][fi], gpos[0][fi]] = d
+        R[gpos[1][fi], gpos[2][fi]] = d
+        R[gpos[0][fi], gpos[1][fi]] = d
 
     if lead:
         # index-one sextet on the primed members, socle action pinned
@@ -356,10 +325,10 @@ def _fill_orbit(spec, orbit, r, first, offset, labels, Sg, Tg, Rg, plan):
         gidx = np.ix_(idx, idx)
         cases = [_resolve_case(spec, pt) for pt in orbit.points[1:]]
         sig6, tau6, rho6 = _index_one_block(spec, cases)
-        Sg[gidx] = sig6.a
-        Tg[gidx] = tau6.a
-        Rg[gidx] = rho6.a
-    return cursor - offset
+        S[gidx] = sig6.a
+        T[gidx] = tau6.a
+        R[gidx] = rho6.a
+    return labels
 
 
 def build_global_rep(data: RamData) -> GlobalRep:
@@ -372,30 +341,25 @@ def build_global_rep(data: RamData) -> GlobalRep:
     the assembled dimension disagrees with the genus.
     """
     spec = data.spec
-    specials = data.special
-    orbits = data.orbits
-    r = len(specials)
-
+    r = len(data.special)
     dim = data.genus
     Sg = np.zeros((dim, dim), dtype=np.int64)
     Tg = np.zeros((dim, dim), dtype=np.int64)
     Rg = np.zeros((dim, dim), dtype=np.int64)
-    one = spec.one().mask
-    np.fill_diagonal(Sg, one)
-    np.fill_diagonal(Tg, one)
-
+    # block diagonal: each fixed point or orbit writes its whole block,
+    # diagonal included, into the views that start at its first label
     labels = []
-    plan = []
-    offset = 0
-    for pt in specials:
-        offset += _fill_special(spec, pt, offset, labels, Sg, Tg, Rg, plan)
-    for j, orbit in enumerate(orbits):
-        offset += _fill_orbit(spec, orbit, r, j == 0, offset, labels,
-                              Sg, Tg, Rg, plan)
-    if offset != dim or len(labels) != dim:
+    for pt in data.special:
+        o = len(labels)
+        labels += _fill_special(spec, pt, Sg[o:, o:], Tg[o:, o:], Rg[o:, o:])
+    for j, orbit in enumerate(data.orbits):
+        o = len(labels)
+        labels += _fill_orbit(spec, orbit, r, j == 0,
+                              Sg[o:, o:], Tg[o:, o:], Rg[o:, o:])
+    if len(labels) != dim:
         raise ValueError("inconsistent invariants: basis count "
                          f"{len(labels)} at genus {dim}")
 
     rep = GroupRep("G", spec, Matrix(spec, Sg), Matrix(spec, Tg),
                    Matrix(spec, Rg))
-    return GlobalRep(rep, labels, plan)
+    return GlobalRep(rep, labels)

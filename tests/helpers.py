@@ -7,7 +7,8 @@ root multiplicities and adic expansions, of rational-function sums and
 rho pullbacks, of trace splitting, of the oracle's field-wide parameter scan and of the
 three-reduction A4 precheck.  Also the explicit constructions that only
 tests use: matrices from rows, Kronecker products, the dense hom
-dimension, the stacked-rank probe counts, induction to A4, direct sums
+dimension, the stacked-rank probe counts, induction to A4 of a model and
+of a label (the reference for Frobenius reciprocity), direct sums
 of label models and the Klein four models in the (C, D) letters; the A4
 quiver representation read back off group matrices, the reference for
 the oracle's radical pencil; and the accessors only tests read: division by
@@ -24,7 +25,8 @@ import numpy as np
 from a4diff._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
                             coords_at_pivots, hstack, vstack)
 from a4diff.artin_schreier import A4Report, is_as_trivial, symmetrize_h
-from a4diff.decomp import KHLabel
+from a4diff.decomp import (Decomposition, KGLabel, KHLabel,
+                           restrict_decomposition)
 from a4diff.gf import (FieldElement, _mask_inv, _mask_mul, _pmulmod,
                        _ppowmod, all_elements)
 from a4diff.modulezoo import (A4_QUIVER, BandWord, GroupRep, Quiver,
@@ -586,6 +588,42 @@ def induce_to_g(hrep):
     rho = Matrix.assemble(spec, dims, dims,
                           {(1, 0): I, (2, 1): I, (0, 2): I})
     return GroupRep("G", spec, sigma, tau, rho)
+
+
+def induce_label(spec, label):
+    """The A4 multiset induced from a Klein four label; dimensions triple.
+
+    Triv and the odd strings induce to one copy per character, N_{2n,zeta}
+    and N_{2n,zeta^2} to the even strings with * = 0 resp. oo, and every
+    other N_{2n,lambda} to the band B_{6n,phi^3}, phi = phi_of_lambda.
+    """
+    assert isinstance(label, KHLabel)
+    out = Decomposition("kG", spec=spec)
+    if label.kind == "Triv":
+        for i in range(3):
+            out.add(KGLabel.simple(i), 1)
+        return out
+    if label.kind == "String":
+        for i in range(3):
+            out.add(KGLabel.odd(label.dim, label.x, i), 1)
+        return out
+    z = spec.zeta()
+    if label.param is not INF and label.param == z:
+        for i in range(3):
+            out.add(KGLabel.even(label.dim, 0, i), 1)
+    elif label.param is not INF and label.param == z * z:
+        for i in range(3):
+            out.add(KGLabel.even(label.dim, INF, i), 1)
+    else:
+        phi = phi_of_lambda(spec, label.param)
+        out.add(KGLabel.band(3 * label.dim, phi ** 3, phi=phi), 1)
+    return out
+
+
+def restrict_label(spec, label):
+    """The Klein four multiset restricted from one A4 label."""
+    return restrict_decomposition(Decomposition("kG", [(label, 1)],
+                                                spec=spec))
 
 
 def labels_group_rep(spec, labels):

@@ -23,8 +23,9 @@ from a4diff.repbuilder import build_global_rep
 from a4diff._families import (degenerate_orbit_alpha, generic_orbit_alpha,
                               hkg_alpha)
 
-from helpers import (analyzed_random_datum, hom_dim, induce_to_g,
-                     kh_cd_group_rep, labels_group_rep)
+from helpers import (analyzed_random_datum, hom_dim, induce_label,
+                     induce_to_g, kh_cd_group_rep, labels_group_rep,
+                     restrict_label)
 from test_oracle import (conjugated, kg_zoo, kh_zoo, multiset,
                          rand_kg_multiset, rand_kh_multiset)
 
@@ -181,14 +182,13 @@ def test_criterion_6_zoo_soundness():
 
     # Frobenius reciprocity on every pair from the sliced families,
     # counted through the closed-form hom tables on both sides
-    from a4diff.modulezoo import induce_restrict_label
     from a4diff.oracle import hom_labels
     params = [SPEC.zero(), ONE, Z, Z * Z, SPEC.element(9), INF]
     phis = [Z, SPEC.element(9), SPEC.element(5)]
     kg_side = kg_zoo(24, phis)
-    res = {Y: induce_restrict_label(SPEC, Y, "restrict") for Y in kg_side}
+    res = {Y: restrict_label(SPEC, Y) for Y in kg_side}
     for X in kh_zoo(24, params):
-        ind = induce_restrict_label(SPEC, X, "induce")
+        ind = induce_label(SPEC, X)
         for Y in kg_side:
             lhs = sum(m * hom_labels(SPEC, lab, Y)
                       for lab, m in ind.entries.items())

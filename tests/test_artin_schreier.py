@@ -429,9 +429,6 @@ refused(lambda: Orbit(orbit.psi, (p0, p1, BranchPoint(
 one_point.genus += 1
 refused(lambda: decomp.kH_decomposition(one_point))
 refused(lambda: decomp.kG_decomposition(one_point))
-one_point.genus -= 1
-decomp.kG_decomposition = lambda data: decomp.Decomposition("kG")
-refused(lambda: decomp.hkg_decomposition(one_point))
 """
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -451,5 +448,4 @@ refused(lambda: decomp.hkg_decomposition(one_point))
         "orbit psi = 19: delta [1, 1, 2] varies along the orbit",
         "kH closed form has dimension 69, not the genus 70",
         "kG closed form has dimension 69, not the genus 70",
-        "one-point shortcut disagrees with the general kG recipe",
     ]

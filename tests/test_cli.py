@@ -135,6 +135,22 @@ def test_hkg_invariants_block(capsys):
     assert h["l"] == 1 and h["genus"] == 6
 
 
+def test_hkg_computes_kG_once(capsys, monkeypatch):
+    from a4diff import cli, decomp
+    calls = []
+    kG = decomp.kG_decomposition
+
+    def counting(data):
+        calls.append(data)
+        return kG(data)
+
+    for module in (cli, decomp):
+        monkeypatch.setattr(module, "kG_decomposition", counting)
+    code, _, _ = run(capsys, "hkg", "--alpha", S5, "--json")
+    assert code == 0
+    assert len(calls) == 1
+
+
 def test_hkg_rejects_orbit_data(capsys):
     # the degenerate-orbit family is branched beyond infinity
     code, out, _ = run(capsys, "examples", "--which", "2", "--n", "1",

@@ -20,7 +20,6 @@ from a4diff.modulezoo import (
     QuiverRep,
     StringWord,
     band_module_matrices,
-    induce_restrict_label,
     kG_group_matrices,
     kg_group_rep,
     kg_quiver_rep,
@@ -38,8 +37,9 @@ from a4diff.modulezoo import (
     zoo_labels,
 )
 
-from helpers import (KLEIN_CD, induce_to_g, kh_cd_group_rep,
-                     matrix_from_rows, reference_group_relations)
+from helpers import (KLEIN_CD, induce_label, induce_to_g, kh_cd_group_rep,
+                     matrix_from_rows, reference_group_relations,
+                     restrict_label)
 
 F = FieldSpec(m=8)
 Z = F.zeta()
@@ -438,20 +438,20 @@ def label_multiset(dec):
 
 
 def test_restrict_label_dictionary():
-    got = induce_restrict_label(F, KGLabel.simple(2), "restrict")
+    got = restrict_label(F, KGLabel.simple(2))
     assert label_multiset(got) == {"Triv": 1}
-    got = induce_restrict_label(F, KGLabel.odd(5, 2, 1), "restrict")
+    got = restrict_label(F, KGLabel.odd(5, 2, 1))
     assert label_multiset(got) == {"M[2n+1=5,x=2]": 1}
-    got = induce_restrict_label(F, KGLabel.even(4, 0, 0), "restrict")
+    got = restrict_label(F, KGLabel.even(4, 0, 0))
     assert label_multiset(got) == {f"N[2n=4,lambda={Z.mask}]": 1}
-    got = induce_restrict_label(F, KGLabel.even(4, INF, 0), "restrict")
+    got = restrict_label(F, KGLabel.even(4, INF, 0))
     assert label_multiset(got) == {f"N[2n=4,lambda={Z2.mask}]": 1}
 
 
 def test_restrict_band_label():
     phi = F.element(11)
     mu = phi ** 3
-    got = induce_restrict_label(F, KGLabel.band(12, mu, phi=phi), "restrict")
+    got = restrict_label(F, KGLabel.band(12, mu, phi=phi))
     lams = {lambda_of_phi(F, Z ** j * phi) for j in range(3)}
     want = {KHLabel.even(4, lam).label_str(): 1 for lam in lams}
     assert label_multiset(got) == want
@@ -459,28 +459,28 @@ def test_restrict_band_label():
 
 
 def test_induce_label_dictionary():
-    got = induce_restrict_label(F, KHLabel.triv(), "induce")
+    got = induce_label(F, KHLabel.triv())
     assert label_multiset(got) == {f"S[i={i}]": 1 for i in range(3)}
-    got = induce_restrict_label(F, KHLabel.string(3, 1), "induce")
+    got = induce_label(F, KHLabel.string(3, 1))
     assert label_multiset(got) == {f"M[2n+1=3,x=1,i={i}]": 1
                                    for i in range(3)}
-    got = induce_restrict_label(F, KHLabel.even(6, Z), "induce")
+    got = induce_label(F, KHLabel.even(6, Z))
     assert label_multiset(got) == {f"N[2n=6,*=0,i={i}]": 1 for i in range(3)}
-    got = induce_restrict_label(F, KHLabel.even(6, Z2), "induce")
+    got = induce_label(F, KHLabel.even(6, Z2))
     assert label_multiset(got) == {f"N[2n=6,*=inf,i={i}]": 1
                                    for i in range(3)}
 
 
 def test_induce_generic_even_gives_band():
     lam = F.element(17)
-    got = induce_restrict_label(F, KHLabel.even(2, lam), "induce")
+    got = induce_label(F, KHLabel.even(2, lam))
     phi = phi_of_lambda(F, lam)
     assert label_multiset(got) == {f"B[6n=6,mu={(phi ** 3).mask}]": 1}
     stored = next(iter(got.entries))
     assert stored.phi == phi
     # the degenerate parameters all land on the mu = 1 band
     for lam in (F.zero(), ONE, INF):
-        got = induce_restrict_label(F, KHLabel.even(2, lam), "induce")
+        got = induce_label(F, KHLabel.even(2, lam))
         assert label_multiset(got) == {"B[6n=6,mu=1]": 1}
 
 
@@ -490,25 +490,16 @@ def test_dictionary_round_trip_dimensions():
               KHLabel.even(4, Z), KHLabel.even(6, F.element(rnd.randrange(
                   2, 256)))]
     for lab in labels:
-        ind = induce_restrict_label(F, lab, "induce")
+        ind = induce_label(F, lab)
         assert ind.total_dim == 3 * lab.dim
         back = {}
         for glab, mult in ind.entries.items():
-            res = induce_restrict_label(F, glab, "restrict")
+            res = restrict_label(F, glab)
             for hlab, m in res.entries.items():
                 back[hlab] = back.get(hlab, 0) + m * mult
         # the original label reappears in its own restriction
         assert back.get(lab, 0) >= 1
         assert sum(m * l.dim for l, m in back.items()) == 3 * lab.dim
-
-
-def test_induce_restrict_rejects_wrong_side():
-    with pytest.raises(ValueError, match="restrict expects"):
-        induce_restrict_label(F, KHLabel.triv(), "restrict")
-    with pytest.raises(ValueError, match="induce expects"):
-        induce_restrict_label(F, KGLabel.simple(0), "induce")
-    with pytest.raises(ValueError, match="direction"):
-        induce_restrict_label(F, KHLabel.triv(), "sideways")
 
 
 # ------------------------------------------------------- labels and dumps

@@ -12,17 +12,18 @@ from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.gf import FieldSpec, all_elements
-from a4diff.modulezoo import (GroupRep, induce_restrict_label, kg_group_rep,
-                              kh_group_rep, restrict_to_h, zoo_labels)
+from a4diff.modulezoo import (GroupRep, kg_group_rep, kh_group_rep,
+                              restrict_to_h, zoo_labels)
 from a4diff.oracle import (MultiplicitySolution, _charpoly, _kronecker,
                            decompose_rep, hom_labels, string_pair_homs)
 from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
-from helpers import (gf2_blowup_rank, hom_dim, induce_to_g, labels_group_rep,
-                     matrix_from_rows, probe_hom, reference_a4_pencil,
-                     reference_rank_drops)
+from helpers import (gf2_blowup_rank, hom_dim, induce_label, induce_to_g,
+                     labels_group_rep, matrix_from_rows, probe_hom,
+                     reference_a4_pencil, reference_rank_drops,
+                     restrict_label)
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -208,9 +209,9 @@ class TestFrobeniusReciprocity:
         phis = [Z, SPEC.element(9), SPEC.element(5)]
         params = [SPEC.zero(), ONE, Z, Z * Z, SPEC.element(9), INF]
         for X in kh_zoo(24, params):
-            indX = induce_restrict_label(SPEC, X, "induce")
+            indX = induce_label(SPEC, X)
             for Y in kg_zoo(24, phis):
-                resY = induce_restrict_label(SPEC, Y, "restrict")
+                resY = restrict_label(SPEC, Y)
                 lhs = sum(m * hom_labels(SPEC, lab, Y)
                           for lab, m in indX.entries.items())
                 rhs = sum(m * hom_labels(SPEC, X, lab)

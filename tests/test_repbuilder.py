@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from a4diff._linalg import Matrix
@@ -35,6 +36,19 @@ def analyze(alpha):
 def built(alpha):
     data = analyze(alpha)
     return data, build_global_rep(data)
+
+
+def index_one_sextet(data, gr):
+    """The index-one labels of the leading orbit when they form the
+    sextet: none at its first member, three at each primed member."""
+    if not data.orbits:
+        return []
+    places = [pt.place for pt in data.orbits[0].points]
+    index_one = [lab for lab in gr.labels if lab.index == 1]
+    if [sum(lab.place == pl for lab in index_one)
+            for pl in places] != [0, 3, 3]:
+        return []
+    return [lab for lab in index_one if lab.place in places[1:]]
 
 
 def assert_matches_closed_forms(data, gr):
@@ -88,25 +102,6 @@ def test_labels_cover_each_point_once():
     assert per_place["inf"] == gr.dim  # single branch point
 
 
-def test_block_plan_records_theta_blocks():
-    data, gr = built(hkg_alpha(F, 1, 1))
-    entry = gr.block_plan[0]
-    assert entry["kind"] == "special"
-    assert entry["n"] == 12
-    assert len(entry["Theta"]) == 12
-
-
-def test_json_export_shape():
-    _, gr = built(RatFunc.monomial(F, 5))
-    obj = gr.to_json()
-    assert obj["dim"] == 6
-    assert len(obj["labels"]) == 6
-    assert obj["labels"][0] == {"place": "inf", "family": 1, "index": 0}
-    for key in ("sigma", "tau", "rho"):
-        assert len(obj[key]) == 6
-    assert obj["blocks"][0]["kind"] == "special"
-
-
 # ------------------------------------------------------- closed families
 
 @pytest.mark.parametrize("n,x", [(1, 1), (2, 1), (1, 2)])
@@ -150,11 +145,7 @@ def test_fixed_point_free_data_use_index_one_sextet():
                                         allow_zero=False)
         assert not data.special
         gr = build_global_rep(data)
-        sextet = [e for e in gr.block_plan if e.get("index_one_sextet")]
-        assert len(sextet) == 1
-        index_one = [lab for lab in gr.labels if lab.index == 1
-                     and lab.place.key() in sextet[0]["members"]]
-        assert len(index_one) == 6
+        assert len(index_one_sextet(data, gr)) == 6
         assert_matches_closed_forms(data, gr)
         seen += 1
     assert seen == 6
@@ -166,6 +157,42 @@ def test_degenerate_biased_random_data():
         _, data = analyzed_random_datum(rnd, F, degenerate_bias=0.6)
         gr = build_global_rep(data)
         assert_matches_closed_forms(data, gr)
+
+
+def block_diagonal_data():
+    """hkg, families 2 and 3, and seeded random data, some of them
+    without fixed branch points."""
+    yield analyze(hkg_alpha(F, 2, 1))
+    yield analyze(degenerate_orbit_alpha(F, 2))
+    yield analyze(generic_orbit_alpha(F, 1, F.element(9)))
+    rnd = random.Random(4091)
+    for trial in range(10):
+        yield analyzed_random_datum(rnd, F)[1]
+    for trial in range(4):
+        yield analyzed_random_datum(rnd, F, allow_inf=False,
+                                    allow_zero=False)[1]
+
+
+def test_model_is_block_diagonal_by_fixed_point_and_orbit():
+    # each fixed point and each orbit owns one contiguous run of labels,
+    # and sigma, tau and rho have no nonzero outside those runs' squares
+    blocks_seen = 0
+    for data in block_diagonal_data():
+        gr = build_global_rep(data)
+        owner = {pt.place: ("point", j) for j, pt in enumerate(data.special)}
+        for j, orb in enumerate(data.orbits):
+            owner.update((pt.place, ("orbit", j)) for pt in orb.points)
+        keys = [owner[lab.place] for lab in gr.labels]
+        runs = [[t for t, _ in run] for _, run in
+                itertools.groupby(enumerate(keys), key=lambda tk: tk[1])]
+        assert len(runs) == len(set(keys))
+        inside = np.zeros((gr.dim, gr.dim), dtype=bool)
+        for run in runs:
+            inside[run[0]:run[-1] + 1, run[0]:run[-1] + 1] = True
+        for M in (gr.rep.sigma, gr.rep.tau, gr.rep.rho):
+            assert not M.a[~inside].any()
+        blocks_seen += len(runs) > 1
+    assert blocks_seen >= 5
 
 
 # ------------------------------------------------------- pinned matrices
@@ -226,7 +253,7 @@ def test_built_matrices_are_pinned(which, genus, digest):
              "degenerate_orbit": lambda: degenerate_orbit_alpha(F, 2)}[which]
     data, gr = built(alpha())
     assert gr.dim == data.genus == genus
-    sextet = any(e.get("index_one_sextet") for e in gr.block_plan)
+    sextet = bool(index_one_sextet(data, gr))
     assert sextet == (which == "fixed_point_free")
     h = hashlib.sha256()
     for M in (gr.rep.sigma, gr.rep.tau, gr.rep.rho):
