@@ -31,7 +31,6 @@ from .ratlaurent import RatFunc
 from .artin_schreier import check_a4_conditions, symmetrize_h
 from .ramification import INF, analyze_branch_data, param_to_json
 from .decomp import (
-    hkg_decomposition,
     kG_decomposition,
     kH_decomposition,
     mu_nu,
@@ -284,7 +283,8 @@ def run_job(job):
     timings["decompose"] = time.perf_counter() - t0
     hkg = None
     if job.mode == "hkg":
-        hkg_decomposition(data)   # raises "not an HKG datum" otherwise
+        if data.orbits or data.r != 1:
+            raise ValueError("not an HKG datum")
         hkg = _hkg_block(data)
     verification = "skipped"
     if job.mode == "verify" or job.options.get("verify"):

@@ -190,13 +190,13 @@ class KGLabel:
 class Decomposition:
     """A finite multiset of labels with positive multiplicities.
 
-    The optional field spec rides along so that restriction can name
-    zeta; it does not take part in equality, nor does the note.
+    The field spec rides along so that restriction can name zeta; it
+    does not take part in equality, nor does the note.
     """
 
     __slots__ = ("side", "entries", "note", "spec")
 
-    def __init__(self, side, entries=None, note=None, spec=None):
+    def __init__(self, side, entries=None, note=None, *, spec):
         assert side in ("kH", "kG")
         self.side = side
         self.entries = {}
@@ -256,20 +256,19 @@ class Decomposition:
 class MuNu:
     """Floor bookkeeping attached to one branch point."""
 
-    __slots__ = ("mu1", "mu2", "mu3", "nu", "a_y", "b_y", "k_y")
+    __slots__ = ("mu1", "mu2", "mu3", "nu", "a_y", "k_y")
 
-    def __init__(self, mu1, mu2, mu3, nu, a_y, b_y, k_y):
+    def __init__(self, mu1, mu2, mu3, nu, a_y, k_y):
         self.mu1 = mu1
         self.mu2 = mu2
         self.mu3 = mu3
         self.nu = nu
         self.a_y = a_y
-        self.b_y = b_y
         self.k_y = k_y
 
 
 def mu_nu(bp, data):
-    """The (mu_1, mu_2, mu_3, nu) floors and the basis flags a, b, k."""
+    """The (mu_1, mu_2, mu_3, nu) floors and the basis flags a, k."""
     m = bp.m
     mu1 = (m + 3) // 4
     mu2 = (2 * m + 3) // 4
@@ -285,8 +284,7 @@ def mu_nu(bp, data):
         a_y = 2
     else:
         a_y = 1
-    b_y = 1 if (r == 0 and not is_first) else 0
-    return MuNu(mu1, mu2, mu3, nu, a_y, b_y, k_y)
+    return MuNu(mu1, mu2, mu3, nu, a_y, k_y)
 
 
 def _string_block(bp, mn):
@@ -435,36 +433,6 @@ def kG_decomposition(data):
     return dec
 
 
-def hkg_decomposition(data):
-    """Decomposition over G for a datum whose branch locus is {oo}.
-
-    Computed through the one-point congruence shortcuts: kG_decomposition's
-    special-point recipe with eps = -1, k = -2 and a_y = 0 filled in.
-    """
-    if data.orbits or data.r != 1 or not data.special[0].place.is_infinity():
-        raise ValueError("not an HKG datum")
-    spec = data.spec
-    bp = data.special[0]
-    mn = mu_nu(bp, data)
-    l, a1, a2 = _string_block(bp, mn)
-    star = _star_of(spec, bp.lam)
-    dec = Decomposition("kG", spec=spec)
-    # with eps = -1 and k = -2 folded in, the distinguished residues
-    # reduce to mu1, mu2 and their successors
-    for i, mult in enumerate(_split3(a1, -1, mn.mu1 - 1)):
-        if mult:
-            dec.add(KGLabel.even(2 * l, star, i), mult)
-    if l >= 2:
-        for i, mult in enumerate(_split3(a2, -1, mn.mu1 + a1 - 1)):
-            if mult:
-                dec.add(KGLabel.even(2 * (l - 1), star, i), mult)
-    for i, mult in enumerate(_split3(mn.mu1 - 1, -1, 0)):
-        dec.add(KGLabel.odd(3, 1, i), mult)
-    for i, mult in enumerate(_split3(mn.mu3 - mn.mu2, -1, mn.mu2 - 1)):
-        dec.add(KGLabel.simple(i), mult)
-    return dec
-
-
 def _cube_root(spec, mu):
     # x^3 + mu splits into the three cube roots when mu is a cube;
     # pick the smallest mask so repeated calls agree
@@ -484,11 +452,6 @@ def restrict_decomposition(d):
     """
     assert d.side == "kG"
     spec = d.spec
-    if spec is None:
-        for label in d.entries:
-            if label.kind == "Band":
-                spec = label.param.spec
-                break
     out = Decomposition("kH", spec=spec)
     for label, mult in d.sorted_entries():
         if label.kind == "Simple":
@@ -496,8 +459,6 @@ def restrict_decomposition(d):
         elif label.kind == "OddString":
             out.add(KHLabel.string(label.dim, label.x), mult)
         elif label.kind == "EvenString":
-            if spec is None:
-                raise ValueError("restriction needs a field context")
             z = spec.zeta()
             lam = z if label.param == 0 else z * z
             out.add(KHLabel.even(label.dim, lam), mult)

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix
 from a4diff.cli import JobSpec, run_cli
 from a4diff.gf import FieldSpec
@@ -21,6 +22,9 @@ from helpers import matrix_from_rows
 S5 = '{"num":[0,0,0,0,0,1],"den":[1]}'
 S3 = '{"num":[0,0,0,1],"den":[1]}'
 S2S = '{"num":[0,1,1],"den":[1]}'
+S1 = '{"num":[0,1],"den":[1]}'
+INV_S5 = '{"num":[1],"den":[0,0,0,0,0,1]}'
+S5_PLUS_INV = '{"num":[1,0,0,0,0,0,1],"den":[0,1]}'
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -161,6 +165,30 @@ def test_hkg_rejects_orbit_data(capsys):
     assert "not an HKG datum" in err
 
 
+def test_hkg_rejects_two_special_points(capsys):
+    # s^5 + 1/s is branched at 0 and at infinity, so r = 2
+    code, _, err = run(capsys, "hkg", "--alpha", S5_PLUS_INV)
+    assert code == 2
+    assert "not an HKG datum" in err
+
+
+def test_hkg_empty_for_genus_zero(capsys):
+    code, out, _ = run(capsys, "hkg", "--alpha", S1, "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["kG"]["entries"] == []
+    assert obj["hkg"]["genus"] == 0
+
+
+def test_hkg_reads_a_branch_point_at_zero_after_inversion(capsys):
+    code, out, _ = run(capsys, "hkg", "--alpha", INV_S5, "--json")
+    assert code == 0
+    obj = json.loads(out)
+    assert obj["ram"]["inverted"] is True
+    _, ref, _ = run(capsys, "hkg", "--alpha", S5, "--json")
+    assert obj["hkg"] == json.loads(ref)["hkg"]
+
+
 # ---------------------------------------------------------------- examples
 
 def test_examples_family1_verified(capsys):
@@ -252,6 +280,15 @@ def test_golden_example_reports(capsys, args, digest):
     code, out, _ = run(capsys, "examples", *args, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_golden_hkg_report(capsys):
+    # sha256 of the hkg --json stdout of the genus-234 family-1 datum
+    alpha = json.dumps(hkg_alpha(FieldSpec(m=8), 2, 2).to_json())
+    code, out, _ = run(capsys, "hkg", "--alpha", alpha, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "24ee6bc2747fbb6ac45c1a1b5b05569941b496a5f056037679ca074a7e7dafae")
 
 
 # sha256 of the --verify --json stdout of two family-3 examples whose

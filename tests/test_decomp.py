@@ -1,11 +1,12 @@
 """Decomposition tests: floor bookkeeping, both module inventories,
-restriction, and the one-branch-point shortcut."""
+restriction, and the refusal of one-point (HKG) requests on orbit data."""
 
 import json
 import random
 
 import pytest
 
+from a4diff.cli import JobSpec, run_job
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import RatFunc
 from a4diff.artin_schreier import symmetrize_h
@@ -14,7 +15,6 @@ from a4diff.decomp import (
     Decomposition,
     KGLabel,
     KHLabel,
-    hkg_decomposition,
     kG_decomposition,
     kH_decomposition,
     mu_nu,
@@ -57,7 +57,6 @@ def test_mu_nu_large_wild_point():
     assert (mn.mu1, mn.mu2, mn.mu3, mn.nu) == (12, 24, 36, 0)
     assert mn.k_y == -2
     assert mn.a_y == 0
-    assert mn.b_y == 0
 
 
 def test_mu_nu_orbit_point():
@@ -68,7 +67,6 @@ def test_mu_nu_orbit_point():
     assert (mn.mu1, mn.mu2, mn.mu3, mn.nu) == (1, 1, 1, 1)
     assert mn.k_y == 0
     assert mn.a_y == 1
-    assert mn.b_y == 0
 
 
 def test_mu_nu_smallest_point():
@@ -82,10 +80,9 @@ def test_mu_nu_designated_point_without_special_fiber():
     rnd = random.Random(411)
     _, data = analyzed_random_datum(rnd, F, allow_inf=False, allow_zero=False)
     assert data.r == 0
-    flags = [(mu_nu(bp, data).a_y, mu_nu(bp, data).b_y)
-             for bp in data.branch_points()]
-    assert flags[0] == (2, 0)
-    assert all(flag == (1, 1) for flag in flags[1:])
+    flags = [mu_nu(bp, data).a_y for bp in data.branch_points()]
+    assert flags[0] == 2
+    assert all(flag == 1 for flag in flags[1:])
 
 
 # -------------------------------------------------- Klein four side
@@ -276,36 +273,13 @@ def test_multiplicity_conservation():
         assert simples == kh.mult(KHLabel.triv())
 
 
-# ------------------------------------------------- one-point shortcut
-
-def test_hkg_agrees_on_families():
-    rnd = random.Random(7)
-    for n, x in [(1, 1), (2, 1), (1, 2)]:
-        data = analyze(hkg_alpha(F, n, x))
-        assert hkg_decomposition(data) == kG_decomposition(data)
-    for _ in range(4):
-        _, data = analyzed_random_datum(rnd, F, allow_zero=False,
-                                        max_orbits=0)
-        assert data.r == 1
-        assert hkg_decomposition(data) == kG_decomposition(data)
-
-
-def test_hkg_empty_for_genus_zero():
-    dec = hkg_decomposition(analyze(mono(1)))
-    assert dec.entries == {}
-
+# ------------------------------------------------- one-point requests
 
 def test_hkg_rejects_orbits():
-    data = analyze(degenerate_orbit_alpha(F, 1))
+    alpha = degenerate_orbit_alpha(F, 1)
+    assert analyze(alpha).orbits
     with pytest.raises(ValueError, match="not an HKG datum"):
-        hkg_decomposition(data)
-
-
-def test_hkg_rejects_two_special_points():
-    data = analyze(mono(5) + RatFunc.from_coeff_masks(F, [1], [0, 1]))
-    assert data.r == 2
-    with pytest.raises(ValueError, match="not an HKG datum"):
-        hkg_decomposition(data)
+        run_job(JobSpec(F, alpha, "hkg"))
 
 
 # ------------------------------------------------- labels and output
@@ -346,7 +320,7 @@ def test_note_flags_designated_point():
 
 def test_decomposition_equality_semantics():
     a = dec_of("kG", (KGLabel.simple(0), 2))
-    b = Decomposition("kG", note="anything")
+    b = Decomposition("kG", note="anything", spec=F)
     b.add(KGLabel.simple(0), 1)
     b.add(KGLabel.simple(0), 1)
     assert a == b  # note and spec do not count, accumulation does
@@ -356,7 +330,7 @@ def test_decomposition_equality_semantics():
 
 
 def test_decomposition_rejects_negative_multiplicity():
-    d = Decomposition("kH")
+    d = Decomposition("kH", spec=F)
     with pytest.raises(ValueError, match="inconsistent invariants"):
         d.add(KHLabel.triv(), -1)
     d.add(KHLabel.triv(), 0)
