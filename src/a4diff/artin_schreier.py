@@ -19,7 +19,7 @@ the same relation for the order-e/2 legs of h.
 from __future__ import annotations
 
 from .gf import FieldElement, FieldSpec
-from .ratlaurent import Place, RatFunc, rho_pullback, trace_K_over_J
+from .ratlaurent import Place, RatFunc, trace_K_over_J
 
 
 class ASForm:
@@ -29,13 +29,9 @@ class ASForm:
     part has no preimage under x -> x^2 + x in the working field; over an
     algebraically closed field it would always be absorbable into h, so we
     record it instead of failing.
-
-    alpha_trace_zero and reduced_trace_zero: Tr(alpha), Tr(alpha_reduced)
-    = 0 once taken (None before), read, not retaken.
     """
 
-    __slots__ = ("alpha_reduced", "h", "pole_table", "dropped_constant",
-                 "alpha_trace_zero", "reduced_trace_zero")
+    __slots__ = ("alpha_reduced", "h", "pole_table", "dropped_constant")
 
     def __init__(self, alpha_reduced: RatFunc, h: RatFunc,
                  pole_table: dict[Place, int], dropped_constant: FieldElement):
@@ -43,8 +39,6 @@ class ASForm:
         self.h = h
         self.pole_table = dict(pole_table)
         self.dropped_constant = dropped_constant
-        self.alpha_trace_zero = None
-        self.reduced_trace_zero = None
 
     def to_json(self) -> dict:
         return {
@@ -57,35 +51,6 @@ class ASForm:
 
     def __repr__(self):
         return f"ASForm(poles={ {pl.key(): p for pl, p in self.pole_table.items()} })"
-
-
-class A4Report:
-    """Verdict of the alternating-four cover criteria for alpha."""
-
-    __slots__ = ("trace_zero", "nontrivial_alpha", "nontrivial_rho_alpha",
-                 "nontrivial_sum", "verdict", "form")
-
-    def __init__(self, trace_zero, nontrivial_alpha, nontrivial_rho_alpha,
-                 nontrivial_sum, form=None):
-        self.trace_zero = trace_zero
-        self.nontrivial_alpha = nontrivial_alpha
-        self.nontrivial_rho_alpha = nontrivial_rho_alpha
-        self.nontrivial_sum = nontrivial_sum
-        self.verdict = (trace_zero and nontrivial_alpha
-                        and nontrivial_rho_alpha and nontrivial_sum)
-        self.form = form          # as_reduce(alpha), for symmetrize_h
-
-    def to_json(self) -> dict:
-        return {
-            "trace_zero": self.trace_zero,
-            "nontrivial_alpha": self.nontrivial_alpha,
-            "nontrivial_rho_alpha": self.nontrivial_rho_alpha,
-            "nontrivial_sum": self.nontrivial_sum,
-            "verdict": self.verdict,
-        }
-
-    def __repr__(self):
-        return f"A4Report(verdict={self.verdict})"
 
 
 def _inv_linear_power(spec: FieldSpec, value: FieldElement, f: int) -> RatFunc:
@@ -202,22 +167,41 @@ def as_reduce(alpha: RatFunc) -> ASForm:
     return ASForm(reduced, h, pole_table, dropped)
 
 
-def symmetrize_h(alpha: RatFunc, form: ASForm | None = None) -> ASForm:
-    """Reduce a trace-zero alpha keeping Tr(h) = Tr(h^2) = 0.
+def check_a4_conditions(alpha: RatFunc) -> ASForm:
+    """Admit alpha as an alternating-four datum and return its reduction.
 
-    form is as_reduce(alpha) when the caller has it, as
-    check_a4_conditions(alpha).form; the reduction is the same one, since
-    the trace-zero grouping lives in _even_legs.  The trace checks run on
-    it either way; the verdicts are recorded on it.  h^2 is not traced:
-    rho is a field automorphism in characteristic 2, so Tr(h^2) = Tr(h)^2.
+    Needs: Tr(alpha) = 0, and nontriviality of alpha, rho alpha, and
+    alpha + rho alpha, so that the three degree-two subcovers are distinct.
+    rho is a k-automorphism of k(s), so rho alpha = xi^2 - xi is solvable
+    exactly when alpha is.  When Tr(alpha) = 0, alpha + rho alpha =
+    rho^2 alpha, so the sum is trivial exactly when alpha is: one trace
+    and one reduction decide all four.  alpha is reduced before a nonzero
+    trace is refused, so poles that do not split are reported first.
+    Constants count as trivial even when x^2 + x = c has no root in the
+    working field; geometrically the base is algebraically closed.
     """
-    trace_zero = None if form is None else form.alpha_trace_zero
-    if trace_zero is None:
-        trace_zero = trace_K_over_J(alpha).is_zero()
+    trace_zero = trace_K_over_J(alpha).is_zero()
+    form = as_reduce(alpha)
     if not trace_zero:
-        raise ValueError("trace nonzero")
-    if form is None:
-        form = as_reduce(alpha)
+        raise ValueError(
+            "trace nonzero: the datum needs Tr(alpha) = 0 over the "
+            "rational subfield")
+    if form.alpha_reduced.is_zero():
+        raise ValueError(
+            "trivial datum: alpha = xi^2 - xi is solvable; the cover "
+            "needs all three conditions alpha != xi^2 - xi")
+    return form
+
+
+def symmetrize_h(alpha: RatFunc) -> ASForm:
+    """Reduce an admissible alpha keeping Tr(h) = Tr(h^2) = 0.
+
+    alpha is admitted and reduced by check_a4_conditions; the trace-zero
+    grouping lives in _even_legs, and the relations it should keep are
+    checked here.  h^2 is not traced: rho is a field automorphism in
+    characteristic 2, so Tr(h^2) = Tr(h)^2.
+    """
+    form = check_a4_conditions(alpha)
     if form.dropped_constant.mask:
         raise AssertionError("trace-zero input produced a constant")
     # each function once; Tr(alpha) = Tr(0) = 0 (h = 0 when alpha is
@@ -226,44 +210,4 @@ def symmetrize_h(alpha: RatFunc, form: ASForm | None = None) -> ASForm:
     for f in checks - {alpha, RatFunc.zero(alpha.spec)}:
         if not trace_K_over_J(f).is_zero():
             raise AssertionError("reduction left the trace-zero locus")
-    form.alpha_trace_zero = form.reduced_trace_zero = True
     return form
-
-
-def is_as_trivial(alpha: RatFunc) -> bool:
-    """True when alpha = xi^2 - xi has a solution over the closure.
-
-    Constants count as trivial even when x^2 + x = c has no root in the
-    working field; geometrically the base is algebraically closed.
-    """
-    return as_reduce(alpha).alpha_reduced.is_zero()
-
-
-def check_a4_conditions(alpha: RatFunc) -> A4Report:
-    """Decide whether (alpha, rho alpha) presents an alternating-four cover.
-
-    Needs: Tr(alpha) = 0, and nontriviality of alpha, rho alpha, and
-    alpha + rho alpha, so that the three degree-two subcovers are distinct.
-
-    alpha is reduced once, and the report keeps that reduction, with the
-    trace verdict, as .form.
-    rho is a k-automorphism of k(s), so rho alpha = xi^2 - xi is solvable
-    exactly when alpha is.  When Tr(alpha) = 0, alpha + rho alpha =
-    rho^2 alpha, so the sum is trivial exactly when alpha is; only a datum
-    of nonzero trace reduces the sum on its own.
-    """
-    trace_zero = trace_K_over_J(alpha).is_zero()
-    form = as_reduce(alpha)
-    form.alpha_trace_zero = trace_zero
-    nontrivial = not form.alpha_reduced.is_zero()
-    if trace_zero:
-        nontrivial_sum = nontrivial
-    else:
-        nontrivial_sum = not is_as_trivial(alpha + rho_pullback(alpha))
-    return A4Report(
-        trace_zero=trace_zero,
-        nontrivial_alpha=nontrivial,
-        nontrivial_rho_alpha=nontrivial,
-        nontrivial_sum=nontrivial_sum,
-        form=form,
-    )

@@ -28,7 +28,6 @@ import time
 
 from .gf import FieldSpec
 from .ratlaurent import RatFunc
-from .artin_schreier import check_a4_conditions, symmetrize_h
 from .ramification import INF, analyze_branch_data, param_to_json
 from .decomp import (
     kG_decomposition,
@@ -207,24 +206,6 @@ def _field_from_args(args):
 
 # ---------------------------------------------------------------- pipeline
 
-def _precheck(alpha):
-    """The three double covers must be distinct and the trace zero.
-
-    Returns the reduction of alpha that the check made.
-    """
-    crit = check_a4_conditions(alpha)
-    if not crit.trace_zero:
-        raise ValueError(
-            "trace nonzero: the datum needs Tr(alpha) = 0 over the "
-            "rational subfield")
-    # at trace zero the rho(alpha) and alpha + rho(alpha) flags are this one
-    if not crit.nontrivial_alpha:
-        raise ValueError(
-            "trivial datum: alpha = xi^2 - xi is solvable; the cover "
-            "needs all three conditions alpha != xi^2 - xi")
-    return crit.form
-
-
 def _hkg_block(data):
     bp = data.special[0]
     mn = mu_nu(bp, data)
@@ -273,9 +254,8 @@ def run_job(job):
     if job.mode == "examples":
         alpha = _synthesize_example(job)
     job.alpha = alpha
-    form = _precheck(alpha)
     t0 = time.perf_counter()
-    data = analyze_branch_data(symmetrize_h(alpha, form))
+    data = analyze_branch_data(alpha)
     timings["analyze"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     kH = kH_decomposition(data)

@@ -1,12 +1,13 @@
 """Branch-point invariants of the Klein-four subcover.
 
-The input is a reduced trace-zero function alpha on the line with
-coordinate s.  The quotient curve is cut out by the two equations
-u^2 - u = alpha and v^2 - v = rho(alpha), and its branch points are the
-poles of alpha together with their images under s -> zeta s.  At each
-branch point y three pole orders matter: those of alpha, rho(alpha) and
-rho^2(alpha).  Since the three conjugates sum to zero, the two largest
-orders agree, so the triple is {m, M, M} with m <= M, both odd.
+The input is a trace-zero function alpha on the line with coordinate
+s, reduced to standard form first.  The quotient curve is cut out by
+the two equations u^2 - u = alpha and v^2 - v = rho(alpha), and its
+branch points are the poles of alpha together with their images under
+s -> zeta s.  At each branch point y three pole orders matter: those of
+alpha, rho(alpha) and rho^2(alpha).  Since the three conjugates sum to
+zero, the two largest orders agree, so the triple is {m, M, M} with
+m <= M, both odd.
 
 When m = M, expanding the two functions that realize the small order in
 a local uniformizer and solving a square-root recursion produces the
@@ -28,9 +29,9 @@ of delta along an orbit) are raised explicitly rather than trusted;
 what a record's own construction fixes is not checked again.
 """
 
-from .artin_schreier import as_reduce
+from .artin_schreier import as_reduce, symmetrize_h
 from .gf import _mask_inv, _mask_mul
-from .ratlaurent import LaurentChunk, Place, trace_K_over_J
+from .ratlaurent import LaurentChunk, Place
 
 
 class ProjectiveInfinity:
@@ -389,32 +390,24 @@ def _analyze_point(spec, place, p_values, chunks, epsilon):
     return BranchPoint(place, p_values, lam, delta, epsilon, theta)
 
 
-def analyze_branch_data(form):
-    """Full branch-point analysis of a reduced trace-zero datum.
+def analyze_branch_data(alpha):
+    """Full branch-point analysis of a datum alpha.
 
-    form is an ASForm, the output of symmetrize_h or as_reduce; its
+    alpha is admitted and reduced by symmetrize_h, which raises
+    ValueError on a nonzero trace or a trivial datum.  The reduction's
     pole table is read as the poles of its alpha_reduced, which are not
     factored again: ord_y(rho^k alpha) = ord_(zeta^k y)(alpha), and 0 and
     oo are fixed.  The conjugates' Laurent data are read off alpha's, one
-    expansion per point.  A recorded trace verdict is not retaken.  Raises
-    ValueError on an empty branch locus, a
-    nonzero trace, a finite pole whose orbit is not contained in the
-    branch locus (the subcover is then not totally ramified above it),
-    or degenerate leading data.
+    expansion per point.  Raises ValueError on a finite pole whose orbit
+    is not contained in the branch locus (the subcover is then not
+    totally ramified above it), or degenerate leading data.
     """
-    alpha = form.alpha_reduced
+    form = symmetrize_h(alpha)
+    alpha, pole_table = form.alpha_reduced, form.pole_table
     spec = alpha.spec
-    if alpha.is_zero():
-        raise ValueError("empty branch locus")
-    trace_zero = form.reduced_trace_zero
-    if trace_zero is None:
-        trace_zero = trace_K_over_J(alpha).is_zero()
-    if not trace_zero:
-        raise ValueError("trace nonzero")
 
     inf_pl = Place.infinity()
     zero_pl = Place.zero(spec)
-    pole_table = form.pole_table
     inverted = False
     if zero_pl in pole_table and inf_pl not in pole_table:
         # normalize so that any special branch point includes infinity

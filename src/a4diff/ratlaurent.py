@@ -32,8 +32,6 @@ built with no gcd: rho is an automorphism of k[s].
 
 from __future__ import annotations
 
-import math
-
 from .gf import (FieldSpec, FieldElement, _mask_inv, _mask_mul,
                  _scalar_tables, fixed_multiplier)
 
@@ -194,14 +192,6 @@ class Poly:
             a, b = b, a % b
         return a.monic() if not a.is_zero() else a
 
-    def eval(self, mask: int) -> int:
-        """Horner evaluation; returns a mask."""
-        spec = self.spec
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = _mask_mul(spec, acc, mask) ^ c
-        return acc
-
     def adic_coeffs(self, c: int, count: int) -> list[int]:
         """First `count` coefficients of the (s + c)-adic expansion.
 
@@ -252,12 +242,6 @@ class Poly:
                 if not any(r):
                     coeffs, v = q, v + k
         return v, Poly(spec, coeffs)
-
-    def valuation(self, c: int) -> int:
-        """Multiplicity of the root c (0 if not a root); inf for 0."""
-        if self.is_zero():
-            return math.inf
-        return self.root_split(c)[0]
 
     def reversed_coeffs(self) -> "Poly":
         return Poly(self.spec, tuple(reversed(self.coeffs)))
@@ -465,15 +449,6 @@ class RatFunc:
 
     # -- local data --------------------------------------------------------
 
-    def ord_at(self, place: Place):
-        """Valuation at the place; +inf for the zero function."""
-        if self.is_zero():
-            return math.inf
-        if place.is_infinity():
-            return self.den.degree - self.num.degree
-        c = place.value.mask
-        return self.num.valuation(c) - self.den.valuation(c)
-
     def laurent_at(self, place: Place, count: int) -> LaurentChunk:
         """Leading `count` Laurent coefficients at the place."""
         if count <= 0:
@@ -637,16 +612,10 @@ def _trace_split(p: Poly, out: set[int], frob):
 
 # ---------------------------------------------------------------------------
 
-def rho_pullback(f: RatFunc) -> RatFunc:
-    """(rho f)(s) = f(zeta s)."""
-    return f.rho_pullback()
-
-
 def trace_K_over_J(f: RatFunc) -> RatFunc:
     """Trace of f to the degree-3 fixed field: f + rho f + rho^2 f.
 
     rho^3 = id, so the result is rho-invariant, a function of s^3.
-    Callers record the verdict Tr f = 0 on the ASForm they pass on.
     """
     rf = f.rho_pullback()
     return f + rf + rf.rho_pullback()

@@ -4,27 +4,29 @@ the field's exp/log tables, its bit-loop scalar arithmetic and its zeta
 solver, of the coefficient loops of polynomial products and division, of
 the matrix kernel's products, row reduction, kernel bases and rank, of
 root multiplicities and adic expansions, of rational-function sums and
-rho pullbacks, of trace splitting, of the oracle's field-wide parameter scan and of the
-three-reduction A4 precheck.  Also the explicit constructions that only
-tests use: matrices from rows, Kronecker products, the dense hom
-dimension, the stacked-rank probe counts, induction to A4 of a model and
-of a label (the reference for Frobenius reciprocity), direct sums
-of label models and the Klein four models in the (C, D) letters; the A4
-quiver representation read back off group matrices, the reference for
-the oracle's radical pencil; and the accessors only tests read: division by
-one linear factor, places from keys, constancy and evaluation of
-rational functions, the orbit count, the branch point at a place and
-the recomputed numerology of branch data; and the six group relations of
-A4, the reference for the four-relation presentation that the validator
-checks."""
+rho pullbacks, of trace splitting, of the oracle's field-wide parameter
+scan and of the A4 conditions with three reductions.  Also the explicit
+constructions that only tests use: matrices from rows, Kronecker
+products, the dense hom dimension, the stacked-rank probe counts,
+induction to A4 of a model and of a label (the reference for Frobenius
+reciprocity), direct sums of label models and the Klein four models in
+the (C, D) letters; the A4 quiver representation read back off group
+matrices, the reference for the oracle's radical pencil; and the
+accessors only tests read: division by one linear factor, evaluation
+and root multiplicities of polynomials, places from keys, orders at
+places, constancy and evaluation of rational functions, the orbit
+count, the branch point at a place and the recomputed numerology of
+branch data; and the six group relations of A4, the reference for the
+four-relation presentation that the validator checks."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
 from a4diff._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
                             coords_at_pivots, hstack, vstack)
-from a4diff.artin_schreier import A4Report, is_as_trivial, symmetrize_h
+from a4diff.artin_schreier import as_reduce, symmetrize_h
 from a4diff.decomp import (Decomposition, KGLabel, KHLabel,
                            restrict_decomposition)
 from a4diff.gf import (FieldElement, _mask_inv, _mask_mul, _pmulmod,
@@ -37,7 +39,7 @@ from a4diff.oracle import _complement
 from a4diff.ramification import (INF, _numerology, analyze_branch_data,
                                   phi_of_lambda)
 from a4diff.ratlaurent import (Place, Poly, RatFunc, _divmod_binomial,
-                               _multiplier, rho_pullback, trace_K_over_J)
+                               _multiplier, trace_K_over_J)
 
 
 def cube_roots_of_unity(spec):
@@ -70,12 +72,37 @@ def is_constant(f):
     return f.num.degree <= 0 and f.den.degree == 0
 
 
+def poly_eval(p, mask):
+    """Horner evaluation of a polynomial at a mask; returns a mask."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = _mask_mul(p.spec, acc, mask) ^ c
+    return acc
+
+
+def valuation(p, c):
+    """Multiplicity of the root c of p (0 if not a root); inf for 0."""
+    if p.is_zero():
+        return math.inf
+    return p.root_split(c)[0]
+
+
+def ord_at(f, place):
+    """Valuation of a rational function at a place; inf for 0."""
+    if f.is_zero():
+        return math.inf
+    if place.is_infinity():
+        return f.den.degree - f.num.degree
+    c = place.value.mask
+    return valuation(f.num, c) - valuation(f.den, c)
+
+
 def eval_at(f, value):
     """f at a field element; raises ZeroDivisionError at a pole."""
-    d = f.den.eval(value.mask)
+    d = poly_eval(f.den, value.mask)
     if d == 0:
         raise ZeroDivisionError("evaluation at a pole")
-    n = f.num.eval(value.mask)
+    n = poly_eval(f.num, value.mask)
     return f.spec.element(_mask_mul(f.spec, n, _mask_inv(f.spec, d)))
 
 
@@ -156,13 +183,8 @@ def analyzed_random_datum(rnd, spec, attempts=80, **kw):
     """
     for _ in range(attempts):
         alpha = random_trace_zero_alpha(rnd, spec, **kw)
-        if alpha.is_zero():
-            continue
-        form = symmetrize_h(alpha)
-        if form.alpha_reduced.is_zero():
-            continue
         try:
-            return form, analyze_branch_data(form)
+            return symmetrize_h(alpha), analyze_branch_data(alpha)
         except ValueError:
             continue
     raise RuntimeError("random datum generation stalled")
@@ -322,16 +344,20 @@ def reference_poly_divmod(p, d):
     return Poly(spec, quo), Poly(spec, rem)
 
 
+A4Verdict = namedtuple("A4Verdict", ("trace_zero", "nontrivial_alpha",
+                                     "nontrivial_rho_alpha", "nontrivial_sum",
+                                     "verdict"))
+
+
 def reference_check_a4_conditions(alpha):
-    """The A4 precheck with alpha, rho alpha and alpha + rho alpha each
+    """The A4 conditions with alpha, rho alpha and alpha + rho alpha each
     reduced on its own."""
-    ra = rho_pullback(alpha)
-    return A4Report(
-        trace_zero=trace_K_over_J(alpha).is_zero(),
-        nontrivial_alpha=not is_as_trivial(alpha),
-        nontrivial_rho_alpha=not is_as_trivial(ra),
-        nontrivial_sum=not is_as_trivial(alpha + ra),
-    )
+    def nontrivial(f):
+        return not as_reduce(f).alpha_reduced.is_zero()
+    ra = alpha.rho_pullback()
+    flags = (trace_K_over_J(alpha).is_zero(), nontrivial(alpha),
+             nontrivial(ra), nontrivial(alpha + ra))
+    return A4Verdict(*flags, all(flags))
 
 
 def reference_rref(A):

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import (KGLabel, KHLabel, _string_block, kG_decomposition,
                            kH_decomposition, mu_nu, restrict_decomposition)
 from a4diff.gf import FieldSpec
@@ -34,10 +33,6 @@ Z = SPEC.zeta()
 ONE = SPEC.one()
 
 
-def _analyze(alpha):
-    return analyze_branch_data(symmetrize_h(alpha))
-
-
 def _ceil(a, b):
     return -(-a // b)
 
@@ -53,7 +48,7 @@ def random_batch():
 def test_criterion_1_one_point_family_golden_values():
     for n in (1, 2, 3):
         for x in (1, 2):
-            data = _analyze(hkg_alpha(SPEC, n, x))
+            data = analyze_branch_data(hkg_alpha(SPEC, n, x))
             r = n % 3
             p = (32 * n - 2 * r + 20) * x - 3
             assert not data.orbits and len(data.special) == 1
@@ -76,7 +71,7 @@ def test_criterion_1_one_point_family_golden_values():
 
 def test_criterion_2_degenerate_orbit_unit_band():
     for n in (1, 2, 3):
-        data = _analyze(degenerate_orbit_alpha(SPEC, n))
+        data = analyze_branch_data(degenerate_orbit_alpha(SPEC, n))
         assert len(data.orbits) == 1
         for bp in data.orbits[0].points:
             assert bp.m == 4 * n - 3
@@ -102,7 +97,7 @@ def test_criterion_3_generic_orbit_band_parameter():
         picks.append(rep)
     for n in (1, 2):
         for psi in picks:
-            data = _analyze(generic_orbit_alpha(SPEC, n, psi))
+            data = analyze_branch_data(generic_orbit_alpha(SPEC, n, psi))
             orb = data.orbits[0]
             assert orb.psi == psi
             bp1 = orb.points[0]
@@ -233,7 +228,7 @@ def test_criterion_8_end_to_end_under_ten_seconds():
     ]
     for name, alpha in cases:
         start = time.perf_counter()
-        data = _analyze(alpha)
+        data = analyze_branch_data(alpha)
         gr = build_global_rep(data)
         sol = decompose_rep(gr.rep)
         elapsed = time.perf_counter() - start

@@ -7,14 +7,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from a4diff import artin_schreier, ramification, ratlaurent
+from a4diff import artin_schreier, ratlaurent
 from a4diff._families import (degenerate_orbit_alpha, generic_orbit_alpha,
                               hkg_alpha)
 from a4diff.cli import run_cli
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import Place, RatFunc, trace_K_over_J
 from a4diff.artin_schreier import (
-    ASForm, as_reduce, check_a4_conditions, is_as_trivial, symmetrize_h,
+    ASForm, as_reduce, check_a4_conditions, symmetrize_h,
 )
 
 from helpers import (eval_at, is_constant, random_trace_zero_alpha,
@@ -156,29 +156,30 @@ def test_symmetrize_grouped_orbit_reduction():
     assert trace_K_over_J(form.h).is_zero()
 
 
+def is_trivial(alpha):
+    return as_reduce(alpha).alpha_reduced.is_zero()
+
+
 def test_is_trivial():
-    assert is_as_trivial(mono(2) + mono(1))
-    assert not is_as_trivial(mono(47) + mono(31))
-    assert is_as_trivial(const(F.one()))
-    assert is_as_trivial(RatFunc.zero(F))
+    assert is_trivial(mono(2) + mono(1))
+    assert not is_trivial(mono(47) + mono(31))
+    assert is_trivial(const(F.one()))
+    assert is_trivial(RatFunc.zero(F))
 
 
 def test_check_a4_example1():
-    report = check_a4_conditions(mono(47) + mono(31))
-    assert report.verdict
-    assert report.trace_zero
+    alpha = mono(47) + mono(31)
+    assert check_a4_conditions(alpha).to_json() == as_reduce(alpha).to_json()
 
 
 def test_check_a4_bad_trace():
-    report = check_a4_conditions(mono(3))
-    assert not report.trace_zero
-    assert not report.verdict
+    with pytest.raises(ValueError, match="^trace nonzero"):
+        check_a4_conditions(mono(3))
 
 
 def test_check_a4_trivial_alpha():
-    report = check_a4_conditions(mono(2) + mono(1))
-    assert not report.nontrivial_alpha
-    assert not report.verdict
+    with pytest.raises(ValueError, match="^trivial datum"):
+        check_a4_conditions(mono(2) + mono(1))
 
 
 def random_ratfunc(draw_masks, pole_masks, exps):
@@ -212,7 +213,7 @@ def test_reduce_roundtrip_random(numc, poles, exps):
 def test_symmetrize_properties_random(numc, amask, aexp, gmask, gexp):
     w = RatFunc.from_coeff_masks(F, numc, [1]) * inv_pow(F.element(amask), aexp)
     alpha = w + w.rho_pullback()
-    if alpha.is_zero():
+    if is_trivial(alpha):
         return
     form = symmetrize_h(alpha)
     assert roundtrip_ok(alpha, form)
@@ -256,14 +257,6 @@ def test_symmetrize_canonical_under_trivial_shift(amask, aexp, ac,
     assert shifted.alpha_reduced == base.alpha_reduced
 
 
-FLAGS = ("trace_zero", "nontrivial_alpha", "nontrivial_rho_alpha",
-         "nontrivial_sum", "verdict")
-
-
-def _flags(report):
-    return [getattr(report, name) for name in FLAGS]
-
-
 def _precheck_cases():
     spec12 = FieldSpec(m=12)
     rnd = random.Random(7)
@@ -284,29 +277,27 @@ def _precheck_cases():
 
 
 def test_check_a4_flags_match_three_reductions():
-    cases = _precheck_cases()
     seen = set()
-    for alpha in cases:
-        report = check_a4_conditions(alpha)
-        assert _flags(report) == _flags(reference_check_a4_conditions(alpha))
-        assert report.form.to_json() == as_reduce(alpha).to_json()
-        seen.add(tuple(_flags(report)))
+    for alpha in _precheck_cases():
+        ref = reference_check_a4_conditions(alpha)
+        seen.add(tuple(ref))
+        # at trace zero the rho alpha and sum conditions are alpha's
+        if ref.trace_zero:
+            assert ref.nontrivial_alpha == ref.nontrivial_rho_alpha \
+                == ref.nontrivial_sum
+        if ref.verdict:
+            form = check_a4_conditions(alpha)
+            assert form.to_json() == as_reduce(alpha).to_json()
+            continue
+        first = "trace nonzero" if not ref.trace_zero else "trivial datum"
+        with pytest.raises(ValueError, match="^" + first):
+            check_a4_conditions(alpha)
     # trace zero and nonzero, trivial and not, and a nonzero trace whose
     # alpha + rho alpha is trivial (s^3) all occur
     assert (True, True, True, True, True) in seen
     assert (True, False, False, False, False) in seen
     assert (False, True, True, True, False) in seen
     assert (False, True, True, False, False) in seen
-
-
-def test_symmetrize_reuses_the_precheck_reduction():
-    for alpha in (hkg_alpha(F, 2, 2), degenerate_orbit_alpha(F, 4),
-                  mono(47) + mono(31)):
-        form = check_a4_conditions(alpha).form
-        assert symmetrize_h(alpha, form) is form
-        assert form.to_json() == symmetrize_h(alpha).to_json()
-    with pytest.raises(ValueError, match="trace nonzero"):
-        symmetrize_h(mono(3), check_a4_conditions(mono(3)).form)
 
 
 def test_one_job_reduces_alpha_once(monkeypatch, capsys):
@@ -318,11 +309,14 @@ def test_one_job_reduces_alpha_once(monkeypatch, capsys):
         return reduce_core(alpha)
 
     monkeypatch.setattr(artin_schreier, "_reduce_core", counting)
-    for argv in (["examples", "--which", "2", "--n", "4", "--m", "8"],
-                 ["examples", "--which", "1", "--n", "1", "--x", "2"],
-                 ["analyze", "--alpha", '{"num":[0,0,0,0,0,1],"den":[1]}']):
+    for argv, code in (
+            (["examples", "--which", "2", "--n", "4", "--m", "8"], 0),
+            (["examples", "--which", "1", "--n", "1", "--x", "2"], 0),
+            (["analyze", "--alpha", '{"num":[0,0,0,0,0,1],"den":[1]}'], 0),
+            # refused for its trace, after the one reduction
+            (["analyze", "--alpha", '{"num":[0,0,0,1],"den":[1]}'], 2)):
         calls[0] = 0
-        assert run_cli(argv + ["--json"]) == 0
+        assert run_cli(argv + ["--json"]) == code
         assert calls[0] == 1, argv
     capsys.readouterr()
 
@@ -330,7 +324,8 @@ def test_one_job_reduces_alpha_once(monkeypatch, capsys):
 def test_one_job_searches_each_polynomial_and_traces_each_function_once(
         monkeypatch, capsys):
     # a reduction finds its roots once and splits at them in later passes;
-    # each trace verdict is recorded on the form the caller passes on
+    # alpha is traced on admission, h and alpha_reduced in the checks of
+    # symmetrize_h, and nothing downstream traces again
     searched, traced = [], []
     field_roots = ratlaurent.field_roots
     trace = ratlaurent.trace_K_over_J
@@ -344,8 +339,7 @@ def test_one_job_searches_each_polynomial_and_traces_each_function_once(
         return trace(f)
 
     monkeypatch.setattr(ratlaurent, "field_roots", counting_roots)
-    for module in (artin_schreier, ramification):
-        monkeypatch.setattr(module, "trace_K_over_J", counting_trace)
+    monkeypatch.setattr(artin_schreier, "trace_K_over_J", counting_trace)
     for argv in (["examples", "--which", "2", "--n", "4", "--m", "8"],
                  ["examples", "--which", "1", "--n", "1", "--x", "2"],
                  ["analyze", "--alpha", '{"num":[0,0,0,0,0,1],"den":[1]}']):
@@ -402,7 +396,6 @@ for p_values in ((2, 3, 3), (3, 5, 7)):
 # the derived relations of the analysis, each planted broken once
 from a4diff import decomp
 from a4diff._families import generic_orbit_alpha, hkg_alpha
-from a4diff.artin_schreier import symmetrize_h
 from a4diff.gf import FieldSpec
 from a4diff.ramification import Orbit, analyze_branch_data
 a._reduce_core = core
@@ -415,12 +408,12 @@ def refused(make):
         print(exc)
 
 F8, F12 = FieldSpec(8), FieldSpec(12)
-one_point = analyze_branch_data(symmetrize_h(hkg_alpha(F8, 1, 1)))
+one_point = analyze_branch_data(hkg_alpha(F8, 1, 1))
 bp = one_point.special[0]
 refused(lambda: BranchPoint(bp.place, bp.p_values, F8.zeta() * bp.lam,
                             bp.delta, bp.epsilon, bp.theta))
-orbit = analyze_branch_data(symmetrize_h(
-    generic_orbit_alpha(F12, 1, F12.element(19)))).orbits[0]
+orbit = analyze_branch_data(
+    generic_orbit_alpha(F12, 1, F12.element(19))).orbits[0]
 p0, p1, p2 = orbit.points
 refused(lambda: Orbit(orbit.psi, (p2, p1, p2)))
 refused(lambda: Orbit(orbit.psi, (p0, p1, p0)))

@@ -68,6 +68,27 @@ def test_nonzero_trace_exits_2(capsys):
     assert "trace nonzero" in err
 
 
+TRACE_NONZERO = ("error: trace nonzero: the datum needs Tr(alpha) = 0 "
+                 "over the rational subfield\n")
+TRIVIAL_DATUM = ("error: trivial datum: alpha = xi^2 - xi is solvable; the "
+                 "cover needs all three conditions alpha != xi^2 - xi\n")
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["analyze", "--alpha", S3], TRACE_NONZERO),
+    (["analyze", "--alpha", '{"num":[1],"den":[1]}'], TRACE_NONZERO),
+    (["analyze", "--alpha", S2S], TRIVIAL_DATUM),
+    (["analyze", "--alpha", '{"num":[0],"den":[1]}'], TRIVIAL_DATUM),
+    # of nonzero trace, but reduced before the trace is refused, so the
+    # pole that does not split over GF(16) is named
+    (["verify", "--m", "4", "--alpha", '{"num":[13,3],"den":[8,3,11,11]}'],
+     "error: pole not split over working field: irreducible factor of "
+     "degree 2 with coeff masks [8, 4, 1]\n"),
+])
+def test_refusals_print_one_line_and_exit_2(capsys, argv, err):
+    assert run(capsys, *argv) == (2, "", err)
+
+
 def test_odd_field_degree_exits_2(capsys):
     code, _, err = run(capsys, "analyze", "--alpha", S5, "--m", "7")
     assert code == 2

@@ -9,7 +9,6 @@ import pytest
 from a4diff.cli import JobSpec, run_job
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import RatFunc
-from a4diff.artin_schreier import symmetrize_h
 from a4diff.ramification import INF, analyze_branch_data, mobius_step
 from a4diff.decomp import (
     Decomposition,
@@ -32,10 +31,6 @@ Z = F.zeta()
 ONE = F.one()
 
 
-def analyze(alpha):
-    return analyze_branch_data(symmetrize_h(alpha))
-
-
 def mono(e):
     return RatFunc.monomial(F, e)
 
@@ -50,7 +45,7 @@ def dec_of(side, *pairs):
 # ---------------------------------------------------------------- mu_nu
 
 def test_mu_nu_large_wild_point():
-    data = analyze(hkg_alpha(F, 1, 1))
+    data = analyze_branch_data(hkg_alpha(F, 1, 1))
     bp = data.special[0]
     assert (bp.m, bp.M) == (47, 47)
     mn = mu_nu(bp, data)
@@ -60,7 +55,7 @@ def test_mu_nu_large_wild_point():
 
 
 def test_mu_nu_orbit_point():
-    data = analyze(degenerate_orbit_alpha(F, 1))
+    data = analyze_branch_data(degenerate_orbit_alpha(F, 1))
     bp = data.orbits[0].points[0]
     assert (bp.m, bp.M) == (1, 3)
     mn = mu_nu(bp, data)
@@ -70,7 +65,7 @@ def test_mu_nu_orbit_point():
 
 
 def test_mu_nu_smallest_point():
-    data = analyze(mono(1))
+    data = analyze_branch_data(mono(1))
     mn = mu_nu(data.special[0], data)
     assert (mn.mu1, mn.mu2, mn.mu3, mn.nu) == (1, 1, 1, 0)
 
@@ -88,7 +83,7 @@ def test_mu_nu_designated_point_without_special_fiber():
 # -------------------------------------------------- Klein four side
 
 def test_kh_quintic():
-    dec = kH_decomposition(analyze(mono(5)))
+    dec = kH_decomposition(analyze_branch_data(mono(5)))
     assert dec.entries == {
         KHLabel.even(2, Z): 1,
         KHLabel.string(3, 1): 1,
@@ -98,7 +93,7 @@ def test_kh_quintic():
 
 
 def test_kh_genus_zero_is_empty():
-    dec = kH_decomposition(analyze(mono(1)))
+    dec = kH_decomposition(analyze_branch_data(mono(1)))
     assert dec.entries == {}
     assert dec.total_dim == 0
 
@@ -107,7 +102,7 @@ def test_kh_genus_zero_is_empty():
 @pytest.mark.parametrize("x", [1, 2])
 def test_kh_wild_family_closed_form(n, x):
     want = hkg_expected(n, x)
-    data = analyze(hkg_alpha(F, n, x))
+    data = analyze_branch_data(hkg_alpha(F, n, x))
     dec = kH_decomposition(data)
     lam = Z if x == 1 else Z * Z
     mu1, mu2, mu3 = want["mu"]
@@ -121,7 +116,7 @@ def test_kh_wild_family_closed_form(n, x):
 
 
 def test_kh_degenerate_orbit():
-    dec = kH_decomposition(analyze(degenerate_orbit_alpha(F, 1)))
+    dec = kH_decomposition(analyze_branch_data(degenerate_orbit_alpha(F, 1)))
     # each orbit point lands on one of the three degenerate parameters
     for lam in (F.zero(), ONE, INF):
         assert dec.mult(KHLabel.even(2, lam)) == 1
@@ -133,7 +128,7 @@ def test_kh_degenerate_orbit():
 # ------------------------------------------------------------ G side
 
 def test_kg_quintic():
-    dec = kG_decomposition(analyze(mono(5)))
+    dec = kG_decomposition(analyze_branch_data(mono(5)))
     assert dec.entries == {
         KGLabel.even(2, 0, 2): 1,
         KGLabel.odd(3, 1, 1): 1,
@@ -143,7 +138,7 @@ def test_kg_quintic():
 
 
 def test_kg_wild_family_small_case():
-    dec = kG_decomposition(analyze(hkg_alpha(F, 1, 1)))
+    dec = kG_decomposition(analyze_branch_data(hkg_alpha(F, 1, 1)))
     for i, mult in enumerate((2, 1, 1)):
         assert dec.mult(KGLabel.even(4, 0, i)) == mult
     for i, mult in enumerate((1, 2, 1)):
@@ -157,7 +152,7 @@ def test_kg_wild_family_small_case():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_kg_degenerate_orbit_band(n):
-    data = analyze(degenerate_orbit_alpha(F, n))
+    data = analyze_branch_data(degenerate_orbit_alpha(F, n))
     orb = data.orbits[0]
     assert (orb.m, orb.M, orb.delta) == (4 * n - 3, 4 * n - 1, -1)
     dec = kG_decomposition(data)
@@ -167,7 +162,7 @@ def test_kg_degenerate_orbit_band(n):
 
 
 def test_kg_degenerate_orbit_character_splits():
-    dec = kG_decomposition(analyze(degenerate_orbit_alpha(F, 1)))
+    dec = kG_decomposition(analyze_branch_data(degenerate_orbit_alpha(F, 1)))
     for i, mult in enumerate((1, 2, 1)):
         assert dec.mult(KGLabel.odd(3, 1, i)) == mult
     for i, mult in enumerate((0, 1, 1)):
@@ -178,7 +173,7 @@ def test_kg_degenerate_orbit_character_splits():
 @pytest.mark.parametrize("n,mask", [(1, 3), (1, 7), (2, 3)])
 def test_kg_generic_orbit_band(n, mask):
     psi = F.element(mask)
-    data = analyze(generic_orbit_alpha(F, n, psi))
+    data = analyze_branch_data(generic_orbit_alpha(F, n, psi))
     dec = kG_decomposition(data)
     band = KGLabel.band(6 * n, psi ** 3)
     assert dec.mult(band) == 1
@@ -277,7 +272,7 @@ def test_multiplicity_conservation():
 
 def test_hkg_rejects_orbits():
     alpha = degenerate_orbit_alpha(F, 1)
-    assert analyze(alpha).orbits
+    assert analyze_branch_data(alpha).orbits
     with pytest.raises(ValueError, match="not an HKG datum"):
         run_job(JobSpec(F, alpha, "hkg"))
 
@@ -297,7 +292,7 @@ def test_label_strings_exact():
 
 
 def test_json_entries_sorted_and_complete():
-    data = analyze(degenerate_orbit_alpha(F, 1))
+    data = analyze_branch_data(degenerate_orbit_alpha(F, 1))
     blob = kG_decomposition(data).to_json()
     assert blob["side"] == "kG"
     assert blob["total_dim"] == 24
@@ -314,7 +309,7 @@ def test_note_flags_designated_point():
                                     allow_zero=False)
     blob = kG_decomposition(data).to_json()
     assert "note" in blob
-    data2 = analyze(mono(5))
+    data2 = analyze_branch_data(mono(5))
     assert "note" not in kG_decomposition(data2).to_json()
 
 

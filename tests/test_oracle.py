@@ -9,7 +9,6 @@ import pytest
 from a4diff import oracle
 from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix, coords_in_basis, jordan_block
-from a4diff.artin_schreier import symmetrize_h
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.gf import FieldSpec, all_elements
 from a4diff.modulezoo import (GroupRep, kg_group_rep, kh_group_rep,
@@ -21,8 +20,8 @@ from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
 from helpers import (gf2_blowup_rank, hom_dim, induce_label, induce_to_g,
-                     labels_group_rep, matrix_from_rows, probe_hom,
-                     reference_a4_pencil, reference_rank_drops,
+                     labels_group_rep, matrix_from_rows, poly_eval,
+                     probe_hom, reference_a4_pencil, reference_rank_drops,
                      restrict_label)
 
 SPEC = FieldSpec()
@@ -369,7 +368,7 @@ class TestDecompose:
                       for lab in zoo_labels(F16, 8, "kG")
                       if lab.kind != "Band" or lab.param in cubes]
         else:
-            data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 2, 2)))
+            data = analyze_branch_data(hkg_alpha(SPEC, 2, 2))
             models = [build_global_rep(data).rep]
             assert models[0].dim == 234
         for M in models:
@@ -432,7 +431,7 @@ class TestDecompose:
     def test_wrong_extraction_rejected_above_dimension_150(self, monkeypatch):
         # the genus-234 one-point model over H, with one M_{3,1} read as
         # Triv + N_{2,0}: the same dimension, but other Hom counts
-        data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 2, 2)))
+        data = analyze_branch_data(hkg_alpha(SPEC, 2, 2))
         M = restrict_to_h(build_global_rep(data).rep)
         assert M.dim == 234
         extract = oracle._klein_counts
@@ -537,7 +536,7 @@ class TestCharpoly:
                 assert p.degree == n and p.leading() == 1
                 for lam in range(spec.order):
                     shifted = N + Matrix.scalar(spec, n, spec.element(lam))
-                    assert (p.eval(lam) == 0) == (shifted.rank() < n)
+                    assert (poly_eval(p, lam) == 0) == (shifted.rank() < n)
                 assert poly_at_matrix(p, N).is_zero()
 
     def test_repeated_eigenvalues_and_zero_subdiagonal(self):
@@ -619,7 +618,7 @@ def graded_models(keep_band):
     models += [conjugated(labels_group_rep(
         SPEC, rand_kg_multiset(rnd, rnd.randrange(10, 41))), rnd)
         for _ in range(4)]
-    data = analyze_branch_data(symmetrize_h(hkg_alpha(SPEC, 1, 2)))
+    data = analyze_branch_data(hkg_alpha(SPEC, 1, 2))
     models.append(build_global_rep(data).rep)
     return models
 

@@ -8,13 +8,14 @@ from hypothesis import given, settings, strategies as st
 from a4diff import ratlaurent
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import (
-    Poly, RatFunc, Place, poly_roots, trace_K_over_J, rho_pullback,
+    Poly, RatFunc, Place, poly_roots, trace_K_over_J,
 )
-from helpers import (eval_at, linear_power, reference_adic_coeffs,
+from helpers import (eval_at, linear_power, ord_at, poly_eval,
+                     reference_adic_coeffs,
                      reference_poly_divmod, reference_poly_mul,
                      reference_rho_pullback, reference_root_split,
                      reference_sum,
-                     reference_trace_split)
+                     reference_trace_split, valuation)
 
 F16 = FieldSpec(m=4)
 F256 = FieldSpec(m=8)
@@ -58,28 +59,28 @@ def test_arithmetic_field_laws():
 def test_ord_at_monomials():
     inf = Place.infinity()
     zero = Place.zero(F256)
-    assert mono(5).ord_at(inf) == -5
-    assert mono(5).ord_at(zero) == 5
-    assert mono(-3).ord_at(inf) == 3
-    assert mono(-3).ord_at(zero) == -3
-    assert RatFunc.zero(F256).ord_at(inf) == math.inf
+    assert ord_at(mono(5), inf) == -5
+    assert ord_at(mono(5), zero) == 5
+    assert ord_at(mono(-3), inf) == 3
+    assert ord_at(mono(-3), zero) == -3
+    assert ord_at(RatFunc.zero(F256), inf) == math.inf
 
 
 def test_ord_at_finite_points():
     psi = F256.element(9)
     f = RatFunc.constant(F256.one()) / (lin(psi) * lin(psi) * lin(psi))
-    assert f.ord_at(Place.finite(psi)) == -3
-    assert f.ord_at(Place.finite(F256.element(10))) == 0
-    assert f.ord_at(Place.infinity()) == 3
+    assert ord_at(f, Place.finite(psi)) == -3
+    assert ord_at(f, Place.finite(F256.element(10))) == 0
+    assert ord_at(f, Place.infinity()) == 3
 
 
 def test_sum_of_ords_vanishes():
     # f = (s + a)^2 (s + b) / (s + c)^4: ords must sum to zero over all places
     a, b, c = F256.element(3), F256.element(5), F256.element(12)
     f = lin(a) * lin(a) * lin(b) / (lin(c) * lin(c) * lin(c) * lin(c))
-    total = f.ord_at(Place.infinity())
+    total = ord_at(f, Place.infinity())
     for p in (a, b, c, F256.zero()):
-        total += f.ord_at(Place.finite(p))
+        total += ord_at(f, Place.finite(p))
     assert total == 0
 
 
@@ -103,7 +104,7 @@ def laurent_check(f, place, count):
                     term = term / pi
         partial = partial + term
     diff = f - partial
-    assert diff.is_zero() or diff.ord_at(place) >= chunk.order + count
+    assert diff.is_zero() or ord_at(diff, place) >= chunk.order + count
     return chunk
 
 
@@ -162,8 +163,8 @@ def test_rho_pullback_moves_poles():
     # (rho f)(s) = f(zeta s) has its pole where zeta s = psi
     rf = f.rho_pullback()
     target = psi * Z.inverse()
-    assert rf.ord_at(Place.finite(target)) == -1
-    assert rf.ord_at(Place.finite(psi)) == 0
+    assert ord_at(rf, Place.finite(target)) == -1
+    assert ord_at(rf, Place.finite(psi)) == 0
 
 
 @pytest.mark.parametrize("m", [2, 8, 20])
@@ -210,7 +211,7 @@ def test_trace_kills_g_plus_rho_g():
 def test_trace_is_rho_invariant():
     f = mono(2) + mono(-4) + RatFunc.constant(Z) * mono(6)
     t = trace_K_over_J(f)
-    assert rho_pullback(t) == t
+    assert t.rho_pullback() == t
 
 
 def test_poly_roots_with_multiplicity():
@@ -257,8 +258,8 @@ def test_poles_table():
 def test_substitute_inverse_swaps_zero_and_infinity():
     f = mono(5) + mono(2)
     g = f.substitute_inverse()
-    assert g.ord_at(Place.zero(F256)) == f.ord_at(Place.infinity())
-    assert g.ord_at(Place.infinity()) == f.ord_at(Place.zero(F256))
+    assert ord_at(g, Place.zero(F256)) == ord_at(f, Place.infinity())
+    assert ord_at(g, Place.infinity()) == ord_at(f, Place.zero(F256))
     assert g.substitute_inverse() == f
 
 
@@ -286,7 +287,7 @@ def random_poly(rnd, spec, degree, avoid_root=None):
     while True:
         p = Poly(spec, [rnd.randrange(spec.order) for _ in range(degree)]
                  + [rnd.randrange(1, spec.order)])
-        if avoid_root is None or p.eval(avoid_root) != 0:
+        if avoid_root is None or poly_eval(p, avoid_root) != 0:
             return p
 
 
@@ -306,7 +307,7 @@ def test_root_split_finds_planted_multiplicities(m):
                 q = random_poly(rnd, spec, rnd.randint(0, 6), avoid_root=c)
                 p = power * q
                 assert p.root_split(c) == (v, q)
-                assert p.valuation(c) == v
+                assert valuation(p, c) == v
                 assert reference_root_split(p, c) == (v, q)
             power = power * Poly(spec, (c, 1))
 
@@ -337,8 +338,8 @@ def test_adic_coeffs_match_the_one_division_per_coefficient_loop(m):
 
 def test_valuation_of_zero_polynomial_is_infinite():
     zero = Poly(F256, ())
-    assert zero.valuation(5) == math.inf
-    assert zero.valuation(0) == math.inf
+    assert valuation(zero, 5) == math.inf
+    assert valuation(zero, 0) == math.inf
     assert reference_root_split(zero, 5)[0] == math.inf
     with pytest.raises(ValueError):
         zero.root_split(5)
@@ -390,7 +391,7 @@ def test_valuation_takes_logarithmically_many_division_passes(monkeypatch):
     # each pass divides by one binomial s^k + c^k
     monkeypatch.setattr(ratlaurent, "_divmod_binomial",
                         counting(ratlaurent._divmod_binomial))
-    assert p.valuation(c) == 127
+    assert valuation(p, c) == 127
     assert len(passes) <= 2 * math.ceil(math.log2(128)) + 2
 
 

@@ -10,7 +10,6 @@ import pytest
 from a4diff._linalg import Matrix
 from a4diff.gf import FieldSpec, default_modulus, is_irreducible_gf2
 from a4diff.ratlaurent import RatFunc
-from a4diff.artin_schreier import symmetrize_h
 from a4diff.ramification import analyze_branch_data
 from a4diff.decomp import KGLabel, kG_decomposition, kH_decomposition
 from a4diff.modulezoo import restrict_to_h, validate_group_rep
@@ -29,12 +28,8 @@ Z = F.zeta()
 ONE = F.one()
 
 
-def analyze(alpha):
-    return analyze_branch_data(symmetrize_h(alpha))
-
-
 def built(alpha):
-    data = analyze(alpha)
+    data = analyze_branch_data(alpha)
     return data, build_global_rep(data)
 
 
@@ -162,9 +157,9 @@ def test_degenerate_biased_random_data():
 def block_diagonal_data():
     """hkg, families 2 and 3, and seeded random data, some of them
     without fixed branch points."""
-    yield analyze(hkg_alpha(F, 2, 1))
-    yield analyze(degenerate_orbit_alpha(F, 2))
-    yield analyze(generic_orbit_alpha(F, 1, F.element(9)))
+    yield analyze_branch_data(hkg_alpha(F, 2, 1))
+    yield analyze_branch_data(degenerate_orbit_alpha(F, 2))
+    yield analyze_branch_data(generic_orbit_alpha(F, 1, F.element(9)))
     rnd = random.Random(4091)
     for trial in range(10):
         yield analyzed_random_datum(rnd, F)[1]
@@ -264,7 +259,7 @@ def test_built_matrices_are_pinned(which, genus, digest):
 # ------------------------------------------------------- label behavior
 
 def test_basis_label_equality_and_repr():
-    a = BasisLabel(analyze(RatFunc.monomial(F, 5)).special[0].place, 1, 2)
+    a = BasisLabel(analyze_branch_data(RatFunc.monomial(F, 5)).special[0].place, 1, 2)
     b = BasisLabel(a.place, 1, 2)
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "f[inf,1,2]"
