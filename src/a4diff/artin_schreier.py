@@ -134,9 +134,18 @@ def _reduce_core(alpha: RatFunc):
         legs = _even_legs(work, poles)
         if legs.is_zero():
             break
+        den = work.den
         work = work + legs.square() + legs
         h = h + legs
-        poles = work.poles(roots)
+        if work.den == den:
+            # work is in lowest terms, so the same denominator has the
+            # same finite poles: only the order at infinity is read again
+            poles.pop(Place.infinity(), None)
+            deficit = work.num.degree - den.degree
+            if deficit > 0:
+                poles = {Place.infinity(): deficit, **poles}
+        else:
+            poles = work.poles(roots)
     dropped = spec.zero()
     q = _polynomial_part(work)
     c0 = q.coeffs[0] if q.degree >= 0 else 0
@@ -152,7 +161,7 @@ def _reduce_core(alpha: RatFunc):
     return work, h, dropped, poles
 
 
-def _validate_reduced(reduced: RatFunc, pole_table: dict[Place, int]):
+def _check_standard_form(reduced: RatFunc, pole_table: dict[Place, int]):
     """Refuse a reduction left off standard form; pole_table is reduced's."""
     if any(p % 2 == 0 for p in pole_table.values()):
         raise AssertionError("reduction left an even pole order")
@@ -163,7 +172,7 @@ def _validate_reduced(reduced: RatFunc, pole_table: dict[Place, int]):
 def as_reduce(alpha: RatFunc) -> ASForm:
     """Reduce alpha to standard form; poles must split over the field."""
     reduced, h, dropped, pole_table = _reduce_core(alpha)
-    _validate_reduced(reduced, pole_table)
+    _check_standard_form(reduced, pole_table)
     return ASForm(reduced, h, pole_table, dropped)
 
 

@@ -179,10 +179,9 @@ def _parse_alpha_obj(field, obj):
             raise UsageError(
                 f"alpha {key} must be a nonempty list of masks below "
                 f"2^{field.m}")
-    alpha = RatFunc.from_json(field, obj)
-    if alpha.den.is_zero():
+    if not any(obj["den"]):
         raise UsageError("alpha denominator is zero")
-    return alpha
+    return RatFunc.from_json(field, obj)
 
 
 def _parse_alpha_arg(field, text):

@@ -319,13 +319,11 @@ def band_module_matrices(spec, w, n, mu):
 class GroupRep:
     """Matrices of the group generators, acting on column vectors.
 
-    group is "H" (generators sigma, tau) or "G" (sigma, tau, rho).  The
-    matrices are never changed, so _valid records a passed validation,
-    and _fixed the fixed space ker [sigma + 1; tau + 1] once the oracle
-    has eliminated it.
+    group is "H" (generators sigma, tau) or "G" (sigma, tau, rho).  It
+    holds the matrices only: validate_group_rep checks them on each call.
     """
 
-    __slots__ = ("group", "spec", "sigma", "tau", "rho", "_valid", "_fixed")
+    __slots__ = ("group", "spec", "sigma", "tau", "rho")
 
     def __init__(self, group, spec, sigma, tau, rho=None):
         assert group in ("H", "G")
@@ -335,8 +333,6 @@ class GroupRep:
         self.sigma = sigma
         self.tau = tau
         self.rho = rho
-        self._valid = False
-        self._fixed = None
 
     @property
     def dim(self):
@@ -361,8 +357,7 @@ class GroupRep:
 
 
 def validate_group_rep(rep):
-    """Check the defining relations, naming the first one that fails;
-    a representation that passed before is not checked again.  Over G
+    """Check the defining relations, naming the first one that fails.  Over G
     they are the presentation <s, r | s^2 = r^3 = (sr)^3 = 1> of A4
     (Coxeter and Moser) and rho sigma rho^-1 = tau, which imply tau^2 = 1
     and sigma tau = tau sigma: 8 products, and 4 over H."""
@@ -370,8 +365,6 @@ def validate_group_rep(rep):
         if not holds:
             raise ValueError(f"relation violation: {name}")
 
-    if rep._valid:
-        return
     I = Matrix.identity(rep.spec, rep.dim)
     s, t = rep.sigma, rep.tau
     check(s @ s == I, "sigma^2 != 1")
@@ -385,7 +378,6 @@ def validate_group_rep(rep):
         check(r @ s @ rr == t, "rho sigma rho^-1 != tau")
         sr = s @ r
         check(sr @ sr @ sr == I, "(sigma rho)^3 != 1")
-    rep._valid = True
 
 
 def _ab_from_cd(spec, C, D):
@@ -441,14 +433,9 @@ def kG_group_matrices(rep):
 
 
 def restrict_to_h(grep):
-    """Forget rho.  The relations of H are among those of G, so the
-    restriction of a validated representation counts as validated; sigma
-    and tau are the same, so it keeps the fixed space too."""
+    """Forget rho: the H-representation on the same sigma and tau."""
     assert grep.group == "G"
-    out = GroupRep("H", grep.spec, grep.sigma, grep.tau)
-    out._valid = grep._valid
-    out._fixed = grep._fixed
-    return out
+    return GroupRep("H", grep.spec, grep.sigma, grep.tau)
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,19 @@ intertwiner equations, and lives with the tests):
   to counting admissible word pairs, and bands to the induction
   adjunction with the Klein four subgroup (induction and coinduction
   agree here, so the reduction works on either argument).
-* ``decompose_rep`` reads the summand multiset of a representation off
-  the Wong sequences of its radical pencil.  What it checks against the
-  matrices: the group relations, rad^2 = 0 (one product AB), the
-  extraction's own bookkeeping (the Wong counts are nonnegative), one
-  vertex profile on both sides (the tops and radicals of the named
+* ``decompose_rep`` splits a representation into the connected
+  coordinate blocks of its generators' nonzeros, found from the matrices
+  alone, and reads the summand multiset of one copy of each distinct
+  block off the Wong sequences of its radical pencil.  What it checks
+  against the matrices: that the blocks hold every nonzero, and per pack
+  of distinct blocks the group relations, rad^2 = 0 (one product AB),
+  the extraction's own bookkeeping (the Wong counts are nonnegative),
+  one vertex profile on both sides (the tops and radicals of the named
   summands, read off their zoo words, fill the pencil's top and radical
-  at every vertex), the total dimension, and two hom counts Hom(X, M)
-  from the fixed space ker [sigma + 1; tau + 1] (or, for N_{2,0}, from
-  ker(tau + 1)), against the counts ``hom_labels`` predicts from the
-  extracted multiset.
+  at every vertex) and two hom counts Hom(X, M) from the fixed space
+  ker [sigma + 1; tau + 1] (or, for N_{2,0}, from ker(tau + 1)),
+  against the counts ``hom_labels`` predicts from the pack's multiset;
+  then the total dimension of the sum over packs and copies.
 
 The radical is a col_basis, the identity at its pivot rows: the unit
 vectors at the other rows span a top, and the coordinates of a vector in
@@ -52,6 +55,7 @@ from .ratlaurent import Poly, field_roots
 from .decomp import Decomposition, KHLabel, KGLabel, restrict_decomposition
 from .modulezoo import (StringWord, kg_label_word, kh_label_word,
                         validate_group_rep)
+from ._blocks import packs
 
 __all__ = [
     "Matrix",
@@ -582,8 +586,8 @@ class MultiplicitySolution:
 
     multiplicities maps labels to positive integers.  spot_hom maps the
     label string of each dense spot-check probe X to dim Hom(X, M) as
-    computed from the matrices; probes larger than the representation are
-    left out.
+    computed from the matrices; the tube N_{2,0} is left out of a model
+    below dimension 2.
     """
 
     __slots__ = ("multiplicities", "spot_hom")
@@ -610,33 +614,25 @@ class MultiplicitySolution:
         return f"MultiplicitySolution({{{inner}}})"
 
 
-def _spot_check(M, counts):
-    """Compare two hom counts from the matrices against the extracted
-    multiset.
+def _spot_check(M, counts, probes):
+    """Compare dim Hom(X, M) from the matrices against the extracted
+    multiset, for each probe X; returns the counts by label string.
 
-    The probes are the two smallest labels of the side (the trivial
-    module and the tube at 0 over H, the simples S_0 and S_1 over G),
-    those larger than M left out.  Hom(k, M) is the fixed space
-    K = ker [A; B], A = sigma + 1 and B = tau + 1, eliminated once per
-    model: an H restriction takes its model's K.  Hom(S_i, M) is
-    ker((rho + zeta^i) K) and Hom(N_{2,0}, M) is ker B.  Returns the
-    counts by label string.
+    Hom(k, M) is the fixed space K = ker [A; B], A = sigma + 1 and
+    B = tau + 1, eliminated once.  Hom(S_i, M) is ker((rho + zeta^i) K)
+    and Hom(N_{2,0}, M) is ker B.
     """
     spec = M.spec
     I = Matrix.identity(spec, M.dim)
-    if M._fixed is None:
-        M._fixed = vstack([M.sigma + I, M.tau + I]).right_nullspace()
-    K = M._fixed
-    if M.group == "H":
-        got = {KHLabel.triv(): K.cols}
-        if M.dim >= 2:
-            got[KHLabel.even(2, spec.zero())] = M.dim - (M.tau + I).rank()
-    else:
-        got = {KGLabel.simple(i):
-               K.cols - ((M.rho + I.scale(spec.zeta() ** i)) @ K).rank()
-               for i in (0, 1)}
+    K = vstack([M.sigma + I, M.tau + I]).right_nullspace()
     out = {}
-    for X, n in got.items():
+    for X in probes:
+        if X.kind == "Triv":
+            n = K.cols
+        elif X.kind == "Simple":
+            n = K.cols - ((M.rho + I.scale(spec.zeta() ** X.i)) @ K).rank()
+        else:
+            n = M.dim - (M.tau + I).rank()
         want = sum(c * hom_labels(spec, X, Y) for Y, c in counts.items())
         if n != want:
             raise RuntimeError(
@@ -649,38 +645,58 @@ def _spot_check(M, counts):
 def decompose_rep(M):
     """Indecomposable multiplicities of an explicit representation.
 
-    Checks the group relations, reads the summands off the Wong
-    sequences of the radical pencil (see _kronecker) and rejects the
-    result unless the Wong bookkeeping closes (no negative chain count,
-    the tubes at infinity among the chains leaving V_j), the vertex
+    M is split into its connected coordinate blocks (see
+    _blocks.components), and each pack of distinct blocks (see
+    _blocks.packs) is checked and taken
+    apart on its own: its group relations, its summands read off the
+    Wong sequences of its radical pencil (see _kronecker), rejected
+    unless the Wong bookkeeping closes (no negative chain count, the
+    tubes at infinity among the chains leaving V_j) and the vertex
     profile of the named summands fills the top and the radical at every
     vertex (see _summands; a label's vertices are written only in its zoo
-    word), the dimensions add up to dim M and two dense hom counts agree
-    with the multiset (see _spot_check).  The closed form is not
-    consulted.
+    word), and two dense hom counts of the pack against its multiset
+    (see _spot_check).  The packs' multisets and hom counts, times their
+    copies, add up to M's; the dimensions must add up to dim M.  The
+    probes are the two smallest labels of the side (the trivial module
+    and the tube at 0 over H, the simples S_0 and S_1 over G); the tube
+    is left out only when M, not a pack, is smaller.  The closed form is
+    not consulted.
 
-    Raises ValueError("no nonnegative integer solution") with a
-    .certificate attribute {reason, dim, side} when the input provably
+    Raises ValueError("relation violation: ...") naming the first
+    relation that fails on the first pack where one fails,
+    ValueError("no nonnegative integer solution") with a .certificate
+    attribute {reason, dim, side}, dim that of M, when the input provably
     is not a direct sum of the known families (a projective summand,
     say), and RuntimeError("internal extraction inconsistency ...")
     when a check fails.
     """
-    validate_group_rep(M)
-    side = "kH" if M.group == "H" else "kG"
-    try:
-        if side == "kH":
-            counts = _klein_counts(M)
-        else:
-            counts = _a4_counts(M)
-    except _StructureError as err:
-        if err.proven:
-            exc = ValueError("no nonnegative integer solution")
-            exc.certificate = {"reason": str(err), "dim": M.dim,
-                               "side": side}
-            raise exc from err
-        raise RuntimeError(f"internal extraction inconsistency: {err}") \
-            from err
-    out = MultiplicitySolution(counts, _spot_check(M, counts))
+    spec = M.spec
+    if M.group == "H":
+        side, extract = "kH", _klein_counts
+        probes = [KHLabel.triv()]
+        if M.dim >= 2:
+            probes.append(KHLabel.even(2, spec.zero()))
+    else:
+        side, extract = "kG", _a4_counts
+        probes = [KGLabel.simple(0), KGLabel.simple(1)]
+    counts, spot = {}, {}
+    for pack, copies in packs(M):
+        validate_group_rep(pack)
+        try:
+            found = extract(pack)
+        except _StructureError as err:
+            if err.proven:
+                exc = ValueError("no nonnegative integer solution")
+                exc.certificate = {"reason": str(err), "dim": M.dim,
+                                   "side": side}
+                raise exc from err
+            raise RuntimeError(f"internal extraction inconsistency: {err}") \
+                from err
+        for X, n in _spot_check(pack, found, probes).items():
+            spot[X] = spot.get(X, 0) + copies * n
+        for lab, c in found.items():
+            counts[lab] = counts.get(lab, 0) + copies * c
+    out = MultiplicitySolution(counts, spot)
     if out.total_dim() != M.dim:
         raise RuntimeError("internal extraction inconsistency: dimensions "
                            "do not add up")

@@ -652,12 +652,10 @@ def restrict_label(spec, label):
                                                 spec=spec))
 
 
-def labels_group_rep(spec, labels):
-    """Block diagonal model of a label multiset (all kH or all kG)."""
-    reps = [kh_group_rep(spec, lab) if isinstance(lab, KHLabel)
-            else kg_group_rep(spec, lab) for lab in labels]
+def direct_sum(reps):
+    """Block diagonal sum of representations of one group."""
     assert reps
-    group = reps[0].group
+    spec, group = reps[0].spec, reps[0].group
     assert all(r.group == group for r in reps)
     dims = [r.dim for r in reps]
 
@@ -668,6 +666,12 @@ def labels_group_rep(spec, labels):
     rho = diag(lambda r: r.rho) if group == "G" else None
     return GroupRep(group, spec, diag(lambda r: r.sigma),
                     diag(lambda r: r.tau), rho)
+
+
+def labels_group_rep(spec, labels):
+    """Block diagonal model of a label multiset (all kH or all kG)."""
+    return direct_sum([kh_group_rep(spec, lab) if isinstance(lab, KHLabel)
+                       else kg_group_rep(spec, lab) for lab in labels])
 
 
 def reference_group_relations(rep):

@@ -351,6 +351,23 @@ def test_one_job_searches_each_polynomial_and_traces_each_function_once(
     capsys.readouterr()
 
 
+def test_a_reduction_splits_each_denominator_once(monkeypatch, capsys):
+    # the same denominator has the same finite poles, so a pass that
+    # leaves it unchanged reads only the order at infinity again
+    split = []
+    poles = ratlaurent.RatFunc.poles
+
+    def counting_poles(f, roots=None):
+        split.append(f.den)
+        return poles(f, roots)
+
+    monkeypatch.setattr(ratlaurent.RatFunc, "poles", counting_poles)
+    assert run_cli(["examples", "--which", "2", "--n", "32", "--m", "8",
+                    "--json"]) == 0
+    assert split and len(set(split)) == len(split)
+    capsys.readouterr()
+
+
 def test_broken_analysis_is_refused_under_optimisation():
     # python -O strips asserts; the analyze invariants are explicit raises.
     # The child plants broken reductions behind the CLI and builds branch

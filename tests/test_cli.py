@@ -434,6 +434,26 @@ def test_batch_job_with_a_malformed_number_is_a_usage_error(tmp_path, capsys,
     assert json.loads(out)["error"].startswith("usage: job ")
 
 
+@pytest.mark.parametrize("den", [[0], [0, 0]])
+@pytest.mark.parametrize("mode", ["analyze", "hkg", "verify"])
+def test_a_zero_denominator_is_a_usage_error(capsys, mode, den):
+    alpha = json.dumps({"num": [1], "den": den})
+    assert run(capsys, mode, "--alpha", alpha) == (
+        1, "", "usage error: alpha denominator is zero\n")
+
+
+def test_a_batch_job_with_a_zero_denominator_is_a_usage_error(tmp_path,
+                                                             capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"m": 8, "mode": "verify",
+                                "alpha": {"num": [1], "den": [0, 0]}}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--batch", str(path))
+    assert code == 1
+    assert out == ('{"error":"usage: alpha denominator is zero",'
+                   '"schema":2}\n')
+
+
 def test_batch_job_with_an_unknown_mode_or_no_alpha_is_a_usage_error(
         tmp_path, capsys):
     jobs = [{"m": 8, "mode": "bogus", "alpha": json.loads(S5)},

@@ -4,6 +4,7 @@ Every check runs in a fresh interpreter, since this test process has
 long since imported numpy and the whole package.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -65,3 +66,21 @@ def test_the_genus_234_verify_loads_no_numpy_ma():
          "--verify", "--json"]))
     assert "a4diff.oracle" in mods
     assert "numpy.ma" not in mods
+
+
+@pytest.mark.parametrize("module", ["oracle", "_blocks"])
+def test_the_oracle_finds_its_blocks_from_the_matrices_alone(module):
+    # the oracle checks the builder's model, so it takes no block
+    # structure from the builder: no import of repbuilder, no .labels
+    tree = ast.parse((Path(SRC) / "a4diff" / f"{module}.py").read_text(
+        encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names)
+    assert not any("repbuilder" in name for name in imported)
+    assert not any(isinstance(node, ast.Attribute) and node.attr == "labels"
+                   for node in ast.walk(tree))

@@ -19,10 +19,10 @@ from a4diff.ramification import INF, analyze_branch_data
 from a4diff.ratlaurent import Poly
 from a4diff.repbuilder import build_global_rep
 
-from helpers import (gf2_blowup_rank, hom_dim, induce_label, induce_to_g,
-                     labels_group_rep, matrix_from_rows, poly_eval,
-                     probe_hom, reference_a4_pencil, reference_rank_drops,
-                     restrict_label)
+from helpers import (direct_sum, gf2_blowup_rank, hom_dim, induce_label,
+                     induce_to_g, labels_group_rep, matrix_from_rows,
+                     poly_eval, probe_hom, reference_a4_pencil,
+                     reference_rank_drops, restrict_label)
 
 SPEC = FieldSpec()
 Z = SPEC.zeta()
@@ -75,6 +75,13 @@ def conjugated(M, rnd):
             break
     Si = coords_in_basis(S, Matrix.identity(M.spec, d))
     g = {k: Si @ v @ S for k, v in M.generators().items()}
+    return GroupRep(M.group, M.spec, g["sigma"], g["tau"], g.get("rho"))
+
+
+def permuted(M, perm):
+    """M in new coordinates: coordinate k is M's coordinate perm[k]."""
+    ix = np.ix_(perm, perm)
+    g = {k: Matrix(M.spec, v.a[ix]) for k, v in M.generators().items()}
     return GroupRep(M.group, M.spec, g["sigma"], g["tau"], g.get("rho"))
 
 
@@ -356,10 +363,9 @@ class TestDecompose:
 
     @pytest.mark.parametrize("which", ["zoo", "genus234"])
     def test_spot_check_counts_match_the_stacked_ranks(self, which):
-        # S_0 and S_1 from the fixed space K = ker [A; B] of the G
-        # model, Triv from the same K inherited by the H restriction and
-        # N_{2,0} from ker B, against one rank of the stacked relations
-        # each (probe_hom)
+        # S_0 and S_1 from the fixed space K = ker [A; B] of each G
+        # pack, Triv from K of each H pack and N_{2,0} from ker B,
+        # against one rank of the stacked relations each (probe_hom)
         if which == "zoo":
             # the bands whose parameter is a cube, as the oracle needs
             F16 = FieldSpec(4)
@@ -373,12 +379,10 @@ class TestDecompose:
             assert models[0].dim == 234
         for M in models:
             spec = M.spec
-            assert M._fixed is None
             simples = (KGLabel.simple(0), KGLabel.simple(1))
             assert decompose_rep(M).spot_hom == {
                 str(X): probe_hom(X, M) for X in simples}
             H = restrict_to_h(M)
-            assert H._fixed is M._fixed is not None
             probes = [KHLabel.triv(), KHLabel.even(2, spec.zero())]
             assert decompose_rep(H).spot_hom == {
                 str(X): probe_hom(X, H) for X in probes if X.dim <= M.dim}
@@ -419,6 +423,14 @@ class TestDecompose:
             decompose_rep(M)
         assert err.value.certificate == {
             "reason": "radical square acts nonzero", "dim": 12, "side": "kG"}
+        # a block of a larger model, in interleaved coordinates: the
+        # certificate names the whole model's dimension
+        both = direct_sum([kg_group_rep(SPEC, KGLabel.odd(5, 1, 0)), M])
+        perm = np.array([5, 0, 6, 1, 7, 2, 8, 3, 9, 4] + list(range(10, 17)))
+        with pytest.raises(ValueError, match="no nonnegative integer") as err:
+            decompose_rep(permuted(both, perm))
+        assert err.value.certificate == {
+            "reason": "radical square acts nonzero", "dim": 17, "side": "kG"}
 
     def test_wrong_extraction_rejected_by_spot_check(self, monkeypatch):
         # right total dimension, but dense Hom(Triv, M) is 2, not 3
@@ -490,6 +502,71 @@ class TestDecompose:
         bad = GroupRep("H", SPEC, matrix_from_rows(SPEC, [[0, 1], [1, 1]]), I)
         with pytest.raises(ValueError, match="relation violation"):
             decompose_rep(bad)
+
+    @pytest.mark.parametrize("side", ["kH", "kG"])
+    def test_a_permuted_direct_sum_adds_up_its_blocks(self, side):
+        # the blocks are read off the matrices in any coordinate order;
+        # their labels and their Hom counts add up
+        phi = SPEC.element(17)
+        if side == "kH":
+            labs = [KHLabel.triv(), KHLabel.string(5, 1), KHLabel.string(3, 2),
+                    KHLabel.even(4, INF), KHLabel.even(2, Z),
+                    KHLabel.even(4, INF), KHLabel.triv()]
+            probes = [KHLabel.triv(), KHLabel.even(2, SPEC.zero())]
+        else:
+            labs = [KGLabel.band(6, phi ** 3, phi=phi),
+                    KGLabel.even(4, INF, 1), KGLabel.odd(5, 2, 0),
+                    KGLabel.simple(1), KGLabel.even(4, INF, 1),
+                    KGLabel.simple(1)]
+            probes = [KGLabel.simple(0), KGLabel.simple(1)]
+        M = labels_group_rep(SPEC, labs)
+        perm = np.arange(M.dim)
+        random.Random(7).shuffle(perm)
+        sol = decompose_rep(permuted(M, perm))
+        assert sol.multiplicities == multiset(labs)
+        assert sol.spot_hom == {
+            str(X): sum(probe_hom(X, model(lab)) for lab in labs)
+            for X in probes}
+
+    def test_byte_equal_blocks_are_taken_apart_once(self, monkeypatch):
+        lab = KGLabel.odd(5, 2, 1)
+        one = model(lab)
+        # copy c at coordinates c, c + 5, c + 10, ...
+        perm = np.array([c * one.dim + i for i in range(one.dim)
+                         for c in range(5)])
+        M = permuted(direct_sum([one] * 5), perm)
+        tops = []
+        kronecker = oracle._kronecker
+
+        def counting(P, Q):
+            tops.append([p.cols for p in P])
+            return kronecker(P, Q)
+
+        monkeypatch.setattr(oracle, "_kronecker", counting)
+        for N, N1 in ((M, one), (restrict_to_h(M), restrict_to_h(one))):
+            single = decompose_rep(N1)
+            sol = decompose_rep(N)
+            # one call on the pencil of one copy
+            assert len(tops) == 2 and tops[0] == tops[1]
+            tops.clear()
+            assert sol.multiplicities == {
+                k: 5 * c for k, c in single.multiplicities.items()}
+            assert sol.spot_hom == {
+                k: 5 * c for k, c in single.spot_hom.items()}
+
+    def test_the_probes_follow_the_whole_models_dimension(self):
+        # N_{2,0} is left out only when the whole model, not a block, is
+        # smaller; the other probes are taken even on the zero model
+        sol = decompose_rep(labels_group_rep(SPEC, [KHLabel.triv()] * 2))
+        assert sol.to_json() == {
+            "multiplicities": {"Triv": 2},
+            "spot_hom": {"Triv": 2, "N[2n=2,lambda=0]": 2}}
+        empty = Matrix.zeros(SPEC, 0, 0)
+        assert decompose_rep(GroupRep("G", SPEC, empty, empty,
+                                      empty)).to_json() == {
+            "multiplicities": {}, "spot_hom": {"S[i=0]": 0, "S[i=1]": 0}}
+        assert decompose_rep(GroupRep("H", SPEC, empty, empty)).to_json() \
+            == {"multiplicities": {}, "spot_hom": {"Triv": 0}}
 
     def test_solution_json(self):
         M = labels_group_rep(SPEC, [KGLabel.simple(2), KGLabel.simple(2)])
