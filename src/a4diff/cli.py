@@ -171,9 +171,10 @@ def _parse_alpha_obj(field, obj):
         raise UsageError(
             "alpha must be a JSON object {\"num\": [...], \"den\": [...]} "
             "of coefficient masks, constant term first")
+    # an empty num is the zero polynomial, as RatFunc.to_json writes it
     for key in ("num", "den"):
         coeffs = obj[key]
-        if (not isinstance(coeffs, list) or not coeffs or
+        if (not isinstance(coeffs, list) or not (coeffs or key == "num") or
                 not all(type(c) is int and 0 <= c < field.order
                         for c in coeffs)):
             raise UsageError(
@@ -224,16 +225,21 @@ def _hkg_block(data):
 
 
 def _verification_block(data, kG, kH, timings):
-    from .modulezoo import restrict_to_h
+    """Build the model as triplets and decompose it on both sides.  Running
+    out of memory there is refused like a block past the oracle's cap."""
     from .oracle import decompose_rep
     from .repbuilder import build_global_rep
-    t0 = time.perf_counter()
-    gr = build_global_rep(data)
-    timings["build"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    solG = decompose_rep(gr.rep)
-    solH = decompose_rep(restrict_to_h(gr.rep))
-    timings["oracle"] = time.perf_counter() - t0
+    try:
+        t0 = time.perf_counter()
+        gr = build_global_rep(data)
+        timings["build"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        solG = decompose_rep(gr.model)
+        solH = decompose_rep(gr.model.restrict_to_h())
+        timings["oracle"] = time.perf_counter() - t0
+    except MemoryError:
+        raise ValueError("unsupported configuration: out of memory in the "
+                         f"matrix model of dimension {data.genus}") from None
     okG = dict(solG.multiplicities) == kG.entries
     okH = dict(solH.multiplicities) == kH.entries
     return {

@@ -10,8 +10,8 @@ intertwiner equations, and lives with the tests):
   adjunction with the Klein four subgroup (induction and coinduction
   agree here, so the reduction works on either argument).
 * ``decompose_rep`` splits a representation into the connected
-  coordinate blocks of its generators' nonzeros, found from the matrices
-  alone, and reads the summand multiset of one copy of each distinct
+  coordinate blocks of its generators' nonzeros, found from them alone,
+  and reads the summand multiset of one copy of each distinct
   block off the Wong sequences of its radical pencil.  What it checks
   against the matrices: that the blocks hold every nonzero, and per pack
   of distinct blocks the group relations, rad^2 = 0 (one product AB),
@@ -645,25 +645,25 @@ def _spot_check(M, counts, probes):
 def decompose_rep(M):
     """Indecomposable multiplicities of an explicit representation.
 
-    M is split into its connected coordinate blocks (see
-    _blocks.components), and each pack of distinct blocks (see
-    _blocks.packs) is checked and taken
-    apart on its own: its group relations, its summands read off the
-    Wong sequences of its radical pencil (see _kronecker), rejected
-    unless the Wong bookkeeping closes (no negative chain count, the
-    tubes at infinity among the chains leaving V_j) and the vertex
-    profile of the named summands fills the top and the radical at every
-    vertex (see _summands; a label's vertices are written only in its zoo
-    word), and two dense hom counts of the pack against its multiset
-    (see _spot_check).  The packs' multisets and hom counts, times their
-    copies, add up to M's; the dimensions must add up to dim M.  The
-    probes are the two smallest labels of the side (the trivial module
-    and the tube at 0 over H, the simples S_0 and S_1 over G); the tube
-    is left out only when M, not a pack, is smaller.  The closed form is
-    not consulted.
+    M, a GroupRep or a _blocks.TripletRep, is split into its connected
+    coordinate blocks (see _blocks.components), and each pack of distinct
+    blocks (see _blocks.packs) is made dense, checked and taken apart on its
+    own: its group relations, its summands read off the Wong sequences of
+    its radical pencil (see _kronecker), rejected unless the Wong
+    bookkeeping closes (no negative chain count, the tubes at infinity among
+    the chains leaving V_j) and the vertex profile of the named summands
+    fills the top and the radical at every vertex (see _summands; a label's
+    vertices are written only in its zoo word), and two dense hom counts of
+    the pack against its multiset (see _spot_check).  The packs' multisets
+    and hom counts, times their copies, add up to M's; the dimensions must
+    add up to dim M.  The probes are the two smallest labels of the side (the
+    trivial module and the tube at 0 over H, the simples S_0 and S_1 over
+    G); the tube is left out only when M, not a pack, is smaller.  The
+    closed form is not consulted.
 
-    Raises ValueError("relation violation: ...") naming the first
-    relation that fails on the first pack where one fails,
+    Raises ValueError("unsupported configuration: ...") for a block past
+    _blocks.BLOCK_DIM_CAP, ValueError("relation violation: ...") naming
+    the first relation that fails on the first pack where one fails,
     ValueError("no nonnegative integer solution") with a .certificate
     attribute {reason, dim, side}, dim that of M, when the input provably
     is not a direct sum of the known families (a projective summand,

@@ -38,6 +38,7 @@ from a4diff.modulezoo import (A4_QUIVER, BandWord, GroupRep, Quiver,
 from a4diff.oracle import _complement
 from a4diff.ramification import (INF, _numerology, analyze_branch_data,
                                   phi_of_lambda)
+from a4diff.repbuilder import _family_ranges, _layout
 from a4diff.ratlaurent import (Place, Poly, RatFunc, _divmod_binomial,
                                _multiplier, trace_K_over_J)
 
@@ -119,6 +120,58 @@ def point_at(data, place):
     raise KeyError(place.key())
 
 
+class BasisLabel:
+    """One basis differential: owning place, family (1, 2 or 3), index.
+
+    Family 1 is the plain power of the uniformizer, family 2 carries the
+    u-root, family 3 the v-root (or its corrected tail on high indices).
+    """
+
+    __slots__ = ("place", "family", "index")
+
+    def __init__(self, place, family, index):
+        assert family in (1, 2, 3)
+        self.place = place
+        self.family = family
+        self.index = int(index)
+
+    def __eq__(self, other):
+        if not isinstance(other, BasisLabel):
+            return NotImplemented
+        return (self.place, self.family, self.index) == \
+            (other.place, other.family, other.index)
+
+    def __hash__(self):
+        return hash((self.place, self.family, self.index))
+
+    def __repr__(self):
+        return f"f[{self.place.key()},{self.family},{self.index}]"
+
+
+def basis_labels(data, gr):
+    """One BasisLabel per coordinate of a built model, from its places.
+
+    A place's range holds families 1, 2 and 3 in turn, each from one
+    lowest index (0, 1 or 2) to its own highest, the layout
+    repbuilder._family_ranges gives; the range's length fixes the lowest
+    index.  A fixed point's tables sit at k = -2 (infinity) or 0 with
+    M = m, an orbit member's at k = 0 with its own M.
+    """
+    fixed = {pt.place for pt in data.special}
+    out = []
+    for place, start, stop in gr.places:
+        pt = point_at(data, place)
+        k = -2 if place.is_infinity() else 0
+        M = pt.m if place in fixed else pt.M
+        ranges = next(r for r in (_family_ranges(pt.m, M, k, lo)
+                                  for lo in (0, 1, 2))
+                      if _layout(r)[1] == stop - start)
+        for fam in (1, 2, 3):
+            lo, hi = ranges[fam]
+            out.extend(BasisLabel(place, fam, i) for i in range(lo, hi + 1))
+    return out
+
+
 def genus_and_differents(data):
     """Recompute (genus, differents, jumps) from the per-point records."""
     return _numerology(list(data.branch_points()))
@@ -139,7 +192,8 @@ def random_trace_zero_alpha(rnd, spec, max_orbits=2, allow_inf=True,
     total = RatFunc.zero(spec)
 
     used = set()
-    for _ in range(rnd.randint(0, max_orbits)):
+    # GF(2^m)* is the union of (2^m - 1) / 3 zeta-orbits, one at m = 2
+    for _ in range(rnd.randint(0, min(max_orbits, (spec.order - 1) // 3))):
         while True:
             v = spec.element(rnd.randrange(1, spec.order))
             chain = (v.mask, (z * v).mask, (z * z * v).mask)

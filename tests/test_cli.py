@@ -16,6 +16,7 @@ from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix
 from a4diff.cli import JobSpec, run_cli
 from a4diff.gf import FieldSpec
+from a4diff.ratlaurent import RatFunc
 
 from helpers import matrix_from_rows
 
@@ -440,6 +441,85 @@ def test_a_zero_denominator_is_a_usage_error(capsys, mode, den):
     alpha = json.dumps({"num": [1], "den": den})
     assert run(capsys, mode, "--alpha", alpha) == (
         1, "", "usage error: alpha denominator is zero\n")
+
+
+@pytest.mark.parametrize("num", [[], [0]])
+@pytest.mark.parametrize("mode", ["analyze", "hkg", "verify"])
+def test_the_zero_function_is_a_trivial_datum_in_either_spelling(capsys,
+                                                                 mode, num):
+    # RatFunc.to_json writes zero with an empty num
+    assert RatFunc.zero(FieldSpec(8)).to_json() == {"num": [], "den": [1]}
+    alpha = json.dumps({"num": num, "den": [1]})
+    assert run(capsys, mode, "--alpha", alpha) == (2, "", TRIVIAL_DATUM)
+
+
+def test_a_batch_job_of_the_zero_function_is_a_trivial_datum(tmp_path,
+                                                             capsys):
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"m": 8, "alpha": {"num": [], "den": [1]}}),
+                    encoding="utf-8")
+    code, out, _ = run(capsys, "verify", "--batch", str(path))
+    assert (code, out) == (2, '{"error":"' + TRIVIAL_DATUM[7:-1]
+                           + '","schema":2}\n')
+
+
+def test_a_block_past_the_cap_is_refused_before_any_dense_array(
+        tmp_path, capsys, monkeypatch):
+    # s^5 has genus 6 and blocks of dimension 3, 2 and 1 on both sides
+    import a4diff._blocks as blocks
+
+    def unmade(*args):
+        raise AssertionError("a dense model was made")
+
+    refusal = ("unsupported configuration: a coordinate block of "
+               "dimension 3, more than 2")
+    monkeypatch.setattr(blocks, "BLOCK_DIM_CAP", 2)
+    monkeypatch.setattr(blocks.TripletRep, "dense", unmade)
+    monkeypatch.setattr(blocks, "GroupRep", unmade)
+    assert run(capsys, "verify", "--alpha", S5) == (2, "",
+                                                    f"error: {refusal}\n")
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"m": 8, "alpha": json.loads(S5)}),
+                    encoding="utf-8")
+    assert run(capsys, "verify", "--batch", str(path)) == (
+        2, json.dumps({"error": refusal, "schema": 2},
+                      separators=(",", ":")) + "\n", "")
+    monkeypatch.undo()
+    monkeypatch.setattr(blocks, "BLOCK_DIM_CAP", 3)
+    code, out, _ = run(capsys, "verify", "--alpha", S5)
+    assert code == 0 and "verification: PASS" in out
+
+
+def test_running_out_of_memory_in_verify_is_a_refusal(tmp_path):
+    # a child that caps its own address space at 64 MB above what it holds
+    # once the verify stack is loaded; family 2 at n = 256 makes a dense
+    # block of dimension 1536, some 19 MB an array, so the oracle runs
+    # out of memory, in a single run and in a one-job batch
+    path = tmp_path / "batch.jsonl"
+    path.write_text(json.dumps({"m": 8, "mode": "examples", "options": {
+        "example": {"which": 2, "n": 256}}}), encoding="utf-8")
+    script = (
+        "import resource\n"
+        "import a4diff.oracle, a4diff.repbuilder\n"
+        "from a4diff.cli import run_cli\n"
+        "with open('/proc/self/status') as fh:\n"
+        "    kb = next(int(l.split()[1]) for l in fh\n"
+        "             if l.startswith('VmSize:'))\n"
+        "cap = (kb + 64 * 1024) * 1024\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (cap, cap))\n"
+        "print(run_cli(['examples', '--which', '2', '--n', '256', "
+        "'--verify']))\n"
+        f"print(run_cli(['verify', '--batch', {str(path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    refusal = ("unsupported configuration: out of memory in the matrix "
+               "model of dimension 4614")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == f"error: {refusal}\n"
+    assert proc.stdout.splitlines() == [
+        "2", json.dumps({"error": refusal, "schema": 2},
+                        separators=(",", ":")), "2"]
 
 
 def test_a_batch_job_with_a_zero_denominator_is_a_usage_error(tmp_path,

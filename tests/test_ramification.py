@@ -1,5 +1,6 @@
 import json
 import random
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,6 +315,23 @@ def test_random_data_battery():
             bp = point_at(data, place_from_key(F, key))
             assert d == 3 * (bp.m + 1) + 2 * (bp.M - bp.m)
     assert seen_degenerate and seen_two_orbits
+
+
+def test_random_trace_zero_alpha_returns_over_gf4():
+    # GF(4)* is a single zeta-orbit, so no second orbit can be drawn: the
+    # helper caps the orbit count at the orbits there are
+    def stuck(signum, frame):
+        raise TimeoutError("random_trace_zero_alpha did not return")
+
+    old = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        for seed in range(200):
+            random_trace_zero_alpha(random.Random(seed), FieldSpec(2),
+                                    max_orbits=2)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
 
 
 def test_trivial_perturbation_keeps_report():

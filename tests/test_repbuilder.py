@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,14 +15,15 @@ from a4diff.ramification import analyze_branch_data
 from a4diff.decomp import KGLabel, kG_decomposition, kH_decomposition
 from a4diff.modulezoo import restrict_to_h, validate_group_rep
 from a4diff.oracle import decompose_rep
-from a4diff.repbuilder import BasisLabel, _index_one_block, build_global_rep
+from a4diff.cli import run_cli
+from a4diff.repbuilder import GlobalRep, _index_one_block, build_global_rep
 from a4diff._families import (
     hkg_alpha,
     degenerate_orbit_alpha,
     generic_orbit_alpha,
 )
 
-from helpers import analyzed_random_datum
+from helpers import BasisLabel, analyzed_random_datum, basis_labels
 
 F = FieldSpec(m=8)
 Z = F.zeta()
@@ -39,7 +41,7 @@ def index_one_sextet(data, gr):
     if not data.orbits:
         return []
     places = [pt.place for pt in data.orbits[0].points]
-    index_one = [lab for lab in gr.labels if lab.index == 1]
+    index_one = [lab for lab in basis_labels(data, gr) if lab.index == 1]
     if [sum(lab.place == pl for lab in index_one)
             for pl in places] != [0, 3, 3]:
         return []
@@ -61,7 +63,8 @@ def assert_matches_closed_forms(data, gr):
 def test_quintic_monomial_block_data():
     data, gr = built(RatFunc.monomial(F, 5))
     assert gr.dim == data.genus == 6
-    keys = [(lab.place.key(), lab.family, lab.index) for lab in gr.labels]
+    keys = [(lab.place.key(), lab.family, lab.index)
+            for lab in basis_labels(data, gr)]
     assert keys == [("inf", 1, 0), ("inf", 1, 1), ("inf", 1, 2),
                     ("inf", 2, 0), ("inf", 3, 0), ("inf", 3, 1)]
     sol = decompose_rep(gr.rep)
@@ -73,8 +76,9 @@ def test_quintic_monomial_block_data():
 
 
 def test_quintic_monomial_generator_entries():
-    _, gr = built(RatFunc.monomial(F, 5))
-    pos = {(lab.family, lab.index): t for t, lab in enumerate(gr.labels)}
+    data, gr = built(RatFunc.monomial(F, 5))
+    pos = {(lab.family, lab.index): t
+           for t, lab in enumerate(basis_labels(data, gr))}
     sig, tau = gr.rep.sigma, gr.rep.tau
     # family 3 drops to family 1 under sigma, family 2 under tau
     assert sig.element(pos[(1, 0)], pos[(3, 0)]) == ONE
@@ -89,9 +93,10 @@ def test_quintic_monomial_generator_entries():
 
 def test_labels_cover_each_point_once():
     data, gr = built(hkg_alpha(F, 2, 1))
-    assert len(set(gr.labels)) == gr.dim
+    labels = basis_labels(data, gr)
+    assert len(set(labels)) == gr.dim
     per_place = {}
-    for lab in gr.labels:
+    for lab in labels:
         per_place.setdefault(lab.place.key(), 0)
         per_place[lab.place.key()] += 1
     assert per_place["inf"] == gr.dim  # single branch point
@@ -177,7 +182,7 @@ def test_model_is_block_diagonal_by_fixed_point_and_orbit():
         owner = {pt.place: ("point", j) for j, pt in enumerate(data.special)}
         for j, orb in enumerate(data.orbits):
             owner.update((pt.place, ("orbit", j)) for pt in orb.points)
-        keys = [owner[lab.place] for lab in gr.labels]
+        keys = [owner[lab.place] for lab in basis_labels(data, gr)]
         runs = [[t for t, _ in run] for _, run in
                 itertools.groupby(enumerate(keys), key=lambda tk: tk[1])]
         assert len(runs) == len(set(keys))
@@ -188,6 +193,57 @@ def test_model_is_block_diagonal_by_fixed_point_and_orbit():
             assert not M.a[~inside].any()
         blocks_seen += len(runs) > 1
     assert blocks_seen >= 5
+
+
+def test_the_model_holds_each_nonzero_once_and_the_places_tile_it():
+    for data in block_diagonal_data():
+        gr = build_global_rep(data)
+        assert [name for name in gr.model.gens] == ["sigma", "tau", "rho"]
+        for rows, cols, vals in gr.model.gens.values():
+            assert rows.dtype == cols.dtype == vals.dtype == np.int64
+            assert vals.all()
+            keys = rows * gr.dim + cols
+            assert len(set(keys.tolist())) == len(keys)
+        ends = [0] + [stop for _, _, stop in gr.places]
+        assert [start for _, start, _ in gr.places] == ends[:-1]
+        assert ends[-1] == gr.dim == data.genus
+        assert len({place for place, _, _ in gr.places}) == len(gr.places)
+
+
+def test_the_triplet_model_decomposes_as_the_dense_one():
+    for data in itertools.islice(block_diagonal_data(), 8):
+        gr = build_global_rep(data)
+        for M, dense in ((gr.model, gr.rep),
+                         (gr.model.restrict_to_h(), restrict_to_h(gr.rep))):
+            a, b = decompose_rep(M), decompose_rep(dense)
+            assert a.multiplicities == b.multiplicities
+            assert a.spot_hom == b.spot_hom
+
+
+def test_the_genus_234_build_makes_no_dense_array():
+    # one 234 x 234 int64 array is 438 KB; the three dense generators and
+    # the local tables took a peak of 2.4 MB
+    data = analyze_branch_data(hkg_alpha(F, 2, 2))
+    tracemalloc.start()
+    try:
+        gr = build_global_rep(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gr.dim == 234
+    assert peak < 234 * 234 * 8
+
+
+def test_the_genus_234_verify_never_asks_for_the_dense_model(monkeypatch,
+                                                            capsys):
+    def refused(self):
+        raise AssertionError("the dense model was made")
+
+    monkeypatch.setattr(GlobalRep, "rep", property(refused))
+    assert run_cli(["examples", "--which", "1", "--n", "2", "--x", "2",
+                    "--m", "8", "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert "verification: PASS (dim 234, kG ok, kH ok)" in out
 
 
 # ------------------------------------------------------- pinned matrices
