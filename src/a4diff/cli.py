@@ -14,8 +14,8 @@ Exit codes: 0 success, 1 usage, 2 mathematical precondition failure,
 
 A command loads only the layers it runs: the matrix stack (numpy,
 repbuilder, modulezoo, oracle) is imported by the verification and zoo
-paths when they start, and the process pool by a batch, so an analyze
-run never loads numpy.
+paths when they start, and `_forked` (plain forked workers) by a batch
+of several jobs, so an analyze run never loads numpy.
 """
 
 from __future__ import annotations
@@ -172,14 +172,13 @@ def _parse_alpha_obj(field, obj):
             "alpha must be a JSON object {\"num\": [...], \"den\": [...]} "
             "of coefficient masks, constant term first")
     # an empty num is the zero polynomial, as RatFunc.to_json writes it
-    for key in ("num", "den"):
+    for key, kind in (("num", "list"), ("den", "nonempty list")):
         coeffs = obj[key]
         if (not isinstance(coeffs, list) or not (coeffs or key == "num") or
                 not all(type(c) is int and 0 <= c < field.order
                         for c in coeffs)):
             raise UsageError(
-                f"alpha {key} must be a nonempty list of masks below "
-                f"2^{field.m}")
+                f"alpha {key} must be a {kind} of masks below 2^{field.m}")
     if not any(obj["den"]):
         raise UsageError("alpha denominator is zero")
     return RatFunc.from_json(field, obj)
@@ -480,7 +479,7 @@ def _batch_worker(text):
         return 1, _dump({"schema": SCHEMA, "error": f"usage: {exc}"}, False)
     except ValueError as exc:
         return 2, _dump({"schema": SCHEMA, "error": str(exc)}, False)
-    except Exception as exc:  # malformed job; never poison the pool
+    except Exception as exc:  # malformed job; never end the batch
         return 1, _dump({"schema": SCHEMA,
                          "error": f"bad job: {type(exc).__name__}: {exc}"},
                         False)
@@ -503,18 +502,21 @@ def _run_batch(path, out):
             raise UsageError(f"bad batch JSON: {exc}") from exc
     else:
         jobs = [line for line in stripped.splitlines() if line.strip()]
-    if len(jobs) == 1:
-        results = [_batch_worker(jobs[0])]
+    workers = min(len(jobs), os.cpu_count() or 1)
+    if workers == 1 or not hasattr(os, "fork"):
+        results = [_batch_worker(text) for text in jobs]
     else:
-        from concurrent.futures import ProcessPoolExecutor
-        # every job verifies: load the verify stack once, before the pool
-        # forks, so that no worker imports it again
+        # every job verifies: load the verify stack once, before the
+        # children fork, so that no child imports it again
         from . import oracle, repbuilder  # noqa: F401
-        workers = min(len(jobs), os.cpu_count() or 1)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_batch_worker, jobs))
+        from ._forked import run_forked
+        # the worker as this module holds it now, wrapped or patched
+        results = run_forked(jobs, workers, _batch_worker)
     code = 0
     for job_code, line in results:
+        if job_code is None:    # the job's child died
+            job_code = 2
+            line = _dump({"schema": SCHEMA, "error": line}, False)
         print(line, file=out)
         code = max(code, job_code)
     return code

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 
 from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix
+import a4diff.cli as cli
 from a4diff.cli import JobSpec, run_cli
 from a4diff.gf import FieldSpec
 from a4diff.ratlaurent import RatFunc
@@ -393,7 +395,7 @@ def test_batch_accepts_shorthand_field_object(tmp_path, capsys):
 
 
 def test_batch_survives_malformed_jobs(tmp_path, capsys):
-    # one healthy job between two broken ones; the pool must report
+    # one healthy job between two broken ones; the batch must report
     # every line and the healthy job must still verify
     jobs = [
         {"field": {"degree": 8}, "alpha": json.loads(S5)},
@@ -412,6 +414,132 @@ def test_batch_survives_malformed_jobs(tmp_path, capsys):
     assert lines[1]["verification"]["status"] == "PASS"
     assert "cube root" in lines[2]["error"]
     assert "alpha" in lines[3]["error"]
+
+
+# PASS, a refusal, usage errors and family 2's longer verify, more jobs
+# than the two workers
+MIXED_BATCH = [
+    {"m": 8, "mode": "examples", "options": {"example": {"which": 2,
+                                                        "n": 8}}},
+    {"m": 8, "alpha": json.loads(S5)},
+    {"m": 8, "alpha": json.loads(S3)},
+    {"m": 8, "mode": "bogus", "alpha": json.loads(S5)},
+    {"m": 4, "alpha": json.loads(S5)},
+    {"field": {"m": 7}, "alpha": json.loads(S5)},
+    {"m": 8, "alpha": {"num": [256], "den": [1]}},
+]
+
+
+def _mixed_batch(tmp_path):
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(json.dumps(j) for j in MIXED_BATCH),
+                    encoding="utf-8")
+    return path
+
+
+def test_a_batch_prints_the_same_in_process_and_on_children(
+        tmp_path, capsys, monkeypatch):
+    path = _mixed_batch(tmp_path)
+
+    def unforked():
+        raise AssertionError("a one-worker batch forked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "cpu_count", lambda: 1)
+        patch.setattr(os, "fork", unforked)
+        in_process = run(capsys, "verify", "--batch", str(path))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, "verify", "--batch", str(path)) == in_process
+    code, out, err = in_process
+    assert (code, err) == (2, "")
+    lines = [json.loads(line) for line in out.splitlines()]
+    assert len(lines) == len(MIXED_BATCH)
+    assert [l.get("verification", {}).get("status") for l in lines] == [
+        "PASS", "PASS", None, None, "PASS", None, None]
+
+
+def test_a_dead_batch_worker_costs_only_its_own_job(tmp_path, capsys,
+                                                    monkeypatch):
+    # the children inherit the patched worker; it kills its child on the
+    # m = 4 job, and never the test process itself
+    path = _mixed_batch(tmp_path)
+    worker = cli._batch_worker
+    parent = os.getpid()
+
+    def dying(text):
+        if os.getpid() != parent and json.loads(text).get("m") == 4:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return worker(text)
+
+    monkeypatch.setattr(cli, "_batch_worker", dying)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--batch", str(path))
+    expected = [worker(json.dumps(job))[1] for job in MIXED_BATCH]
+    expected[4] = ('{"error":"batch worker was killed by SIGKILL before it '
+                   'reported this job","schema":2}')
+    assert (code, out.splitlines(), err) == (2, expected, "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_batch_whose_every_child_dies_still_reports_every_job(
+        tmp_path, capsys, monkeypatch):
+    # each dead child is replaced while jobs wait; a child's exit status
+    # is reported as well as a signal
+    path = tmp_path / "batch.jsonl"
+    path.write_text(f'{{"m": 8, "alpha": {S5}}}\n' * 3
+                    + f'{{"m": 4, "alpha": {S5}}}\n', encoding="utf-8")
+    parent = os.getpid()
+
+    def dying(text):
+        if os.getpid() != parent:
+            if json.loads(text)["m"] == 4:
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise AssertionError("a job ran in the test process")
+
+    monkeypatch.setattr(cli, "_batch_worker", dying)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--batch", str(path))
+    line = '{"error":"batch worker %s before it reported this job","schema":2}'
+    assert (code, out.splitlines(), err) == (
+        2, [line % "was killed by SIGKILL"] * 3
+        + [line % "exited with status 3"], "")
+
+
+def test_a_batch_that_fails_in_the_parent_reaps_its_children(
+        tmp_path, monkeypatch):
+    import select
+
+    def failing(*args):
+        raise RuntimeError("select failed")
+
+    monkeypatch.setattr(select, "select", failing)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(RuntimeError, match="select failed"):
+        run_cli(["verify", "--batch", str(_mixed_batch(tmp_path))])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_text_printed_before_a_forked_batch_appears_once(tmp_path):
+    # a child leaves by os._exit, so the parent's unflushed stdout buffer
+    # is not written again from the child
+    path = _mixed_batch(tmp_path)
+    script = ("import os\n"
+              "from a4diff.cli import run_cli\n"
+              "os.cpu_count = lambda: 2\n"
+              "print('before the batch')\n"
+              "print('exit', run_cli(['verify', '--batch', "
+              f"{str(path)!r}]))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(MIXED_BATCH) + 2
+    assert lines[0] == "before the batch" and lines[-1] == "exit 2"
+    assert proc.stdout.count("before the batch") == 1
 
 
 @pytest.mark.parametrize("job", [

@@ -68,6 +68,26 @@ def test_the_genus_234_verify_loads_no_numpy_ma():
     assert "numpy.ma" not in mods
 
 
+def test_a_batch_forks_its_workers_without_the_pool_stack(tmp_path):
+    # two workers for two jobs; every child is reaped by the time
+    # run_cli returns
+    path = tmp_path / "batch.jsonl"
+    path.write_text(f'{{"m": 8, "alpha": {S5}}}\n' * 2, encoding="utf-8")
+    mods = loaded_after(
+        "import os\n"
+        "os.cpu_count = lambda: 2\n"
+        + run_cli_code(["verify", "--batch", str(path)])
+        + "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "except ChildProcessError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a batch child is left')\n")
+    assert "a4diff.oracle" in mods
+    assert "concurrent.futures" not in mods
+    assert "multiprocessing" not in mods
+
+
 @pytest.mark.parametrize("module", ["oracle", "_blocks"])
 def test_the_oracle_finds_its_blocks_from_the_matrices_alone(module):
     # the oracle checks the builder's model, so it takes no block
