@@ -105,21 +105,18 @@ def components(M):
 
 def _local_triplets(M, blocks):
     """Per block, per generator, its sorted (local row, local column,
-    mask) triplets.  Raises unless the components hold every nonzero of
-    every generator.  Plain Python for the reason components gives: a
-    first np.argsort alone pages in some 0.4 MB of sorting code."""
+    mask) triplets; blocks are components, so each nonzero lies in one.
+    Plain Python for the reason components gives: a first np.argsort
+    alone pages in some 0.4 MB of sorting code."""
     where = [0] * M.dim
     local = [0] * M.dim
     for n, b in enumerate(blocks):
         for t, v in enumerate(b):
             where[v], local[v] = n, t
     out = [[] for _ in blocks]
-    for name, (rows, cols, vals) in M.gens.items():
+    for rows, cols, vals in M.gens.values():
         per = [[] for _ in blocks]
         for i, j, x in zip(rows.tolist(), cols.tolist(), vals.tolist()):
-            if where[i] != where[j]:
-                raise RuntimeError("internal extraction inconsistency: a "
-                                   f"nonzero of {name} joins two blocks")
             per[where[i]].append((local[i], local[j], x))
         for trips, held in zip(out, per):
             held.sort()

@@ -12,10 +12,12 @@ byte-identical JSON.
 Exit codes: 0 success, 1 usage, 2 mathematical precondition failure,
 3 verification mismatch.
 
-A command loads only the layers it runs: the matrix stack (numpy,
-repbuilder, modulezoo, oracle) is imported by the verification and zoo
-paths when they start, and `_forked` (plain forked workers) by a batch
-of several jobs, so an analyze run never loads numpy.
+A command loads only the layers it runs: the verify stack (numpy,
+repbuilder, modulezoo, oracle) is imported when a verification starts,
+numpy, modulezoo and the label models and catalogue of `zoo` when the
+zoo command runs, and `_forked` (plain forked workers) by a batch of
+several jobs, so an analyze run never loads numpy and a verify never
+loads `zoo`.
 """
 
 from __future__ import annotations
@@ -419,8 +421,9 @@ def _human_report(report, out):
 # ---------------------------------------------------------------- zoo
 
 def _run_zoo(args, out):
-    from .modulezoo import (kg_group_rep, kh_group_rep, parse_label,
-                            validate_group_rep, zoo_dump, zoo_labels)
+    from .modulezoo import validate_group_rep
+    from .zoo import (kg_group_rep, kh_group_rep, parse_label, zoo_dump,
+                      zoo_labels)
     field = _field_from_args(args)
     if args.label:
         label = parse_label(field, args.label)

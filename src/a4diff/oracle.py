@@ -13,9 +13,9 @@ intertwiner equations, and lives with the tests):
   coordinate blocks of its generators' nonzeros, found from them alone,
   and reads the summand multiset of one copy of each distinct
   block off the Wong sequences of its radical pencil.  What it checks
-  against the matrices: that the blocks hold every nonzero, and per pack
-  of distinct blocks the group relations, rad^2 = 0 (one product AB),
-  the extraction's own bookkeeping (the Wong counts are nonnegative),
+  against the matrices, per pack of distinct blocks: the group
+  relations, rad^2 = 0 (one product AB), the extraction's own
+  bookkeeping (the Wong counts are nonnegative),
   one vertex profile on both sides (the tops and radicals of the named
   summands, read off their zoo words, fill the pencil's top and radical
   at every vertex) and two hom counts Hom(X, M) from the fixed space

@@ -9,9 +9,10 @@ scan and of the A4 conditions with three reductions.  Also the explicit
 constructions that only tests use: matrices from rows, Kronecker
 products, the dense hom dimension, the stacked-rank probe counts,
 induction to A4 of a model and of a label (the reference for Frobenius
-reciprocity), direct sums of label models and the Klein four models in
-the (C, D) letters; the A4 quiver representation read back off group
-matrices, the reference for the oracle's radical pencil; and the
+reciprocity), direct sums of label models, the group models of quiver
+representations and the Klein four models in the (C, D) letters; the A4
+quiver representation read back off group matrices, the reference for
+the oracle's radical pencil; and the
 accessors only tests read: division by one linear factor, evaluation
 and root multiplicities of polynomials, places from keys, orders at
 places, constancy and evaluation of rational functions, the orbit
@@ -31,10 +32,11 @@ from a4diff.decomp import (Decomposition, KGLabel, KHLabel,
                            restrict_decomposition)
 from a4diff.gf import (FieldElement, _mask_inv, _mask_mul, _pmulmod,
                        _ppowmod, all_elements)
-from a4diff.modulezoo import (A4_QUIVER, BandWord, GroupRep, Quiver,
-                              QuiverRep, StringWord, _ab_from_cd,
-                              band_module_matrices, fwd, kg_group_rep,
-                              kh_group_rep, rev, string_module_matrices)
+from a4diff.modulezoo import (A4_QUIVER, GroupRep, Quiver, StringWord, fwd,
+                              rev)
+from a4diff.zoo import (BandWord, QuiverRep, _ab_from_cd, _kg_group,
+                        _klein_group, band_module_matrices, kg_group_rep,
+                        kh_group_rep, string_module_matrices)
 from a4diff.oracle import _complement
 from a4diff.ramification import (INF, _numerology, analyze_branch_data,
                                   phi_of_lambda)
@@ -726,6 +728,26 @@ def labels_group_rep(spec, labels):
     """Block diagonal model of a label multiset (all kH or all kG)."""
     return direct_sum([kh_group_rep(spec, lab) if isinstance(lab, KHLabel)
                        else kg_group_rep(spec, lab) for lab in labels])
+
+
+def klein_group_matrices(rep):
+    """GroupRep of H from a Klein four quiver representation; the group
+    relations follow from the quiver relations rep.validate checks."""
+    rep.validate()
+    return _klein_group(rep)
+
+
+def kG_group_matrices(rep):
+    """GroupRep of G from an A4 quiver representation.
+
+    Basis order: vertex 0 block, then vertex 1, then vertex 2; rho acts
+    as zeta^i on the vertex-i block.  The group relations follow from the
+    quiver relations rep.validate checks.
+    """
+    if rep.quiver is not A4_QUIVER:
+        raise ValueError("expected an A4 quiver representation")
+    rep.validate()
+    return _kg_group(rep)
 
 
 def reference_group_relations(rep):

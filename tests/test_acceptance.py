@@ -12,8 +12,8 @@ import pytest
 from a4diff.decomp import (KGLabel, KHLabel, _string_block, kG_decomposition,
                            kH_decomposition, mu_nu, restrict_decomposition)
 from a4diff.gf import FieldSpec
-from a4diff.modulezoo import (kg_group_rep, kh_group_rep, restrict_to_h,
-                              validate_group_rep, zoo_labels)
+from a4diff.modulezoo import restrict_to_h, validate_group_rep
+from a4diff.zoo import kg_group_rep, kh_group_rep, zoo_labels
 from a4diff.oracle import decompose_rep
 from a4diff.ramification import (INF, analyze_branch_data, lambda_of_phi,
                                  phi_of_lambda)

@@ -698,7 +698,7 @@ def test_zoo_flags_a_model_that_breaks_the_relations(capsys, monkeypatch):
         J = matrix_from_rows(spec, [[0, 1], [1, 1]])
         return GroupRep("H", spec, J, Matrix.identity(spec, 2))
 
-    monkeypatch.setattr("a4diff.modulezoo.kh_group_rep", broken)
+    monkeypatch.setattr("a4diff.zoo.kh_group_rep", broken)
     code, out, _ = run(capsys, "zoo", "--m", "4", "--max-dim", "2",
                        "--side", "kH", "--json")
     assert code == 3
@@ -718,11 +718,10 @@ def test_zoo_refuses_a_long_side_before_building_any_model(capsys,
             return build(spec, label)
         return wrapper
 
-    import a4diff.modulezoo as modulezoo
-    monkeypatch.setattr(modulezoo, "ZOO_LABEL_CAP", 40)
+    import a4diff.zoo as zoo
+    monkeypatch.setattr(zoo, "ZOO_LABEL_CAP", 40)
     for name in ("kh_group_rep", "kg_group_rep"):
-        monkeypatch.setattr(modulezoo, name,
-                            counting(getattr(modulezoo, name)))
+        monkeypatch.setattr(zoo, name, counting(getattr(zoo, name)))
     code, out, err = run(capsys, "zoo", "--m", "2", "--max-dim", "8",
                          "--side", "both", "--json")
     assert code == 2 and not out and built == []
@@ -738,9 +737,9 @@ def test_zoo_refuses_a_side_past_the_dim3_budget(capsys, monkeypatch):
     def counting(spec, label):
         built.append(label)
 
-    import a4diff.modulezoo as modulezoo
-    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 4990)
-    monkeypatch.setattr(modulezoo, "kh_group_rep", counting)
+    import a4diff.zoo as zoo
+    monkeypatch.setattr(zoo, "ZOO_DIM3_BUDGET", 4990)
+    monkeypatch.setattr(zoo, "kh_group_rep", counting)
     code, out, err = run(capsys, "zoo", "--m", "2", "--max-dim", "8",
                          "--side", "kH", "--json")
     assert code == 2 and not out and built == []
@@ -748,7 +747,7 @@ def test_zoo_refuses_a_side_past_the_dim3_budget(capsys, monkeypatch):
                    "dim <= 8 over GF(2^2) sum to 4991 in dim^3, more than "
                    "4990\n")
     monkeypatch.undo()
-    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 4991)
+    monkeypatch.setattr(zoo, "ZOO_DIM3_BUDGET", 4991)
     code, out, _ = run(capsys, "zoo", "--m", "2", "--max-dim", "8",
                        "--side", "kH", "--json")
     assert code == 0 and len(json.loads(out)["entries"]) == 27
@@ -757,14 +756,14 @@ def test_zoo_refuses_a_side_past_the_dim3_budget(capsys, monkeypatch):
 def test_zoo_refuses_a_label_past_the_dim3_budget(capsys, monkeypatch):
     # a label whose dim^3 is past the budget is refused before its model
     # is built, as a listing of it alone would be
-    import a4diff.modulezoo as modulezoo
+    import a4diff.zoo as zoo
 
     def unbuildable(spec, label):
         raise AssertionError(f"{label.label_str()} was built")
 
-    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 4912)
+    monkeypatch.setattr(zoo, "ZOO_DIM3_BUDGET", 4912)
     for name in ("kh_quiver_rep", "kg_quiver_rep"):
-        monkeypatch.setattr(modulezoo, name, unbuildable)
+        monkeypatch.setattr(zoo, name, unbuildable)
     for text, dim in (("M[2n+1=17,x=1,i=0]", 17), ("N[2n=18,lambda=inf]", 18),
                       ("B[6n=18,mu=1]", 18)):
         code, out, err = run(capsys, "zoo", "--m", "2", "--label", text,
@@ -773,7 +772,7 @@ def test_zoo_refuses_a_label_past_the_dim3_budget(capsys, monkeypatch):
         assert err == (f"error: unsupported configuration: {text} has dim "
                        f"{dim}, {dim ** 3} in dim^3, more than 4912\n")
     monkeypatch.undo()
-    monkeypatch.setattr(modulezoo, "ZOO_DIM3_BUDGET", 17 ** 3)
+    monkeypatch.setattr(zoo, "ZOO_DIM3_BUDGET", 17 ** 3)
     code, out, _ = run(capsys, "zoo", "--m", "2", "--label",
                        "M[2n+1=17,x=1,i=0]", "--json")
     assert code == 0 and json.loads(out)["dim"] == 17

@@ -17,15 +17,21 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 S5 = '{"num":[0,0,0,0,0,1],"den":[1]}'
 
 
-def loaded_after(code):
-    """Module names in sys.modules after a fresh interpreter runs code."""
+def value_after(code, report):
+    """The JSON value of the expression report after a fresh interpreter
+    runs code."""
     script = (code + "\nimport json, sys\n"
-              "sys.__stdout__.write('\\n' + json.dumps(sorted(sys.modules)))")
+              f"sys.__stdout__.write('\\n' + json.dumps({report}))")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout.splitlines()[-1]))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def loaded_after(code):
+    """Module names in sys.modules after a fresh interpreter runs code."""
+    return set(value_after(code, "sorted(sys.modules)"))
 
 
 def run_cli_code(argv):
@@ -68,15 +74,20 @@ def test_the_genus_234_verify_loads_no_numpy_ma():
     assert "numpy.ma" not in mods
 
 
+def two_worker_batch_code(tmp_path):
+    """Code that runs a batch of two jobs on two workers."""
+    path = tmp_path / "batch.jsonl"
+    path.write_text(f'{{"m": 8, "alpha": {S5}}}\n' * 2, encoding="utf-8")
+    return ("import os\n"
+            "os.cpu_count = lambda: 2\n"
+            + run_cli_code(["verify", "--batch", str(path)]))
+
+
 def test_a_batch_forks_its_workers_without_the_pool_stack(tmp_path):
     # two workers for two jobs; every child is reaped by the time
     # run_cli returns
-    path = tmp_path / "batch.jsonl"
-    path.write_text(f'{{"m": 8, "alpha": {S5}}}\n' * 2, encoding="utf-8")
     mods = loaded_after(
-        "import os\n"
-        "os.cpu_count = lambda: 2\n"
-        + run_cli_code(["verify", "--batch", str(path)])
+        two_worker_batch_code(tmp_path)
         + "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
         "except ChildProcessError:\n"
@@ -86,6 +97,33 @@ def test_a_batch_forks_its_workers_without_the_pool_stack(tmp_path):
     assert "a4diff.oracle" in mods
     assert "concurrent.futures" not in mods
     assert "multiprocessing" not in mods
+
+
+# defined only by the label models and the catalogue of a4diff.zoo
+ZOO_NAMES = ("QuiverRep", "kh_group_rep", "parse_label", "zoo_dump",
+             "zoo_labels")
+ZOO_DEFINED = ("sorted({name for key, mod in list(sys.modules.items())"
+               " if key.partition('.')[0] == 'a4diff'"
+               f" for name in {ZOO_NAMES!r} if hasattr(mod, name)}})")
+
+
+@pytest.mark.parametrize("argv", [
+    ["examples", "--which", "1", "--n", "2", "--x", "2", "--m", "8",
+     "--verify", "--json"],
+    ["verify", "--m", "20", "--alpha", S5, "--json"],
+    None,
+], ids=["genus-234", "m20", "batch"])
+def test_a_verify_compiles_no_zoo_catalogue(argv, tmp_path):
+    # with no cached bytecode a verify compiles every module it imports,
+    # and compiling the catalogue set the run's peak memory
+    code = (two_worker_batch_code(tmp_path) if argv is None
+            else run_cli_code(argv))
+    assert value_after(code, ZOO_DEFINED) == []
+
+
+def test_the_zoo_command_loads_the_catalogue():
+    code = run_cli_code(["zoo", "--max-dim", "2", "--json"])
+    assert value_after(code, ZOO_DEFINED) == list(ZOO_NAMES)
 
 
 @pytest.mark.parametrize("module", ["oracle", "_blocks"])

@@ -12,23 +12,23 @@ from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.ramification import INF, lambda_of_phi, phi_of_lambda
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.modulezoo import (
-    A4_BAND,
     A4_QUIVER,
-    BandWord,
     GroupRep,
     KLEIN_AB,
-    QuiverRep,
     StringWord,
+    restrict_to_h,
+    validate_group_rep,
+)
+from a4diff.zoo import (
+    A4_BAND,
+    BandWord,
+    QuiverRep,
     band_module_matrices,
-    kG_group_matrices,
     kg_group_rep,
     kg_quiver_rep,
     kh_group_rep,
-    klein_group_matrices,
     parse_label,
-    restrict_to_h,
     string_module_matrices,
-    validate_group_rep,
     zoo_dump,
     ZOO_DIM3_BUDGET,
     ZOO_LABEL_CAP,
@@ -37,9 +37,9 @@ from a4diff.modulezoo import (
     zoo_labels,
 )
 
-from helpers import (KLEIN_CD, induce_label, induce_to_g, kh_cd_group_rep,
-                     matrix_from_rows, reference_group_relations,
-                     restrict_label)
+from helpers import (KLEIN_CD, induce_label, induce_to_g, kG_group_matrices,
+                     kh_cd_group_rep, klein_group_matrices, matrix_from_rows,
+                     reference_group_relations, restrict_label)
 
 F = FieldSpec(m=8)
 Z = F.zeta()

@@ -11,8 +11,8 @@ from a4diff._families import hkg_alpha
 from a4diff._linalg import Matrix, coords_in_basis, jordan_block
 from a4diff.decomp import KGLabel, KHLabel
 from a4diff.gf import FieldSpec, all_elements
-from a4diff.modulezoo import (GroupRep, kg_group_rep, kh_group_rep,
-                              restrict_to_h, zoo_labels)
+from a4diff.modulezoo import GroupRep, restrict_to_h
+from a4diff.zoo import kg_group_rep, kh_group_rep, zoo_labels
 from a4diff.oracle import (MultiplicitySolution, _charpoly, _kronecker,
                            decompose_rep, hom_labels, string_pair_homs)
 from a4diff.ramification import INF, analyze_branch_data
