@@ -65,7 +65,7 @@ class JobSpec:
     __slots__ = ("field", "alpha", "mode", "options")
 
     def __init__(self, field, alpha, mode, options=None):
-        modes = ("analyze", "hkg", "verify", "zoo", "examples")
+        modes = ("analyze", "hkg", "verify", "examples")
         if mode not in modes:
             raise UsageError(f"job mode must be one of {', '.join(modes)}, "
                              f"got {mode!r}")
@@ -191,7 +191,7 @@ def _parse_alpha_arg(field, text):
         try:
             with open(text[1:], "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError(f"cannot read alpha file: {exc}") from exc
     try:
         obj = json.loads(text)
@@ -492,7 +492,7 @@ def _run_batch(path, out):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             content = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read batch file: {exc}") from exc
     stripped = content.strip()
     if not stripped:

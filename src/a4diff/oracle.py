@@ -25,7 +25,8 @@ intertwiner equations, and lives with the tests):
 
 The radical is a col_basis, the identity at its pivot rows: the unit
 vectors at the other rows span a top, and the coordinates of a vector in
-the radical are its entries at the pivot rows, checked by one product.
+the radical are its entries at the pivot rows, read unchecked: every
+vector so read lies in its space by construction (see _radical_pencil).
 
 The summands of a module with rad^2 = 0 are the Kronecker blocks of the
 pencil its radical maps form from the top to the radical, graded over A4
@@ -467,7 +468,11 @@ def _radical_pencil(M):
 
     The group relations give A^2 = B^2 = 0 and AB = BA, hence
     C^2 = D^2 = 0 and CD = DC = zeta AB: rad^2 = 0 exactly when AB = 0,
-    which is checked here and nowhere else.
+    which is checked here and nowhere else.  With it, rho sigma rho^-1 =
+    tau and rho tau rho^-1 = sigma tau give rho D rho^-1 = zeta^2 D and
+    rho C rho^-1 = zeta C, so D maps vertex v into v - 1 and C into v + 1;
+    the top and radical columns are columns of the matrix whose col_basis
+    is taken.  So every coords_at_pivots here reads a vector of the span.
     """
     spec = M.spec
     I = Matrix.identity(spec, M.dim)

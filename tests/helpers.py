@@ -26,7 +26,7 @@ from collections import namedtuple
 import numpy as np
 
 from a4diff._linalg import (Matrix, _inv_mask, _mul_arrays, col_basis,
-                            coords_at_pivots, hstack, vstack)
+                            coords_in_basis, hstack, vstack)
 from a4diff.artin_schreier import as_reduce, symmetrize_h
 from a4diff.decomp import (Decomposition, KGLabel, KHLabel,
                            restrict_decomposition)
@@ -797,7 +797,9 @@ def a4_quiver_rep_from_group(grep):
     for the oracle's radical pencil.
 
     Splits the space by rho eigenvalue, rewrites sigma and tau through
-    the C, D letters and reads off the arrow blocks; raises when the
+    the C, D letters and reads off the arrow blocks by the row-reduced
+    solve, which raises when a vector leaves the space it should lie in
+    (the oracle reads the same coordinates unchecked); raises when the
     length-two products do not vanish.
     """
     assert grep.group == "G"
@@ -817,7 +819,7 @@ def a4_quiver_rep_from_group(grep):
     arrow_mats = {}
     for name, (s, t) in A4_QUIVER.arrows.items():
         mat = C if name.startswith("g") else D
-        arrow_mats[name] = coords_at_pivots(*bases[t], mat @ bases[s][0])
+        arrow_mats[name] = coords_in_basis(bases[t][0], mat @ bases[s][0])
     rep = QuiverRep(A4_QUIVER, spec, {i: bases[i][0].cols for i in range(3)},
                     arrow_mats)
     rep.validate()
@@ -839,8 +841,8 @@ def reference_a4_pencil(M):
     C, D = [], []
     for v in range(3):
         top = _complement(rad[v][1], qrep.vertex_dims[v])
-        C.append(coords_at_pivots(*rad[(v + 1) % 3],
-                                  Matrix(spec, gout[v].a[:, top])))
-        D.append(coords_at_pivots(*rad[(v + 2) % 3],
-                                  Matrix(spec, dout[v].a[:, top])))
+        C.append(coords_in_basis(rad[(v + 1) % 3][0],
+                                 Matrix(spec, gout[v].a[:, top])))
+        D.append(coords_in_basis(rad[(v + 2) % 3][0],
+                                 Matrix(spec, dout[v].a[:, top])))
     return D, C

@@ -135,6 +135,21 @@ def test_alpha_from_file_and_trunc(tmp_path, capsys):
     assert all(len(bp["theta"]) <= 1 for bp in obj["ram"]["special"])
 
 
+def test_an_undecodable_batch_or_alpha_file_is_a_usage_error(tmp_path,
+                                                             capsys):
+    # a file that is not UTF-8 cannot be read, which is a usage error, not
+    # a failed precondition of the mathematics
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"m": 8, "alpha": {"num": [0, 1], "den": [1]}, '
+                     b'"note": "caf\xe9"}\n')
+    reason = ("'utf-8' codec can't decode byte 0xe9 in position 59: "
+              "invalid continuation byte\n")
+    assert run(capsys, "verify", "--batch", str(path)) == (
+        1, "", "usage error: cannot read batch file: " + reason)
+    assert run(capsys, "analyze", "--alpha", f"@{path}") == (
+        1, "", "usage error: cannot read alpha file: " + reason)
+
+
 def test_negative_trunc_is_a_usage_error(tmp_path, capsys):
     # a negative slice bound would silently drop the last coefficients
     code, _, err = run(capsys, "analyze", "--alpha", S5, "--trunc", "-1",
@@ -522,6 +537,41 @@ def test_a_batch_that_fails_in_the_parent_reaps_its_children(
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_each_batch_job_runs_in_a_child_of_its_own(tmp_path, capsys,
+                                                   monkeypatch):
+    # the worker reports the pid it ran in after its own line: seven
+    # jobs on two workers run in seven children, none of them the test
+    # process
+    path = _mixed_batch(tmp_path)
+    worker = cli._batch_worker
+
+    def with_pid(text):
+        code, line = worker(text)
+        return code, f"{line} {os.getpid()}"
+
+    monkeypatch.setattr(cli, "_batch_worker", with_pid)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    code, out, err = run(capsys, "verify", "--batch", str(path))
+    pids = [line.rsplit(" ", 1)[1] for line in out.splitlines()]
+    assert (code, err, len(pids)) == (2, "", len(MIXED_BATCH))
+    assert len(set(pids)) == len(MIXED_BATCH)
+    assert str(os.getpid()) not in pids
+
+
+def test_a_report_line_longer_than_a_pipe_buffer_arrives_whole(
+        tmp_path, capsys, monkeypatch):
+    # a child writes about 300 KB while the parent waits on it and on
+    # its other child
+    path = tmp_path / "batch.jsonl"
+    path.write_text("\n".join(str(n) for n in (300_000, 1, 2)),
+                    encoding="utf-8")
+    monkeypatch.setattr(cli, "_batch_worker",
+                        lambda text: (0, "x" * int(text)))
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert run(capsys, "verify", "--batch", str(path)) == (
+        0, "x" * 300_000 + "\nx\nxx\n", "")
+
+
 def test_text_printed_before_a_forked_batch_appears_once(tmp_path):
     # a child leaves by os._exit, so the parent's unflushed stdout buffer
     # is not written again from the child
@@ -664,15 +714,19 @@ def test_a_batch_job_with_a_zero_denominator_is_a_usage_error(tmp_path,
 
 def test_batch_job_with_an_unknown_mode_or_no_alpha_is_a_usage_error(
         tmp_path, capsys):
+    # zoo is a command of its own, not a kind of job
     jobs = [{"m": 8, "mode": "bogus", "alpha": json.loads(S5)},
+            {"m": 8, "mode": "zoo", "alpha": json.loads(S5)},
             {"m": 8, "mode": "hkg"}]
     path = tmp_path / "batch.jsonl"
     path.write_text("\n".join(json.dumps(j) for j in jobs), encoding="utf-8")
     code, out, _ = run(capsys, "verify", "--batch", str(path))
     assert code == 1
     assert [json.loads(l)["error"] for l in out.splitlines()] == [
-        "usage: job mode must be one of analyze, hkg, verify, zoo, examples, "
+        "usage: job mode must be one of analyze, hkg, verify, examples, "
         "got 'bogus'",
+        "usage: job mode must be one of analyze, hkg, verify, examples, "
+        "got 'zoo'",
         "usage: hkg job needs alpha",
     ]
 
